@@ -153,14 +153,6 @@ def split_global(addr: Ipv6Address) -> tuple[int, int]:
     return addr.value >> IID_BITS, addr.value & IID_MASK
 
 
-def parse_address(text: str) -> Ipv6Address:
-    return Ipv6Address.parse(text)
-
-
-def print_address(addr: Ipv6Address) -> str:
-    return str(addr)
-
-
 def iid_text(iid: int) -> str:
     """Fixed-width four-group hex form used in traces and metrics."""
     raw = f"{iid & IID_MASK:016x}"

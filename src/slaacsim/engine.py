@@ -111,7 +111,6 @@ class RunMetrics:
     dos_success: bool = False
     mitm_success: bool = False
     dualstack_success: bool = False
-    privacy: dict[str, int] = field(default_factory=dict)
     emitted: int = 0
     delivered: int = 0
     dropped: int = 0
@@ -396,7 +395,6 @@ class Engine(object):
                     str(e.address) for e in node.addresses if e.state is AddressState.ASSIGNED
                 ],
             )
-            snapshot.privacy[node.node_id] = iid
             if not under_attack:
                 continue
             attacker_on_path = any(isinstance(self.nodes.get(h), Attacker) for h in probe.path)
@@ -419,7 +417,6 @@ class Engine(object):
         if self.measurements:
             last = self.measurements[-1]
             merged.hosts = last.hosts
-            merged.privacy = last.privacy
             merged.dos_success = any(m.dos_success for m in self.measurements)
             merged.mitm_success = any(m.mitm_success for m in self.measurements)
             merged.dualstack_success = any(m.dualstack_success for m in self.measurements)

@@ -25,6 +25,7 @@ from .addressing import (
 )
 from .defense import cga_generate, verify_ra
 from .messages import (
+    MS,
     AddressFamily,
     NdMessage,
     NeighborAdvertisement,
@@ -37,9 +38,9 @@ from .messages import (
 if TYPE_CHECKING:
     from .engine import Engine
 
-MS = 1000
 DAD_TIMEOUT_MS = 1 * MS  # single probe, one-second deadline
 TWO_HOURS = 7200  # seconds
+FAMILY_PREFERENCE = (AddressFamily.IPV6, AddressFamily.IPV4)  # next-hop resolution order
 
 LINK_LOCAL = "link-local"
 SLAAC = "slaac"
@@ -60,7 +61,6 @@ class AddressEntry:
     state: AddressState
     origin: str  # LINK_LOCAL or SLAAC
     prefix: Optional[Prefix] = None  # set for SLAAC entries
-    learned_from: Optional[str] = None
     valid_until: Optional[int] = None
     preferred_until: Optional[int] = None
 
@@ -121,10 +121,6 @@ class Host(object):
         self.addresses: list[AddressEntry] = []
         self.router_list: list[DefaultRouterEntry] = []
         self.dad_pending: dict[Ipv6Address, int] = {}
-        self.family_preference: tuple[AddressFamily, ...] = (
-            AddressFamily.IPV6,
-            AddressFamily.IPV4,
-        )
 
     # -- phase 1 -------------------------------------------------------------
 
@@ -251,7 +247,6 @@ class Host(object):
                 AddressState.TENTATIVE,
                 SLAAC,
                 prefix=info.prefix,
-                learned_from=ctx.node_label_for_ip(ra.src_ip),
                 valid_until=now + info.valid_lifetime * MS,
                 preferred_until=now + info.preferred_lifetime * MS,
             )
@@ -308,7 +303,7 @@ class Host(object):
     def resolve_next_hop(self, now: int) -> Optional[NextHop]:
         """Next hop for an off-link destination, in address-family preference
         order; None when no family can reach off-link (the DoS condition)."""
-        for family in self.family_preference:
+        for family in FAMILY_PREFERENCE:
             if family is AddressFamily.IPV6 and self.ipv6_enabled:
                 source = self.first_assigned_global(now)
                 router = self.select_default_router(now)

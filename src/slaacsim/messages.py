@@ -9,6 +9,8 @@ from typing import Optional, Union
 
 from .addressing import Ipv6Address, MacAddress, Prefix
 
+MS = 1000  # engine time is in milliseconds; message lifetimes are in seconds
+
 
 class RouterPreference(enum.IntEnum):
     """Default-router selection preference; total order LOW < MEDIUM < HIGH."""

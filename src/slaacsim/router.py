@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Optional
 from .addressing import Ipv6Address, MacAddress
 from .defense import sign_ra
 from .messages import (
+    MS,
     DataMessage,
     NdMessage,
     PrefixInfo,
@@ -20,7 +21,6 @@ from .messages import (
 if TYPE_CHECKING:
     from .engine import Engine
 
-MS = 1000
 DEFAULT_RA_INTERVAL_S = 10
 DEFAULT_ROUTER_LIFETIME_S = 1800
 

@@ -26,16 +26,19 @@ Grammar (one directive per line, ``#`` starts a comment)::
     allow-dup-mac
     expect <metric>=<value>
     run <sec> [seed=<n>]
+
+Every ``<sec>`` is a finite number of seconds in 0..MAX_TIME_S; a switch has
+1..MAX_PORTS ports, named p1, p2, ...
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Optional
 
 from .addressing import (
-    AddressParseError,
     Ipv4Address,
     Ipv6Address,
     MacAddress,
@@ -53,15 +56,23 @@ from .engine import (
     Engine,
     MeasureDirective,
     RunMetrics,
+    ScriptStep,
     ToggleDirective,
 )
 from .host import Host
-from .messages import PrefixInfo, RouterPreference
-from .router import Router, RouterConfig
+from .messages import MS, PrefixInfo, RouterPreference
+from .router import DEFAULT_RA_INTERVAL_S, DEFAULT_ROUTER_LIFETIME_S, Router, RouterConfig
 
-MS = 1000
+# Bounds on input values. Both sit far above any run the simulator is meant
+# for (the longest shipped workload is two simulated hours on 11 ports) and
+# keep a malformed file from asking for unbounded time or memory.
+MAX_TIME_S = 10**7
+MAX_PORTS = 4096
+
+PERSONA = "persona-"
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_PORT_RE = re.compile(r"p([1-9][0-9]*)")
 
 ATTACK_MODES = {m.value: m for m in AttackMode}
 FLAG_METRICS = ("dos_success", "mitm_success", "dualstack_success")
@@ -82,57 +93,164 @@ class ScenarioValidationError(ScenarioError):
     pass
 
 
+# -- option values ---------------------------------------------------------------
+# Parsers raise ValueError; parse_scenario prefixes the line number.
+
+def _time_ms(text: str) -> int:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"bad time {text!r}") from None
+    if not 0 <= value <= MAX_TIME_S:  # also false for nan
+        raise ValueError(f"time {text!r} out of range 0..{MAX_TIME_S}")
+    return round(value * MS)
+
+
+def _fmt_time(ms: int) -> str:
+    if ms % MS == 0:
+        return str(ms // MS)
+    return f"{ms // MS}.{ms % MS:03d}".rstrip("0")
+
+
+def _interval_ms(text: str) -> int:
+    value = _time_ms(text)
+    if value <= 0:
+        raise ValueError("interval must be positive")
+    return value
+
+
+def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise ValueError(f"{value} out of range {low}..{high}")
+        return value
+
+    return parse
+
+
+def _on_off(text: str) -> bool:
+    if text in ("on", "yes"):
+        return True
+    if text in ("off", "no"):
+        return False
+    raise ValueError(f"bad value {text!r} (want on/off or yes/no)")
+
+
+def _show_on_off(value: bool) -> str:
+    return "on" if value else "off"
+
+
+def _show_yes_no(value: bool) -> str:
+    return "yes" if value else "no"
+
+
+def _prefixes(text: str) -> Optional[tuple[Prefix, ...]]:
+    return tuple(Prefix.parse(p) for p in text.split(",") if p) or None  # empty: unset
+
+
+def _show_prefixes(prefixes: tuple[Prefix, ...]) -> str:
+    return ",".join(str(p) for p in prefixes)
+
+
+def _node_id(text: str) -> str:
+    if not _ID_RE.match(text) or text in (SINK, "global"):
+        raise ValueError(f"bad identifier {text!r}")
+    return text
+
+
+_router_lifetime = _int_in(0, 65535)
+_seconds = _int_in(0)
+_port_count = _int_in(1, MAX_PORTS)
+
+
+# -- node option tables -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Option:
+    """One ``key=value`` option of a node line. ``default`` is the value an
+    absent key takes; None leaves the option unset, and unset options are
+    not printed."""
+
+    key: str
+    parse: Callable[[str], Any]
+    show: Callable[[Any], str] = str
+    default: Any = None
+
+
+_MAC = Option("mac", MacAddress.parse)  # required on every node
+_IP = Option("ip", Ipv6Address.parse)  # defaults to the link-local address of the mac
+
+ROUTER_OPTIONS = (
+    _MAC,
+    _IP,
+    Option("prefix", _prefixes, _show_prefixes),
+    Option("lifetime", _router_lifetime, str, DEFAULT_ROUTER_LIFETIME_S),
+    Option("preference", RouterPreference.parse, str, RouterPreference.MEDIUM),
+    Option("interval", _interval_ms, _fmt_time, DEFAULT_RA_INTERVAL_S * MS),
+    Option("valid", _seconds, str, 3600),
+    Option("preferred", _seconds, str, 3600),
+    Option("routes", _on_off, _show_yes_no, True),
+    Option("ra", _on_off, _show_on_off, True),
+    Option("jitter", _time_ms, _fmt_time, 0),
+)
+
+HOST_OPTIONS = (
+    _MAC,
+    Option("ipv6", _on_off, _show_on_off, True),
+    Option("ipv4", Ipv4Address.parse),
+    Option("gw4", str),
+    Option("send", _on_off, _show_on_off, False),
+    Option("iid", parse_iid, iid_text),
+    Option("cga-key", str),
+    Option("cga-modifier", int),
+)
+
+# The persona is the router the attacker impersonates: the router's options
+# with a ``persona-`` prefix, one prefix only, no ip/ra/jitter of its own and
+# a longer default lifetime. Its options take defaults only when the line
+# gives at least one of them; otherwise the attacker has no persona.
+_router_option = {o.key: o for o in ROUTER_OPTIONS}
+ATTACKER_OPTIONS = (
+    _MAC,
+    _IP,
+    replace(_router_option["prefix"], key="persona-prefix", parse=lambda t: (Prefix.parse(t),)),
+    replace(_router_option["lifetime"], key="persona-lifetime", default=9000),
+    *(
+        replace(_router_option[k], key=PERSONA + k)
+        for k in ("preference", "interval", "routes", "valid", "preferred")
+    ),
+)
+_PERSONA_KEYS = frozenset(o.key for o in ATTACKER_OPTIONS if o.key.startswith(PERSONA))
+
+NODE_OPTIONS: dict[str, dict[str, Option]] = {
+    kind: {o.key: o for o in options}
+    for kind, options in (
+        ("router", ROUTER_OPTIONS),
+        ("host", HOST_OPTIONS),
+        ("attacker", ATTACKER_OPTIONS),
+    )
+}
+
+# Rules across the options of one node line.
+_TOGETHER = (("ipv4", "gw4"), ("cga-key", "cga-modifier"))
+_EXCLUSIVE = (("iid", "cga-key"),)
+_NOT_ABOVE = (("preferred", "valid"), ("persona-preferred", "persona-valid"))
+
+
 # -- declarations -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RouterDecl:
+class NodeDecl:
+    """One ``node`` line: the value of each option given or defaulted."""
+
+    kind: str  # a key of NODE_OPTIONS
     node_id: str
-    mac: MacAddress
-    ip: Ipv6Address
-    prefixes: tuple[Prefix, ...] = ()
-    lifetime: int = 1800
-    preference: RouterPreference = RouterPreference.MEDIUM
-    interval_ms: int = 10 * MS
-    valid: int = 3600
-    preferred: int = 3600
-    routes: bool = True
-    ra_on: bool = True
-    jitter_ms: int = 0
+    options: dict[str, Any]
 
-
-@dataclass(frozen=True)
-class HostDecl:
-    node_id: str
-    mac: MacAddress
-    ipv6_on: bool = True
-    ipv4: Optional[Ipv4Address] = None
-    gw4: Optional[str] = None
-    send_on: bool = False
-    iid: Optional[int] = None
-    cga_key: Optional[str] = None
-    cga_modifier: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class PersonaDecl:
-    prefix: Optional[Prefix] = None
-    lifetime: int = 9000
-    preference: RouterPreference = RouterPreference.MEDIUM
-    interval_ms: int = 10 * MS
-    routes: bool = True
-    valid: int = 3600
-    preferred: int = 3600
-
-
-@dataclass(frozen=True)
-class AttackerDecl:
-    node_id: str
-    mac: MacAddress
-    ip: Ipv6Address
-    persona: Optional[PersonaDecl] = None
-
-
-NodeDecl = Union[RouterDecl, HostDecl, AttackerDecl]
+    @property
+    def mac(self) -> MacAddress:
+        return self.options["mac"]
 
 
 @dataclass(frozen=True)
@@ -151,29 +269,6 @@ class PolicyLine:
     acl: tuple[MacAddress, ...] = ()
 
 
-@dataclass(frozen=True)
-class AttackAt:
-    time_ms: int
-    attacker: str
-    mode: str
-    target: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class MeasureAt:
-    time_ms: int
-
-
-@dataclass(frozen=True)
-class ToggleAt:
-    time_ms: int
-    node: str
-    enabled: bool
-
-
-Directive = Union[AttackAt, MeasureAt, ToggleAt]
-
-
 @dataclass
 class Scenario:
     link_latency_ms: int = 1
@@ -184,7 +279,7 @@ class Scenario:
     two_hour_rule: bool = False
     keys: list[tuple[str, str]] = field(default_factory=list)
     trusts: list[str] = field(default_factory=list)
-    directives: list[Directive] = field(default_factory=list)
+    directives: list[tuple[int, ScriptStep]] = field(default_factory=list)
     expects: list[tuple[str, str]] = field(default_factory=list)
     allow_dup_mac: bool = False
     run_ms: int = 0
@@ -196,76 +291,35 @@ class Scenario:
 
 # -- parsing -------------------------------------------------------------------
 
-def _parse_time_ms(text: str, line_no: int) -> int:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ScenarioParseError(line_no, f"bad time {text!r}") from None
-    if value < 0:
-        raise ScenarioParseError(line_no, "time must be non-negative")
-    return round(value * MS)
-
-
-def _fmt_time(ms: int) -> str:
-    if ms % MS == 0:
-        return str(ms // MS)
-    return f"{ms // MS}.{ms % MS:03d}".rstrip("0")
-
-
-def _parse_int(text: str, line_no: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioParseError(line_no, f"bad {what} {text!r}") from None
-
-
-def _parse_router_lifetime(text: str, line_no: int, what: str) -> int:
-    value = _parse_int(text, line_no, what)
-    if not 0 <= value <= 65535:
-        raise ScenarioParseError(line_no, f"{what} {value} out of range 0..65535")
-    return value
-
-
-def _parse_interval_ms(text: str, line_no: int, what: str) -> int:
-    value = _parse_time_ms(text, line_no)
-    if value <= 0:
-        raise ScenarioParseError(line_no, f"{what} must be positive")
-    return value
-
-
-def _parse_onoff(text: str, line_no: int, what: str) -> bool:
-    if text in ("on", "yes"):
-        return True
-    if text in ("off", "no"):
-        return False
-    raise ScenarioParseError(line_no, f"bad {what} {text!r} (want on/off or yes/no)")
-
-
-def _kv(tokens: list[str], line_no: int, allowed: tuple[str, ...]) -> dict[str, str]:
+def _kv(tokens: list[str], allowed) -> dict[str, str]:
     out: dict[str, str] = {}
     for token in tokens:
         key, sep, value = token.partition("=")
         if not sep:
-            raise ScenarioParseError(line_no, f"expected key=value, got {token!r}")
+            raise ValueError(f"expected key=value, got {token!r}")
         if key not in allowed:
-            raise ScenarioParseError(line_no, f"unknown key {key!r}")
+            raise ValueError(f"unknown key {key!r}")
         if key in out:
-            raise ScenarioParseError(line_no, f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {key!r}")
         out[key] = value
     return out
 
 
-def _node_id(text: str, line_no: int) -> str:
-    if not _ID_RE.match(text) or text in (SINK, "global"):
-        raise ScenarioParseError(line_no, f"bad identifier {text!r}")
-    return text
-
-
-def _port_ref(text: str, line_no: int) -> tuple[str, str]:
+def _port_ref(text: str) -> tuple[str, str]:
     switch, sep, port = text.partition(".")
     if not sep or not switch or not port:
-        raise ScenarioParseError(line_no, f"expected <switch>.<port>, got {text!r}")
+        raise ValueError(f"expected <switch>.<port>, got {text!r}")
     return switch, port
+
+
+def _need(tokens: list[str], count: int) -> None:
+    if len(tokens) != count:
+        raise ValueError(f"expected {count} tokens, got {len(tokens)}")
+
+
+def _need_at_least(tokens: list[str], count: int) -> None:
+    if len(tokens) < count:
+        raise ValueError(f"expected at least {count} tokens")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -279,62 +333,53 @@ def parse_scenario(text: str) -> Scenario:
         head = tokens[0]
         try:
             if head == "link-latency":
-                _need(tokens, 2, line_no)
-                sc.link_latency_ms = _parse_time_ms(tokens[1], line_no)
+                _need(tokens, 2)
+                sc.link_latency_ms = _time_ms(tokens[1])
             elif head == "switch":
                 if sc.switch is not None:
-                    raise ScenarioParseError(line_no, "only one switch is supported")
-                _need(tokens, 3, line_no)
-                kv = _kv(tokens[2:], line_no, ("ports",))
-                if "ports" not in kv:
-                    raise ScenarioParseError(line_no, "switch needs ports=<n>")
-                sc.switch = (_node_id(tokens[1], line_no), _parse_int(kv["ports"], line_no, "port count"))
+                    raise ValueError("only one switch is supported")
+                _need(tokens, 3)
+                ports = _kv(tokens[2:], ("ports",))["ports"]
+                sc.switch = (_node_id(tokens[1]), _port_count(ports))
             elif head == "node":
-                _need_at_least(tokens, 3, line_no)
-                sc.nodes.append(_parse_node(tokens, line_no))
+                _need_at_least(tokens, 3)
+                sc.nodes.append(_parse_node(tokens))
             elif head == "attach":
-                _need(tokens, 4, line_no)
-                switch, port = _port_ref(tokens[2], line_no)
-                kv = _kv(tokens[3:], line_no, ("class",))
-                port_class = kv.get("class", "host")
+                _need(tokens, 4)
+                switch, port = _port_ref(tokens[2])
+                port_class = _kv(tokens[3:], ("class",))["class"]
                 if port_class not in ("router", "host"):
-                    raise ScenarioParseError(line_no, f"bad port class {port_class!r}")
+                    raise ValueError(f"bad port class {port_class!r}")
                 sc.attaches.append(AttachDecl(tokens[1], switch, port, port_class))
             elif head == "policy":
-                sc.policies, sc.two_hour_rule = _parse_policy(
-                    tokens, line_no, sc.policies, sc.two_hour_rule
-                )
+                _parse_policy(sc, tokens)
             elif head == "key":
-                _need(tokens, 3, line_no)
-                sc.keys.append((tokens[1], _node_id(tokens[2], line_no)))
+                _need(tokens, 3)
+                sc.keys.append((tokens[1], _node_id(tokens[2])))
             elif head == "trust":
-                _need(tokens, 2, line_no)
-                sc.trusts.append(_node_id(tokens[1], line_no))
+                _need(tokens, 2)
+                sc.trusts.append(_node_id(tokens[1]))
             elif head == "at":
-                _need_at_least(tokens, 3, line_no)
-                sc.directives.append(_parse_directive(tokens, line_no))
+                _need_at_least(tokens, 3)
+                sc.directives.append(_parse_step(tokens))
             elif head == "expect":
-                _need(tokens, 2, line_no)
+                _need(tokens, 2)
                 key, sep, value = tokens[1].partition("=")
                 if not sep:
-                    raise ScenarioParseError(line_no, "expect needs <metric>=<value>")
+                    raise ValueError("expect needs <metric>=<value>")
                 sc.expects.append((key, value))
             elif head == "allow-dup-mac":
                 sc.allow_dup_mac = True
             elif head == "run":
-                _need_at_least(tokens, 2, line_no)
-                sc.run_ms = _parse_time_ms(tokens[1], line_no)
-                kv = _kv(tokens[2:], line_no, ("seed",))
+                _need_at_least(tokens, 2)
+                sc.run_ms = _time_ms(tokens[1])
+                kv = _kv(tokens[2:], ("seed",))
                 if "seed" in kv:
-                    sc.seed = _parse_int(kv["seed"], line_no, "seed")
+                    sc.seed = int(kv["seed"])
                 seen_run = True
             else:
-                raise ScenarioParseError(line_no, f"unknown directive {head!r}")
-        except AddressParseError as exc:
-            raise ScenarioParseError(line_no, str(exc)) from exc
+                raise ValueError(f"unknown directive {head!r}")
         except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
             raise ScenarioParseError(line_no, str(exc)) from exc
     if not seen_run:
         raise ScenarioValidationError("scenario has no run directive")
@@ -342,153 +387,82 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
-def _need(tokens: list[str], count: int, line_no: int) -> None:
-    if len(tokens) != count:
-        raise ScenarioParseError(line_no, f"expected {count} tokens, got {len(tokens)}")
-
-
-def _need_at_least(tokens: list[str], count: int, line_no: int) -> None:
-    if len(tokens) < count:
-        raise ScenarioParseError(line_no, f"expected at least {count} tokens")
-
-
-_ROUTER_KEYS = (
-    "mac", "ip", "prefix", "lifetime", "preference", "interval",
-    "valid", "preferred", "routes", "ra", "jitter",
-)
-_HOST_KEYS = ("mac", "ipv6", "ipv4", "gw4", "send", "iid", "cga-key", "cga-modifier")
-_ATTACKER_KEYS = (
-    "mac", "ip", "persona-prefix", "persona-lifetime", "persona-preference",
-    "persona-interval", "persona-routes", "persona-valid", "persona-preferred",
-)
-
-
-def _parse_node(tokens: list[str], line_no: int) -> NodeDecl:
+def _parse_node(tokens: list[str]) -> NodeDecl:
     kind = tokens[1]
-    node_id = _node_id(tokens[2], line_no)
-    if kind == "router":
-        kv = _kv(tokens[3:], line_no, _ROUTER_KEYS)
-        mac = _require_mac(kv, line_no)
-        ip = Ipv6Address.parse(kv["ip"]) if "ip" in kv else link_local_from(derive_eui64(mac))
-        prefixes = tuple(
-            Prefix.parse(p) for p in kv["prefix"].split(",") if p
-        ) if "prefix" in kv else ()
-        valid = _parse_int(kv.get("valid", "3600"), line_no, "valid lifetime")
-        preferred = _parse_int(kv.get("preferred", "3600"), line_no, "preferred lifetime")
-        if preferred > valid:
-            raise ScenarioParseError(line_no, "preferred lifetime exceeds valid lifetime")
-        return RouterDecl(
-            node_id=node_id,
-            mac=mac,
-            ip=ip,
-            prefixes=prefixes,
-            lifetime=_parse_router_lifetime(kv.get("lifetime", "1800"), line_no, "lifetime"),
-            preference=RouterPreference.parse(kv.get("preference", "medium")),
-            interval_ms=_parse_interval_ms(kv.get("interval", "10"), line_no, "interval"),
-            valid=valid,
-            preferred=preferred,
-            routes=_parse_onoff(kv.get("routes", "yes"), line_no, "routes"),
-            ra_on=_parse_onoff(kv.get("ra", "on"), line_no, "ra"),
-            jitter_ms=_parse_time_ms(kv.get("jitter", "0"), line_no),
-        )
-    if kind == "host":
-        kv = _kv(tokens[3:], line_no, _HOST_KEYS)
-        mac = _require_mac(kv, line_no)
-        if ("ipv4" in kv) != ("gw4" in kv):
-            raise ScenarioParseError(line_no, "ipv4 and gw4 must be given together")
-        if ("cga-key" in kv) != ("cga-modifier" in kv):
-            raise ScenarioParseError(line_no, "cga-key and cga-modifier must be given together")
-        if "iid" in kv and "cga-key" in kv:
-            raise ScenarioParseError(line_no, "iid and cga-key are mutually exclusive")
-        return HostDecl(
-            node_id=node_id,
-            mac=mac,
-            ipv6_on=_parse_onoff(kv.get("ipv6", "on"), line_no, "ipv6"),
-            ipv4=Ipv4Address.parse(kv["ipv4"]) if "ipv4" in kv else None,
-            gw4=kv.get("gw4"),
-            send_on=_parse_onoff(kv.get("send", "off"), line_no, "send"),
-            iid=parse_iid(kv["iid"]) if "iid" in kv else None,
-            cga_key=kv.get("cga-key"),
-            cga_modifier=_parse_int(kv["cga-modifier"], line_no, "cga modifier")
-            if "cga-modifier" in kv else None,
-        )
-    if kind == "attacker":
-        kv = _kv(tokens[3:], line_no, _ATTACKER_KEYS)
-        mac = _require_mac(kv, line_no)
-        ip = Ipv6Address.parse(kv["ip"]) if "ip" in kv else link_local_from(derive_eui64(mac))
-        persona = None
-        if any(k.startswith("persona-") for k in kv):
-            valid = _parse_int(kv.get("persona-valid", "3600"), line_no, "persona valid")
-            preferred = _parse_int(kv.get("persona-preferred", "3600"), line_no, "persona preferred")
-            if preferred > valid:
-                raise ScenarioParseError(line_no, "persona preferred exceeds persona valid")
-            persona = PersonaDecl(
-                prefix=Prefix.parse(kv["persona-prefix"]) if "persona-prefix" in kv else None,
-                lifetime=_parse_router_lifetime(
-                    kv.get("persona-lifetime", "9000"), line_no, "persona lifetime"
-                ),
-                preference=RouterPreference.parse(kv.get("persona-preference", "medium")),
-                interval_ms=_parse_interval_ms(
-                    kv.get("persona-interval", "10"), line_no, "persona interval"
-                ),
-                routes=_parse_onoff(kv.get("persona-routes", "yes"), line_no, "persona-routes"),
-                valid=valid,
-                preferred=preferred,
-            )
-        return AttackerDecl(node_id=node_id, mac=mac, ip=ip, persona=persona)
-    raise ScenarioParseError(line_no, f"unknown node kind {kind!r}")
+    node_id = _node_id(tokens[2])
+    options = NODE_OPTIONS.get(kind)
+    if options is None:
+        raise ValueError(f"unknown node kind {kind!r}")
+    given = _kv(tokens[3:], options)
+    if "mac" not in given:
+        raise ValueError("node needs mac=<address>")
+    for a, b in _TOGETHER:
+        if (a in given) != (b in given):
+            raise ValueError(f"{a} and {b} must be given together")
+    for a, b in _EXCLUSIVE:
+        if a in given and b in given:
+            raise ValueError(f"{a} and {b} are mutually exclusive")
+    with_persona = not _PERSONA_KEYS.isdisjoint(given)
+    values: dict[str, Any] = {}
+    for key, option in options.items():
+        if key in given:
+            try:
+                value = option.parse(given[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        elif with_persona or key not in _PERSONA_KEYS:
+            value = option.default
+        else:
+            continue
+        if value is not None:
+            values[key] = value
+    if "ip" in options and "ip" not in values:
+        values["ip"] = link_local_from(derive_eui64(values["mac"]))
+    for lower, upper in _NOT_ABOVE:
+        if lower in values and values[lower] > values[upper]:
+            raise ValueError(f"{lower} lifetime exceeds {upper} lifetime")
+    return NodeDecl(kind, node_id, values)
 
 
-def _require_mac(kv: dict[str, str], line_no: int) -> MacAddress:
-    if "mac" not in kv:
-        raise ScenarioParseError(line_no, "node needs mac=<address>")
-    return MacAddress.parse(kv["mac"])
-
-
-def _parse_policy(
-    tokens: list[str], line_no: int, policies: list[PolicyLine], two_hour: bool
-) -> tuple[list[PolicyLine], bool]:
-    _need_at_least(tokens, 3, line_no)
+def _parse_policy(sc: Scenario, tokens: list[str]) -> None:
+    _need_at_least(tokens, 3)
     if tokens[1] == "global":
         if tokens[2] != "two-hour-rule":
-            raise ScenarioParseError(line_no, f"unknown global policy {tokens[2]!r}")
-        return policies, True
-    switch, port = _port_ref(tokens[1], line_no)
+            raise ValueError(f"unknown global policy {tokens[2]!r}")
+        sc.two_hour_rule = True
+        return
+    switch, port = _port_ref(tokens[1])
     spec = tokens[2]
     if spec == "ra-guard":
-        policies.append(PolicyLine(switch, port, "ra-guard"))
+        sc.policies.append(PolicyLine(switch, port, "ra-guard"))
     elif spec.startswith("acl="):
-        raw = spec[len("acl="):]
-        macs = tuple(MacAddress.parse(m) for m in raw.split(",") if m)
-        policies.append(PolicyLine(switch, port, "acl", macs))
+        macs = tuple(MacAddress.parse(m) for m in spec[len("acl="):].split(",") if m)
+        sc.policies.append(PolicyLine(switch, port, "acl", macs))
     else:
-        raise ScenarioParseError(line_no, f"unknown policy {spec!r}")
-    return policies, two_hour
+        raise ValueError(f"unknown policy {spec!r}")
 
 
-def _parse_directive(tokens: list[str], line_no: int) -> Directive:
-    time_ms = _parse_time_ms(tokens[1], line_no)
+def _parse_step(tokens: list[str]) -> tuple[int, ScriptStep]:
+    time_ms = _time_ms(tokens[1])
     verb = tokens[2]
     if verb == "measure":
-        _need(tokens, 3, line_no)
-        return MeasureAt(time_ms)
+        _need(tokens, 3)
+        return time_ms, MeasureDirective()
     if verb in ("disable", "enable"):
-        _need(tokens, 4, line_no)
-        return ToggleAt(time_ms, tokens[3], verb == "enable")
+        _need(tokens, 4)
+        return time_ms, ToggleDirective(tokens[3], verb == "enable")
     if verb == "attack":
-        _need_at_least(tokens, 5, line_no)
-        attacker = tokens[3]
-        mode = tokens[4]
-        if mode not in ATTACK_MODES:
-            raise ScenarioParseError(line_no, f"unknown attack mode {mode!r}")
-        kv = _kv(tokens[5:], line_no, ("target",))
-        target = kv.get("target")
-        if mode == "kill-router" and target is None:
-            raise ScenarioParseError(line_no, "kill-router needs target=<router>")
-        if mode != "kill-router" and target is not None:
-            raise ScenarioParseError(line_no, f"{mode} takes no target")
-        return AttackAt(time_ms, attacker, mode, target)
-    raise ScenarioParseError(line_no, f"unknown directive {verb!r}")
+        _need_at_least(tokens, 5)
+        mode = ATTACK_MODES.get(tokens[4])
+        if mode is None:
+            raise ValueError(f"unknown attack mode {tokens[4]!r}")
+        target = _kv(tokens[5:], ("target",)).get("target")
+        if mode is AttackMode.KILL_ROUTER and target is None:
+            raise ValueError("kill-router needs target=<router>")
+        if mode is not AttackMode.KILL_ROUTER and target is not None:
+            raise ValueError(f"{mode} takes no target")
+        return time_ms, AttackDirective(tokens[3], mode, target)
+    raise ValueError(f"unknown directive {verb!r}")
 
 
 # -- validation ------------------------------------------------------------------
@@ -509,13 +483,17 @@ def _validate(sc: Scenario) -> None:
     if sc.switch is None:
         raise ScenarioValidationError("scenario needs a switch")
     switch_id, port_count = sc.switch
-    valid_ports = {f"p{i}" for i in range(1, port_count + 1)}
+
+    def on_switch(switch: str, port: str) -> bool:
+        match = _PORT_RE.fullmatch(port)
+        return switch == switch_id and match is not None and int(match[1]) <= port_count
+
     attached: dict[str, str] = {}
     used_ports: set[str] = set()
     for att in sc.attaches:
         if att.node not in declared:
             raise ScenarioValidationError(f"attach references undeclared node {att.node!r}")
-        if att.switch != switch_id or att.port not in valid_ports:
+        if not on_switch(att.switch, att.port):
             raise ScenarioValidationError(f"attach references unknown port {att.switch}.{att.port}")
         if att.node in attached:
             raise ScenarioValidationError(f"node {att.node!r} attached twice")
@@ -527,10 +505,10 @@ def _validate(sc: Scenario) -> None:
     if missing:
         raise ScenarioValidationError(f"node(s) not attached to the switch: {sorted(missing)}")
     for pol in sc.policies:
-        if pol.switch != switch_id or pol.port not in valid_ports:
+        if not on_switch(pol.switch, pol.port):
             raise ScenarioValidationError(f"policy references unknown port {pol.switch}.{pol.port}")
-    routers = {n.node_id for n in sc.nodes if isinstance(n, RouterDecl)}
-    attackers = {n.node_id for n in sc.nodes if isinstance(n, AttackerDecl)}
+    of_kind = {kind: {n.node_id for n in sc.nodes if n.kind == kind} for kind in NODE_OPTIONS}
+    routers, hosts, attackers = of_kind["router"], of_kind["host"], of_kind["attacker"]
     for node, key_id in sc.keys:
         if node not in routers:
             raise ScenarioValidationError(f"key holder {node!r} is not a declared router")
@@ -539,21 +517,20 @@ def _validate(sc: Scenario) -> None:
         if key_id not in key_ids:
             raise ScenarioValidationError(f"trust references unknown key {key_id!r}")
     for n in sc.nodes:
-        if isinstance(n, HostDecl) and n.gw4 is not None:
-            if n.gw4 not in routers and n.gw4 not in attackers:
-                raise ScenarioValidationError(
-                    f"gw4 {n.gw4!r} of {n.node_id!r} is not a declared router or attacker"
-                )
-    for d in sc.directives:
-        if isinstance(d, AttackAt):
-            if d.attacker not in attackers:
-                raise ScenarioValidationError(f"attack references non-attacker {d.attacker!r}")
-            if d.target is not None and d.target not in declared:
-                raise ScenarioValidationError(f"attack target {d.target!r} not declared")
-        elif isinstance(d, ToggleAt):
-            if d.node not in routers:
-                raise ScenarioValidationError(f"enable/disable references non-router {d.node!r}")
-    hosts = {n.node_id for n in sc.nodes if isinstance(n, HostDecl)}
+        gw4 = n.options.get("gw4")
+        if gw4 is not None and gw4 not in routers and gw4 not in attackers:
+            raise ScenarioValidationError(
+                f"gw4 {gw4!r} of {n.node_id!r} is not a declared router or attacker"
+            )
+    for _time, step in sc.directives:
+        if isinstance(step, AttackDirective):
+            if step.attacker not in attackers:
+                raise ScenarioValidationError(f"attack references non-attacker {step.attacker!r}")
+            if step.target is not None and step.target not in declared:
+                raise ScenarioValidationError(f"attack target {step.target!r} not declared")
+        elif isinstance(step, ToggleDirective):
+            if step.node not in routers:
+                raise ScenarioValidationError(f"enable/disable references non-router {step.node!r}")
     for key, _value in sc.expects:
         if key in FLAG_METRICS:
             continue
@@ -583,8 +560,8 @@ def print_scenario(sc: Scenario) -> str:
         lines.append(f"key {node} {key_id}")
     for key_id in sc.trusts:
         lines.append(f"trust {key_id}")
-    for d in sc.directives:
-        lines.append(_print_directive(d))
+    for time_ms, step in sc.directives:
+        lines.append(_print_step(time_ms, step))
     if sc.allow_dup_mac:
         lines.append("allow-dup-mac")
     for key, value in sc.expects:
@@ -594,63 +571,22 @@ def print_scenario(sc: Scenario) -> str:
 
 
 def _print_node(n: NodeDecl) -> str:
-    if isinstance(n, RouterDecl):
-        parts = [f"node router {n.node_id}", f"mac={n.mac}", f"ip={n.ip}"]
-        if n.prefixes:
-            parts.append(f"prefix={','.join(str(p) for p in n.prefixes)}")
-        parts.extend(
-            [
-                f"lifetime={n.lifetime}",
-                f"preference={n.preference}",
-                f"interval={_fmt_time(n.interval_ms)}",
-                f"valid={n.valid}",
-                f"preferred={n.preferred}",
-                f"routes={'yes' if n.routes else 'no'}",
-                f"ra={'on' if n.ra_on else 'off'}",
-                f"jitter={_fmt_time(n.jitter_ms)}",
-            ]
-        )
-        return " ".join(parts)
-    if isinstance(n, HostDecl):
-        parts = [f"node host {n.node_id}", f"mac={n.mac}", f"ipv6={'on' if n.ipv6_on else 'off'}"]
-        if n.ipv4 is not None:
-            parts.append(f"ipv4={n.ipv4}")
-            parts.append(f"gw4={n.gw4}")
-        parts.append(f"send={'on' if n.send_on else 'off'}")
-        if n.iid is not None:
-            parts.append(f"iid={iid_text(n.iid)}")
-        if n.cga_key is not None:
-            parts.append(f"cga-key={n.cga_key}")
-            parts.append(f"cga-modifier={n.cga_modifier}")
-        return " ".join(parts)
-    parts = [f"node attacker {n.node_id}", f"mac={n.mac}", f"ip={n.ip}"]
-    if n.persona is not None:
-        p = n.persona
-        if p.prefix is not None:
-            parts.append(f"persona-prefix={p.prefix}")
-        parts.extend(
-            [
-                f"persona-lifetime={p.lifetime}",
-                f"persona-preference={p.preference}",
-                f"persona-interval={_fmt_time(p.interval_ms)}",
-                f"persona-routes={'yes' if p.routes else 'no'}",
-                f"persona-valid={p.valid}",
-                f"persona-preferred={p.preferred}",
-            ]
-        )
+    values = n.options
+    parts = [f"node {n.kind} {n.node_id}"]
+    for key, option in NODE_OPTIONS[n.kind].items():
+        if key in values:
+            parts.append(f"{key}={option.show(values[key])}")
     return " ".join(parts)
 
 
-def _print_directive(d: Directive) -> str:
-    if isinstance(d, MeasureAt):
-        return f"at {_fmt_time(d.time_ms)} measure"
-    if isinstance(d, ToggleAt):
-        verb = "enable" if d.enabled else "disable"
-        return f"at {_fmt_time(d.time_ms)} {verb} {d.node}"
-    base = f"at {_fmt_time(d.time_ms)} attack {d.attacker} {d.mode}"
-    if d.target is not None:
-        base += f" target={d.target}"
-    return base
+def _print_step(time_ms: int, step: ScriptStep) -> str:
+    at = f"at {_fmt_time(time_ms)}"
+    if isinstance(step, MeasureDirective):
+        return f"{at} measure"
+    if isinstance(step, ToggleDirective):
+        return f"{at} {'enable' if step.enabled else 'disable'} {step.node}"
+    target = f" target={step.target}" if step.target is not None else ""
+    return f"{at} attack {step.attacker} {step.mode}{target}"
 
 
 # -- engine wiring --------------------------------------------------------------------
@@ -681,64 +617,53 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
         engine.trust_registry.add_key(key_id, engine.keystore.secret_for(key_id))
     # Node startup precedes same-time script steps.
     engine.bootstrap()
-    for d in sc.directives:
-        engine.schedule(d.time_ms, _build_step(d))
+    for time_ms, step in sc.directives:
+        engine.schedule(time_ms, step)
     return engine
 
 
 def _build_node(decl: NodeDecl, key_for: dict[str, str]):
-    if isinstance(decl, RouterDecl):
-        config = RouterConfig(
-            node_id=decl.node_id,
-            mac=decl.mac,
-            link_local=decl.ip,
-            advertised_prefixes=tuple(
-                PrefixInfo(p, True, decl.valid, decl.preferred) for p in decl.prefixes
-            ),
-            router_lifetime=decl.lifetime,
-            preference=decl.preference,
-            ra_interval_ms=decl.interval_ms,
-            can_route=decl.routes,
+    values = decl.options
+    if decl.kind == "router":
+        config = _router_config(
+            decl,
             send_key=key_for.get(decl.node_id),
-            ra_enabled=decl.ra_on,
-            jitter_ms=decl.jitter_ms,
+            ra_enabled=values["ra"],
+            jitter_ms=values["jitter"],
         )
         return Router(config)
-    if isinstance(decl, HostDecl):
-        ipv4 = (decl.ipv4, decl.gw4) if decl.ipv4 is not None else None
-        cga = (decl.cga_key, decl.cga_modifier) if decl.cga_key is not None else None
+    if decl.kind == "host":
         return Host(
             node_id=decl.node_id,
             mac=decl.mac,
-            ipv6_enabled=decl.ipv6_on,
-            ipv4=ipv4,
-            send_only=decl.send_on,
-            iid_override=decl.iid,
-            cga=cga,
+            ipv6_enabled=values["ipv6"],
+            ipv4=(values["ipv4"], values["gw4"]) if "ipv4" in values else None,
+            send_only=values["send"],
+            iid_override=values.get("iid"),
+            cga=(values["cga-key"], values["cga-modifier"]) if "cga-key" in values else None,
         )
-    persona = None
-    if decl.persona is not None:
-        p = decl.persona
-        prefixes = (PrefixInfo(p.prefix, True, p.valid, p.preferred),) if p.prefix else ()
-        persona = RouterConfig(
-            node_id=decl.node_id,
-            mac=decl.mac,
-            link_local=decl.ip,
-            advertised_prefixes=prefixes,
-            router_lifetime=p.lifetime,
-            preference=p.preference,
-            ra_interval_ms=p.interval_ms,
-            can_route=p.routes,
-        )
-    return Attacker(decl.node_id, decl.mac, decl.ip, persona)
+    persona = None if _PERSONA_KEYS.isdisjoint(values) else _router_config(decl, PERSONA)
+    return Attacker(decl.node_id, decl.mac, values["ip"], persona)
 
 
-def _build_step(d: Directive):
-    if isinstance(d, MeasureAt):
-        return MeasureDirective()
-    if isinstance(d, ToggleAt):
-        return ToggleDirective(d.node, d.enabled)
-    return AttackDirective(d.attacker, ATTACK_MODES[d.mode], d.target)
+def _router_config(decl: NodeDecl, key_prefix: str = "", **extra) -> RouterConfig:
+    """The advertising side of a router node, or with ``key_prefix`` set to
+    ``persona-`` of an attacker's persona."""
+    values = decl.options
+    valid, preferred = values[key_prefix + "valid"], values[key_prefix + "preferred"]
+    return RouterConfig(
+        node_id=decl.node_id,
+        mac=decl.mac,
+        link_local=values["ip"],
+        advertised_prefixes=tuple(
+            PrefixInfo(p, True, valid, preferred) for p in values.get(key_prefix + "prefix", ())
+        ),
+        router_lifetime=values[key_prefix + "lifetime"],
+        preference=values[key_prefix + "preference"],
+        ra_interval_ms=values[key_prefix + "interval"],
+        can_route=values[key_prefix + "routes"],
+        **extra,
+    )
 
 
 # -- expectations -----------------------------------------------------------------------

@@ -6,9 +6,8 @@ from conftest import SCENARIO_DIR, scenario_path
 
 from slaacsim.cli import run_command
 from slaacsim.scenario import (
-    AttackerDecl,
-    HostDecl,
-    RouterDecl,
+    MAX_PORTS,
+    MAX_TIME_S,
     ScenarioParseError,
     ScenarioValidationError,
     parse_scenario,
@@ -28,14 +27,14 @@ run 4
 def test_minimal_scenario_parses():
     sc = parse_scenario(MINIMAL)
     assert sc.node_ids() == ["R1", "H1"]
-    assert isinstance(sc.nodes[0], RouterDecl) and isinstance(sc.nodes[1], HostDecl)
+    assert [n.kind for n in sc.nodes] == ["router", "host"]
     assert sc.run_ms == 4000 and sc.seed == 0
-    assert sc.nodes[0].lifetime == 1800  # default filled
+    assert sc.nodes[0].options["lifetime"] == 1800  # default filled
 
 
 def test_defaults_derive_router_ip_from_mac():
     sc = parse_scenario(MINIMAL)
-    assert str(sc.nodes[0].ip) == "fe80::200:5eff:fe00:5301"
+    assert str(sc.nodes[0].options["ip"]) == "fe80::200:5eff:fe00:5301"
 
 
 @pytest.mark.parametrize(
@@ -47,6 +46,8 @@ def test_defaults_derive_router_ip_from_mac():
         ("trust nokey", "unknown key"),
         ("expect H9.default_router=R1", "unknown expectation"),
         ("expect dos_rate=1", "unknown expectation"),
+        ("policy SW1.p0 ra-guard", "unknown port"),
+        ("policy SW1.p02 ra-guard", "unknown port"),
     ],
 )
 def test_validation_rejects_dangling_references(mutation, message_part):
@@ -122,8 +123,8 @@ def test_attacker_persona_round_trip():
     ).replace("attach H1 SW1.p2 class=host", "attach A1 SW1.p2 class=host")
     sc = parse_scenario(text)
     decl = sc.nodes[-1]
-    assert isinstance(decl, AttackerDecl)
-    assert decl.persona.routes is False and decl.persona.lifetime == 9000
+    assert decl.kind == "attacker"
+    assert decl.options["persona-routes"] is False and decl.options["persona-lifetime"] == 9000
     assert parse_scenario(print_scenario(sc)) == sc
 
 
@@ -224,3 +225,56 @@ def test_router_lifetime_range_checked_at_parse():
         parse_scenario(MINIMAL.replace("prefix=2001:db8:1::/64", "lifetime=70000"))
     with pytest.raises(ScenarioParseError, match="positive"):
         parse_scenario(MINIMAL.replace("prefix=2001:db8:1::/64", "interval=0"))
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("run 4", "run inf"),
+        ("run 4", "run nan"),
+        ("run 4", f"run {MAX_TIME_S + 1}"),
+        ("run 4", "at inf measure\nrun 4"),
+        ("run 4", "at -inf measure\nrun 4"),
+        ("switch SW1", "link-latency 1e400\nswitch SW1"),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 jitter=inf"),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 interval=nan"),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 preferred=-1"),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 valid=-1 preferred=-1"),
+        ("ports=2", f"ports={MAX_PORTS + 1}"),
+        ("ports=2", "ports=0"),
+        (
+            "node host H1 mac=00:1a:2b:3c:4d:5e",
+            "node attacker H1 mac=00:1a:2b:3c:4d:5e persona-preferred=-1",
+        ),
+        (
+            "node host H1 mac=00:1a:2b:3c:4d:5e",
+            "node attacker H1 mac=00:1a:2b:3c:4d:5e persona-interval=inf",
+        ),
+    ],
+)
+def test_out_of_range_values_rejected_at_parse(old, new):
+    # Each of these once escaped as a traceback (OverflowError, a ValueError
+    # at build time) or exhausted memory building the port set.
+    with pytest.raises(ScenarioParseError, match=r"^line \d+: "):
+        parse_scenario(MINIMAL.replace(old, new, 1))
+
+
+def test_value_bounds_are_inclusive():
+    text = MINIMAL.replace("ports=2", f"ports={MAX_PORTS}").replace("run 4", f"run {MAX_TIME_S}")
+    sc = parse_scenario(text)
+    assert sc.switch == ("SW1", MAX_PORTS) and sc.run_ms == MAX_TIME_S * 1000
+
+
+@pytest.mark.parametrize(
+    "old,new,line",
+    [
+        ("run 4", "run inf", 6),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 preferred=-1", 2),
+        ("ports=2", f"ports={MAX_PORTS + 1}", 1),
+    ],
+)
+def test_run_command_reports_bad_values_by_line(tmp_path, capsys, old, new, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(MINIMAL.replace(old, new, 1))
+    assert run_command(["run", str(bad)]) == 1
+    assert f"line {line}: " in capsys.readouterr().err

@@ -7,12 +7,16 @@ verbatim in scenario files, traces, and metrics.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 from dataclasses import dataclass
 
 IID_BITS = 64
 IID_MASK = (1 << IID_BITS) - 1
 LINK_LOCAL_PREFIX = 0xFE80 << 112
+# Distinct IPv6 texts kept by _ipv6_text; a bound, so a process that runs many
+# scenarios never grows the cache without limit.
+IPV6_TEXT_CACHE_SIZE = 1 << 16
 
 
 class AddressParseError(ValueError):
@@ -75,7 +79,14 @@ class Ipv6Address:
             raise AddressParseError(text, _fault_offset(text), "invalid IPv6 address") from None
 
     def __str__(self) -> str:
-        return str(ipaddress.IPv6Address(self.value))
+        return _ipv6_text(self.value)
+
+
+@functools.lru_cache(maxsize=IPV6_TEXT_CACHE_SIZE)
+def _ipv6_text(value: int) -> str:
+    # Traces and RA signatures format the same few addresses over and over;
+    # the stdlib formatter is the costly part.
+    return str(ipaddress.IPv6Address(value))
 
 
 UNSPECIFIED = Ipv6Address(0)

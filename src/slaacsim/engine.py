@@ -1,6 +1,7 @@
 """Deterministic discrete-event engine for one broadcast link behind one
 switch: fixed-point millisecond clock, (time, seq)-ordered queue, per-ingress
-RA filtering, append-only trace, and metric extraction.
+RA filtering, append-only trace (formatted only when read), and metric
+extraction.
 
 Trace line format (bit-exact): ``t=<ms> node=<id> kind=<kind> <k>=<v> ...``
 with keys in fixed per-kind order, one record per line.
@@ -38,17 +39,24 @@ class SimInvariantError(AssertionError):
     """An internal consistency check failed; maps to CLI exit status 2."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
+    """One trace event with its attribute values as given to Engine.trace.
+    Text is made only when read; every value is immutable, so it reads the
+    same whenever that is."""
+
     time: int
     node: str
     kind: str
-    attrs: tuple[tuple[str, str], ...]
+    values: tuple[tuple[str, object], ...]
+
+    @property
+    def attrs(self) -> tuple[tuple[str, str], ...]:
+        return tuple((k, str(v)) for k, v in self.values)
 
     def line(self) -> str:
-        parts = [f"t={self.time}", f"node={self.node}", f"kind={self.kind}"]
-        parts.extend(f"{k}={v}" for k, v in self.attrs)
-        return " ".join(parts)
+        head = f"t={self.time} node={self.node} kind={self.kind}"
+        return head + "".join([f" {k}={v!s}" for k, v in self.values])
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,16 @@ class HostMetrics:
     iid: int
     addresses: list[str]
 
+    def field_texts(self) -> dict[str, str]:
+        """Each field's text, in `--metrics` order; `expect` lines compare
+        against the same text."""
+        return {
+            "default_router": self.default_router or "none",
+            "family_in_use": str(self.family_in_use) if self.family_in_use else "none",
+            "iid": iid_text(self.iid),
+            "addresses": ",".join(self.addresses) or "-",
+        }
+
 
 @dataclass
 class RunMetrics:
@@ -126,14 +144,8 @@ class RunMetrics:
     def to_lines(self) -> list[str]:
         lines = []
         for host_id, hm in self.hosts.items():
-            addresses = ",".join(hm.addresses) if hm.addresses else "-"
-            lines.append(
-                f"host={host_id}"
-                f" default_router={hm.default_router or 'none'}"
-                f" family_in_use={hm.family_in_use or 'none'}"
-                f" iid={iid_text(hm.iid)}"
-                f" addresses={addresses}"
-            )
+            fields = "".join(f" {k}={v}" for k, v in hm.field_texts().items())
+            lines.append(f"host={host_id}{fields}")
         lines.extend(self.flag_lines())
         lines.append(
             f"counters emitted={self.emitted} delivered={self.delivered}"
@@ -222,8 +234,7 @@ class Engine(object):
     # -- tracing ---------------------------------------------------------------
 
     def trace(self, node: str, kind: str, **attrs) -> None:
-        rendered = tuple((k, str(v)) for k, v in attrs.items())
-        self.trace_records.append(TraceRecord(self.now, node, kind, rendered))
+        self.trace_records.append(TraceRecord(self.now, node, kind, tuple(attrs.items())))
 
     def trace_lines(self) -> list[str]:
         return [rec.line() for rec in self.trace_records]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -425,7 +426,7 @@ def _parse_node(tokens: list[str]) -> NodeDecl:
 
 
 def _parse_policy(sc: Scenario, tokens: list[str]) -> None:
-    _need_at_least(tokens, 3)
+    _need(tokens, 3)
     if tokens[1] == "global":
         if tokens[2] != "two-hour-rule":
             raise ValueError(f"unknown global policy {tokens[2]!r}")
@@ -469,13 +470,12 @@ def _parse_step(tokens: list[str]) -> tuple[int, ScriptStep]:
 
 def _validate(sc: Scenario) -> None:
     ids = sc.node_ids()
-    dup = {i for i in ids if ids.count(i) > 1}
+    dup = _repeated(ids)
     if dup:
         raise ScenarioValidationError(f"duplicate node id(s): {sorted(dup)}")
     declared = set(ids)
     if not sc.allow_dup_mac:
-        macs = [str(n.mac) for n in sc.nodes]
-        dup_macs = {m for m in macs if macs.count(m) > 1}
+        dup_macs = _repeated(str(n.mac) for n in sc.nodes)
         if dup_macs:
             raise ScenarioValidationError(
                 f"duplicate MAC(s) {sorted(dup_macs)}; add allow-dup-mac to permit"
@@ -537,6 +537,10 @@ def _validate(sc: Scenario) -> None:
         host_id, sep, fld = key.partition(".")
         if not sep or host_id not in hosts or fld not in HOST_METRIC_FIELDS:
             raise ScenarioValidationError(f"unknown expectation metric {key!r}")
+
+
+def _repeated(items) -> set:
+    return {item for item, count in Counter(items).items() if count > 1}
 
 
 # -- canonical writer ---------------------------------------------------------------
@@ -685,8 +689,4 @@ def _metric_value(metrics: RunMetrics, key: str) -> str:
     hm = metrics.hosts.get(host_id)
     if hm is None:
         return "unmeasured"
-    if fld == "default_router":
-        return hm.default_router or "none"
-    if fld == "family_in_use":
-        return str(hm.family_in_use) if hm.family_in_use else "none"
-    return iid_text(hm.iid)
+    return hm.field_texts()[fld]

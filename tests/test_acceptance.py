@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines. Every tolerance is pinned here; nothing is calibrated elsewhere.
 """
 
+import ipaddress
 import random
 
 from conftest import GOLDEN_DIR, attrs, records, run_scenario, scenario_path, SCENARIO_DIR
@@ -49,6 +50,7 @@ def test_criterion_01_address_derivation_vectors():
     for _ in range(1000):
         addr = Ipv6Address(rng.getrandbits(128))
         assert Ipv6Address.parse(str(addr)) == addr
+        assert str(addr) == str(ipaddress.IPv6Address(addr.value))
     ok(1, "EUI-64 vectors and 1000-case parse/print round trip")
 
 

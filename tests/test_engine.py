@@ -1,12 +1,13 @@
 """Event ordering, delivery and filtering, determinism, conservation."""
 
+import enum
 from collections import defaultdict
 
 import pytest
 
 from conftest import attrs, records, run_scenario, SCENARIO_DIR
 
-from slaacsim.addressing import Ipv6Address, MacAddress
+from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker
 from slaacsim.defense import PortClass
 from slaacsim.engine import Engine, SimInvariantError, TimerFire
@@ -115,6 +116,18 @@ def test_trace_key_order_is_fixed_per_kind():
             per_kind[record.kind].add(tuple(k for k, _ in record.attrs))
     for kind, orders in per_kind.items():
         assert len(orders) == 1, f"{kind} has varying key orders: {orders}"
+
+
+def test_trace_values_are_immutable_and_render_stably():
+    # Records keep the values given to trace() and format them when read, so
+    # a mutable value would let the text change after the event.
+    immutable = (int, str, enum.Enum, Ipv6Address, Prefix)
+    for name in all_scenarios():
+        _, engine, _ = run_scenario(name)
+        for record in engine.trace_records:
+            for key, value in record.values:
+                assert isinstance(value, immutable), f"{name} {record.kind} {key}={value!r}"
+        assert engine.trace_text() == engine.trace_text()
 
 
 def test_jitter_scenarios_depend_on_seed():

@@ -250,11 +250,14 @@ def test_router_lifetime_range_checked_at_parse():
             "node host H1 mac=00:1a:2b:3c:4d:5e",
             "node attacker H1 mac=00:1a:2b:3c:4d:5e persona-interval=inf",
         ),
+        ("run 4", "policy SW1.p2 ra-guard bogus tokens\nrun 4"),
+        ("run 4", "policy global two-hour-rule bogus\nrun 4"),
     ],
 )
 def test_out_of_range_values_rejected_at_parse(old, new):
     # Each of these once escaped as a traceback (OverflowError, a ValueError
-    # at build time) or exhausted memory building the port set.
+    # at build time), exhausted memory building the port set, or was
+    # accepted with its trailing policy tokens silently dropped.
     with pytest.raises(ScenarioParseError, match=r"^line \d+: "):
         parse_scenario(MINIMAL.replace(old, new, 1))
 
@@ -271,6 +274,8 @@ def test_value_bounds_are_inclusive():
         ("run 4", "run inf", 6),
         ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 preferred=-1", 2),
         ("ports=2", f"ports={MAX_PORTS + 1}", 1),
+        ("run 4", "policy SW1.p2 ra-guard bogus tokens\nrun 4", 6),
+        ("run 4", "policy global two-hour-rule bogus\nrun 4", 6),
     ],
 )
 def test_run_command_reports_bad_values_by_line(tmp_path, capsys, old, new, line):

@@ -24,9 +24,7 @@ class AddressParseError(ValueError):
 
     def __init__(self, text: str, offset: int, reason: str):
         super().__init__(f"{reason} at offset {offset}: {text!r}")
-        self.text = text
         self.offset = offset
-        self.reason = reason
 
 
 class PrefixLengthUnsupported(ValueError):
@@ -148,6 +146,11 @@ def derive_eui64(mac: MacAddress) -> int:
 def link_local_from(iid: int) -> Ipv6Address:
     """fe80::/64 with the low 64 bits set to the interface identifier."""
     return Ipv6Address(LINK_LOCAL_PREFIX | (iid & IID_MASK))
+
+
+def is_link_local(address: Ipv6Address) -> bool:
+    """True inside fe80::/10, the link-local unicast range."""
+    return address.value >> 118 == LINK_LOCAL_PREFIX >> 118
 
 
 def global_from(prefix: Prefix, iid: int) -> Ipv6Address:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from .addressing import Ipv6Address, MacAddress
-from .messages import DataMessage, NdMessage, RouterAdvertisement
+from .messages import DataMessage, NdMessage, RouterAdvertisement, Timer
 from .router import RouterConfig
 
 if TYPE_CHECKING:
@@ -36,6 +36,10 @@ class AttackMode(enum.Enum):
         return self.value
 
 
+# Modes that forge advertisements for the persona, one per persona interval.
+FORGING_MODES = frozenset(AttackMode) - {AttackMode.PASSIVE, AttackMode.KILL_ROUTER}
+
+
 @dataclass
 class CapturedRa:
     time: int
@@ -59,7 +63,7 @@ class Attacker(object):
         self.persona = persona
         self.captured_ras: list[CapturedRa] = []
         self.mode = AttackMode.PASSIVE
-        self.kill_target: Optional[str] = None
+        self.next_forge_at: Optional[int] = None  # the one live forging tick
 
     def capture_ra(self, ctx: "Engine", ra: RouterAdvertisement, sender: str, now: int) -> None:
         self.captured_ras.append(CapturedRa(now, sender, ra))
@@ -88,21 +92,22 @@ class Attacker(object):
         )
 
     def run_playbook(self, ctx: "Engine", mode: AttackMode, target: Optional[str], now: int) -> None:
+        """Switch to ``mode``. Every arming ends the forging schedule of the
+        previous one; a forging mode emits at once and starts its own."""
         self.mode = mode
-        self.kill_target = target
-        if mode is AttackMode.PASSIVE:
-            return
+        self.next_forge_at = None
         if mode is AttackMode.KILL_ROUTER:
             # Exactly one spoofed advertisement per trigger.
             ctx.broadcast(self.node_id, self.spoof_kill_ra(target), now)
-            return
-        if mode is AttackMode.FAKE_ROUTER_MITM and self.captured_ras:
-            ctx.broadcast(self.node_id, self.spoof_kill_ra(), now)
-        self._forge_and_reschedule(ctx, now)
+        elif mode in FORGING_MODES:
+            if mode is AttackMode.FAKE_ROUTER_MITM and self.captured_ras:
+                ctx.broadcast(self.node_id, self.spoof_kill_ra(), now)
+            self._forge_and_reschedule(ctx, now)
 
     def _forge_and_reschedule(self, ctx: "Engine", now: int) -> None:
         ctx.broadcast(self.node_id, self.forge_fake_router_ra(), now)
-        ctx.set_timer(self.node_id, "ra", now + self.persona.ra_interval_ms)
+        self.next_forge_at = now + self.persona.ra_interval_ms
+        ctx.set_timer(self.node_id, Timer.RA, self.next_forge_at)
 
     def routing_enabled(self) -> bool:
         if self.mode is AttackMode.FAKE_ROUTER_MITM:
@@ -121,11 +126,7 @@ class Attacker(object):
         if isinstance(msg, RouterAdvertisement):
             self.capture_ra(ctx, msg, sender_id, now)
 
-    def on_timer(self, ctx: "Engine", timer_id: str, now: int) -> None:
-        forging = (
-            AttackMode.FAKE_ROUTER_MITM,
-            AttackMode.BLACKHOLE_GATEWAY,
-            AttackMode.DUAL_STACK_ROGUE,
-        )
-        if timer_id == "ra" and self.mode in forging:
+    def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
+        # A tick booked by an earlier arming finds next_forge_at moved on.
+        if timer is Timer.RA and now == self.next_forge_at:
             self._forge_and_reschedule(ctx, now)

@@ -106,8 +106,7 @@ def verify_ra(ra: RouterAdvertisement, registry: TrustAnchorRegistry) -> bool:
     if ra.auth is None or ra.auth.key_id not in registry:
         return False
     secret = registry.secret_for(ra.auth.key_id)
-    unsigned = replace(ra, auth=None)
-    expected = hmac.new(secret, _ra_signing_bytes(unsigned), hashlib.sha256).digest()[:16]
+    expected = hmac.new(secret, _ra_signing_bytes(ra), hashlib.sha256).digest()[:16]
     return hmac.compare_digest(expected, ra.auth.tag)
 
 

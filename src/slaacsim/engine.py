@@ -27,6 +27,8 @@ from .messages import (
     NeighborSolicitation,
     RouterAdvertisement,
     RouterSolicitation,
+    Timer,
+    TimerKey,
 )
 from .router import Router
 
@@ -70,7 +72,7 @@ class Deliver:
 @dataclass(frozen=True)
 class TimerFire:
     node: str
-    timer_id: str
+    timer: TimerKey
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,7 @@ Action = Union[Deliver, TimerFire, ScriptStep]
 
 @dataclass
 class ProbeResult:
-    host: str
-    reachable: bool
-    gateway: Optional[str]
-    family: Optional[AddressFamily]
+    family: Optional[AddressFamily]  # None when no path resolves
     delivered: bool
     path: tuple[str, ...]
 
@@ -210,9 +209,6 @@ class Engine(object):
         elif isinstance(node, Attacker):
             self._ip_owner[node.link_local] = node.node_id
 
-    def node_label_for_ip(self, ip: Ipv6Address) -> str:
-        return self._ip_owner.get(ip, str(ip))
-
     # -- scheduling -------------------------------------------------------------
 
     def schedule(self, at_ms: int, action: Action) -> None:
@@ -220,27 +216,24 @@ class Engine(object):
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
         heapq.heappush(self._queue, (at_ms, next(self._seq), action))
 
-    def set_timer(self, node_id: str, timer_id: str, at_ms: int) -> None:
-        self.schedule(at_ms, TimerFire(node_id, timer_id))
+    def set_timer(self, node_id: str, timer: TimerKey, at_ms: int) -> None:
+        self.schedule(at_ms, TimerFire(node_id, timer))
 
     def bootstrap(self) -> None:
         """Book each node's startup work at t=0, in declaration order."""
         for node in self.nodes.values():
             if isinstance(node, Router):
-                self.set_timer(node.node_id, "ra", 0)
+                self.set_timer(node.node_id, Timer.RA, 0)
             elif isinstance(node, Host):
-                self.set_timer(node.node_id, "autoconf", 0)
+                self.set_timer(node.node_id, Timer.AUTOCONF, 0)
 
     # -- tracing ---------------------------------------------------------------
 
     def trace(self, node: str, kind: str, **attrs) -> None:
         self.trace_records.append(TraceRecord(self.now, node, kind, tuple(attrs.items())))
 
-    def trace_lines(self) -> list[str]:
-        return [rec.line() for rec in self.trace_records]
-
     def trace_text(self) -> str:
-        return "".join(line + "\n" for line in self.trace_lines())
+        return "".join([rec.line() + "\n" for rec in self.trace_records])
 
     # -- delivery ----------------------------------------------------------------
 
@@ -301,7 +294,7 @@ class Engine(object):
             if isinstance(action, Deliver):
                 self._handle_deliver(action, at)
             elif isinstance(action, TimerFire):
-                self.nodes[action.node].on_timer(self, action.timer_id, at)
+                self.nodes[action.node].on_timer(self, action.timer, at)
             else:
                 self._handle_script(action, at)
         self.now = t_end_ms
@@ -360,7 +353,7 @@ class Engine(object):
             gateway = hop.gateway_node or self._ip_owner.get(hop.router_ip)
         if hop is None or gateway is None or gateway not in self.nodes:
             self.trace(host.node_id, "path-resolved", outcome="unreachable", via="-", family="-")
-            return ProbeResult(host.node_id, False, None, None, False, (host.node_id,))
+            return ProbeResult(None, False, (host.node_id,))
         self.trace(host.node_id, "path-resolved", outcome="via", via=gateway, family=hop.family)
         if hop.family is AddressFamily.IPV6:
             self._assert_source_assigned(host, hop.src_addr, now)
@@ -373,8 +366,8 @@ class Engine(object):
         path = self.nodes[gateway].forward(self, msg, now)
         if path is None:
             self.dropped += 1
-            return ProbeResult(host.node_id, True, gateway, hop.family, False, (host.node_id, gateway))
-        return ProbeResult(host.node_id, True, gateway, hop.family, True, tuple(path))
+            return ProbeResult(hop.family, False, (host.node_id, gateway))
+        return ProbeResult(hop.family, True, tuple(path))
 
     def _assert_source_assigned(self, host: Host, src_addr: str, now: int) -> None:
         for entry in host.addresses:
@@ -395,12 +388,12 @@ class Engine(object):
             selected = node.select_default_router(now)
             default_router = None
             if selected is not None:
-                default_router = self.node_label_for_ip(selected.router_ip)
+                default_router = self._ip_owner.get(selected.router_ip, str(selected.router_ip))
             observed_global = node.first_assigned_global(now)
             iid = split_global(observed_global.address)[1] if observed_global else node.iid
             snapshot.hosts[node.node_id] = HostMetrics(
                 default_router=default_router,
-                family_in_use=probe.family if probe.reachable else None,
+                family_in_use=probe.family,
                 iid=iid,
                 addresses=[
                     str(e.address) for e in node.addresses if e.state is AddressState.ASSIGNED
@@ -418,9 +411,6 @@ class Engine(object):
         self.measurements.append(snapshot)
         return snapshot
 
-    def in_flight_count(self) -> int:
-        return sum(1 for _, _, action in self._queue if isinstance(action, Deliver))
-
     def final_metrics(self) -> RunMetrics:
         """Host state from the last measurement; attack flags hold if any
         measurement saw the attack succeed."""
@@ -434,5 +424,5 @@ class Engine(object):
         merged.emitted = self.emitted
         merged.delivered = self.delivered
         merged.dropped = self.dropped
-        merged.in_flight = self.in_flight_count()
+        merged.in_flight = sum(1 for _, _, action in self._queue if isinstance(action, Deliver))
         return merged

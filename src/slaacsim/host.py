@@ -21,6 +21,7 @@ from .addressing import (
     Prefix,
     derive_eui64,
     global_from,
+    is_link_local,
     link_local_from,
 )
 from .defense import cga_generate, verify_ra
@@ -33,6 +34,8 @@ from .messages import (
     RouterAdvertisement,
     RouterPreference,
     RouterSolicitation,
+    Timer,
+    TimerKey,
 )
 
 if TYPE_CHECKING:
@@ -68,7 +71,6 @@ class AddressEntry:
 @dataclass
 class DefaultRouterEntry:
     router_ip: Ipv6Address
-    router_mac: MacAddress
     expires_at: int
     preference: RouterPreference
     refreshed_at: int
@@ -120,15 +122,12 @@ class Host(object):
             self.iid = derive_eui64(mac)
         self.addresses: list[AddressEntry] = []
         self.router_list: list[DefaultRouterEntry] = []
-        self.dad_pending: dict[Ipv6Address, int] = {}
 
     # -- phase 1 -------------------------------------------------------------
 
     def begin_autoconf(self, ctx: "Engine", now: int) -> None:
         """Create the tentative link-local address and start its DAD probe."""
-        if not self.ipv6_enabled:
-            return
-        if any(e.origin == LINK_LOCAL for e in self.addresses):
+        if not self.ipv6_enabled or any(e.origin == LINK_LOCAL for e in self.addresses):
             return
         entry = AddressEntry(link_local_from(self.iid), AddressState.TENTATIVE, LINK_LOCAL)
         self.addresses.append(entry)
@@ -136,14 +135,9 @@ class Host(object):
 
     def _start_dad(self, ctx: "Engine", entry: AddressEntry, now: int) -> None:
         deadline = now + DAD_TIMEOUT_MS
-        self.dad_pending[entry.address] = deadline
         ctx.trace(self.node_id, "dad-start", addr=entry.address, deadline=deadline)
-        ctx.broadcast(
-            self.node_id,
-            NeighborSolicitation(self.mac, UNSPECIFIED, entry.address),
-            now,
-        )
-        ctx.set_timer(self.node_id, f"dad:{entry.address}", deadline)
+        ctx.broadcast(self.node_id, NeighborSolicitation(self.mac, UNSPECIFIED, entry.address), now)
+        ctx.set_timer(self.node_id, entry.address, deadline)
 
     def on_neighbor_solicitation(
         self, ctx: "Engine", msg: NeighborSolicitation, sender_id: str, now: int
@@ -176,18 +170,14 @@ class Host(object):
 
     def _abandon_tentative(self, ctx: "Engine", entry: AddressEntry) -> None:
         entry.state = AddressState.ABANDONED
-        self.dad_pending.pop(entry.address, None)
         ctx.trace(self.node_id, "dad-failed", addr=entry.address)
 
     def dad_deadline(self, ctx: "Engine", address: Ipv6Address, now: int) -> None:
-        """No conflict arrived before the deadline: assign the address."""
-        deadline = self.dad_pending.get(address)
-        if deadline is None or deadline > now:
-            return  # cancelled by a conflict, or superseded
-        del self.dad_pending[address]
+        """No conflict arrived before the deadline: assign the address's entry
+        if still tentative (link-local prefixes never form a second entry)."""
         entry = self._entry_for(address)
         if entry is None or entry.state is not AddressState.TENTATIVE:
-            return
+            return  # abandoned after a conflict or on expiry
         entry.state = AddressState.ASSIGNED
         ctx.trace(self.node_id, "addr-assigned", addr=address, origin=entry.origin)
         if entry.origin == LINK_LOCAL:
@@ -206,6 +196,9 @@ class Host(object):
         for info in ra.prefixes:
             if not info.autonomous:
                 continue
+            if is_link_local(info.prefix.address):  # RFC 4862 §5.5.3(b)
+                ctx.trace(self.node_id, "prefix-ignored", prefix=info.prefix, reason="link-local")
+                continue
             if info.prefix.length != 64:
                 ctx.trace(self.node_id, "prefix-ignored", prefix=info.prefix, reason="length")
                 continue
@@ -217,14 +210,13 @@ class Host(object):
             expires = now + ra.router_lifetime * MS
             if entry is None:
                 self.router_list.append(
-                    DefaultRouterEntry(ra.src_ip, ra.src_mac, expires, ra.preference, now)
+                    DefaultRouterEntry(ra.src_ip, expires, ra.preference, now)
                 )
                 ctx.trace(
                     self.node_id, "router-added",
                     router=ra.src_ip, pref=ra.preference, expires=expires,
                 )
             else:
-                entry.router_mac = ra.src_mac
                 entry.expires_at = expires
                 entry.preference = ra.preference
                 entry.refreshed_at = now
@@ -232,7 +224,7 @@ class Host(object):
                     self.node_id, "router-refreshed",
                     router=ra.src_ip, pref=ra.preference, expires=expires,
                 )
-            ctx.set_timer(self.node_id, "expiry", expires)
+            ctx.set_timer(self.node_id, Timer.EXPIRY, expires)
         elif entry is not None:
             self.router_list.remove(entry)
             ctx.trace(self.node_id, "router-removed", router=ra.src_ip, reason="lifetime-zero")
@@ -251,7 +243,7 @@ class Host(object):
                 preferred_until=now + info.preferred_lifetime * MS,
             )
             self.addresses.append(entry)
-            ctx.set_timer(self.node_id, "expiry", entry.valid_until)
+            ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
             self._start_dad(ctx, entry, now)
         elif existing.state is not AddressState.ABANDONED:
             self._refresh_lifetimes(ctx, existing, info, now)
@@ -267,7 +259,7 @@ class Host(object):
             new_valid_ms = received_ms
         entry.valid_until = now + new_valid_ms
         entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
-        ctx.set_timer(self.node_id, "expiry", entry.valid_until)
+        ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
         ctx.trace(self.node_id, "addr-lifetime", addr=entry.address, valid_ms=new_valid_ms)
 
     # -- bookkeeping -----------------------------------------------------------
@@ -283,7 +275,6 @@ class Host(object):
                 and entry.valid_until <= now
             ):
                 entry.state = AddressState.ABANDONED
-                self.dad_pending.pop(entry.address, None)
                 ctx.trace(self.node_id, "addr-abandoned", addr=entry.address, reason="expired")
 
     def select_default_router(self, now: int) -> Optional[DefaultRouterEntry]:
@@ -324,13 +315,13 @@ class Host(object):
             self.on_neighbor_advertisement(ctx, msg, now)
         # Router solicitations and data payloads are not for hosts.
 
-    def on_timer(self, ctx: "Engine", timer_id: str, now: int) -> None:
-        if timer_id == "autoconf":
-            self.begin_autoconf(ctx, now)
-        elif timer_id.startswith("dad:"):
-            self.dad_deadline(ctx, Ipv6Address.parse(timer_id[4:]), now)
-        elif timer_id == "expiry":
+    def on_timer(self, ctx: "Engine", timer: TimerKey, now: int) -> None:
+        if timer is Timer.EXPIRY:
             self.tick_lifetimes(ctx, now)
+        elif timer is Timer.AUTOCONF:
+            self.begin_autoconf(ctx, now)
+        else:  # the DAD deadline of this tentative address
+            self.dad_deadline(ctx, timer, now)
 
     def _entry_for(self, address: Ipv6Address) -> Optional[AddressEntry]:
         for entry in self.addresses:

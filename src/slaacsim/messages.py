@@ -30,6 +30,17 @@ class RouterPreference(enum.IntEnum):
         return self.name.lower()
 
 
+class Timer(enum.Enum):
+    """What a node timer is for; a DAD deadline is keyed by its address."""
+
+    AUTOCONF = "autoconf"  # host: start link-local autoconfiguration
+    RA = "ra"  # router or forging attacker: the next periodic advertisement
+    EXPIRY = "expiry"  # host: drop expired routers and addresses
+
+
+TimerKey = Union[Timer, Ipv6Address]
+
+
 class AddressFamily(enum.Enum):
     IPV6 = "ipv6"
     IPV4 = "ipv4"

@@ -16,6 +16,7 @@ from .messages import (
     RouterAdvertisement,
     RouterPreference,
     RouterSolicitation,
+    Timer,
 )
 
 if TYPE_CHECKING:
@@ -71,7 +72,7 @@ class Router(object):
         if self.enabled and self.config.ra_enabled:
             ctx.broadcast(self.node_id, self.build_ra(ctx), now)
         jitter = ctx.rng.randint(0, self.config.jitter_ms) if self.config.jitter_ms else 0
-        ctx.set_timer(self.node_id, "ra", now + self.config.ra_interval_ms + jitter)
+        ctx.set_timer(self.node_id, Timer.RA, now + self.config.ra_interval_ms + jitter)
 
     def on_router_solicitation(self, ctx: "Engine", now: int) -> None:
         """Respond immediately; solicitations are never rate limited."""
@@ -91,6 +92,6 @@ class Router(object):
             self.on_router_solicitation(ctx, now)
         # Routers ignore RAs, NS/NA (their own addresses are static).
 
-    def on_timer(self, ctx: "Engine", timer_id: str, now: int) -> None:
-        if timer_id == "ra":
+    def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
+        if timer is Timer.RA:
             self.emit_periodic_ra(ctx, now)

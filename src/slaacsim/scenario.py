@@ -49,7 +49,7 @@ from .addressing import (
     link_local_from,
     parse_iid,
 )
-from .attacker import Attacker, AttackMode
+from .attacker import FORGING_MODES, Attacker, AttackMode
 from .defense import PortClass
 from .engine import (
     SINK,
@@ -509,6 +509,7 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioValidationError(f"policy references unknown port {pol.switch}.{pol.port}")
     of_kind = {kind: {n.node_id for n in sc.nodes if n.kind == kind} for kind in NODE_OPTIONS}
     routers, hosts, attackers = of_kind["router"], of_kind["host"], of_kind["attacker"]
+    personas = {n.node_id for n in sc.nodes if not _PERSONA_KEYS.isdisjoint(n.options)}
     for node, key_id in sc.keys:
         if node not in routers:
             raise ScenarioValidationError(f"key holder {node!r} is not a declared router")
@@ -526,6 +527,8 @@ def _validate(sc: Scenario) -> None:
         if isinstance(step, AttackDirective):
             if step.attacker not in attackers:
                 raise ScenarioValidationError(f"attack references non-attacker {step.attacker!r}")
+            if step.mode in FORGING_MODES and step.attacker not in personas:
+                raise ScenarioValidationError(f"{step.attacker!r} has no persona for {step.mode}")
             if step.target is not None and step.target not in declared:
                 raise ScenarioValidationError(f"attack target {step.target!r} not declared")
         elif isinstance(step, ToggleDirective):

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from slaacsim.engine import Deliver, Engine
+from slaacsim.engine import Deliver, Engine, TimerFire
 from slaacsim.scenario import build_engine, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -32,6 +32,15 @@ def queued_deliveries(engine: Engine):
         (at, action.dst, action.msg)
         for (at, _seq, action) in sorted(engine._queue)
         if isinstance(action, Deliver)
+    ]
+
+
+def queued_timers(engine: Engine):
+    """Pending timers in event order, as (time, node, timer)."""
+    return [
+        (at, action.node, action.timer)
+        for (at, _seq, action) in sorted(engine._queue)
+        if isinstance(action, TimerFire)
     ]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import records
+from conftest import queued_timers, records
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import AttackMode, Attacker, NoCapturedRa, PersonaMissing
@@ -12,8 +12,10 @@ from slaacsim.messages import (
     PrefixInfo,
     RouterAdvertisement,
     RouterPreference,
+    Timer,
 )
 from slaacsim.router import RouterConfig
+from slaacsim.scenario import build_engine, parse_scenario
 
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
 A1_IP = Ipv6Address.parse("fe80::66")
@@ -101,7 +103,7 @@ def test_kill_playbook_emits_exactly_one_spoof(engine):
     attacker.capture_ra(engine, legit_ra(), "R1", 0)
     attacker.run_playbook(engine, AttackMode.KILL_ROUTER, "R1", 5_000)
     assert len(records(engine, "ra-sent")) == 1
-    assert not any(True for (_, _, a) in engine._queue if getattr(a, "timer_id", None) == "ra")
+    assert not any(timer is Timer.RA for _, _, timer in queued_timers(engine))
 
 
 def test_passive_playbook_emits_nothing(engine):
@@ -124,6 +126,39 @@ def test_mitm_playbook_kills_then_forges_periodically(engine):
     engine.run_until(15_000)
     assert len(records(engine, "ra-sent")) == 3  # re-forged at 15 s
     assert attacker.routing_enabled()
+
+
+REARMED = """\
+switch SW1 ports=2
+node host H1 mac=00:1a:2b:3c:4d:5e
+node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64 persona-interval=10
+attach H1 SW1.p1 class=host
+attach A1 SW1.p2 class=host
+at 5 attack A1 fake-router
+at 12 attack A1 blackhole
+at 17 attack A1 fake-router
+run 60
+"""
+
+
+@pytest.mark.parametrize(
+    "extra,forged_s",
+    [
+        ("", [5, 12, 17, 27, 37, 47, 57]),
+        ("at 40 attack A1 passive\n", [5, 12, 17, 27, 37]),
+    ],
+)
+def test_rearming_restarts_the_one_forging_schedule(extra, forged_s):
+    # Each arming forges at once and restarts the schedule from its own time;
+    # the ticks booked by the earlier armings (15, 22, 25, ... s) send nothing,
+    # and neither does any tick after a non-forging arming.
+    engine = build_engine(parse_scenario(REARMED.replace("run 60", extra + "run 60")))
+    engine.execute(60_000)
+    sent = [r.time for r in records(engine, "ra-sent") if r.node == "A1"]
+    assert sent == [t * 1000 for t in forged_s]
+    assert [r.time for r in records(engine, "ra-received") if r.node == "H1"] == [
+        t + 1 for t in sent
+    ]
 
 
 def test_blackhole_playbook_never_routes(engine):

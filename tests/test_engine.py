@@ -12,7 +12,7 @@ from slaacsim.attacker import Attacker
 from slaacsim.defense import PortClass
 from slaacsim.engine import Engine, SimInvariantError, TimerFire
 from slaacsim.host import Host
-from slaacsim.messages import RouterAdvertisement, RouterPreference
+from slaacsim.messages import RouterAdvertisement, RouterPreference, Timer
 
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
 A1_IP = Ipv6Address.parse("fe80::66")
@@ -34,14 +34,14 @@ def test_same_time_events_run_in_schedule_order(engine):
         def __init__(self, name):
             self.node_id = name
 
-        def on_timer(self, ctx, timer_id, now):
+        def on_timer(self, ctx, timer, now):
             order.append(self.node_id)
 
     for name in ("N1", "N2", "N3"):
         engine.add_node(Probe(name))
-    engine.schedule(5, TimerFire("N2", "t"))
-    engine.schedule(5, TimerFire("N1", "t"))
-    engine.schedule(5, TimerFire("N3", "t"))
+    engine.schedule(5, TimerFire("N2", Timer.RA))
+    engine.schedule(5, TimerFire("N1", Timer.RA))
+    engine.schedule(5, TimerFire("N3", Timer.RA))
     engine.run_until(5)
     assert order == ["N2", "N1", "N3"]
 
@@ -49,7 +49,7 @@ def test_same_time_events_run_in_schedule_order(engine):
 def test_scheduling_into_the_past_raises(engine):
     engine.now = 100
     with pytest.raises(SimInvariantError):
-        engine.schedule(99, TimerFire("N1", "t"))
+        engine.schedule(99, TimerFire("N1", Timer.RA))
 
 
 def spoofable_ra() -> RouterAdvertisement:

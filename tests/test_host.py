@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import attrs, queued_deliveries, records
+from conftest import attrs, queued_deliveries, queued_timers, records
 
 from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix
 from slaacsim.engine import Engine
@@ -51,8 +51,10 @@ def test_begin_autoconf_emits_dad_probe(engine):
     probe = records(engine, "ns-sent")
     assert len(probe) == 1
     assert attrs(probe[0])["target"] == "fe80::21a:2bff:fe3c:4d5e"
-    assert host.addresses[0].state is AddressState.TENTATIVE
-    assert host.dad_pending
+    entry = host.addresses[0]
+    assert entry.state is AddressState.TENTATIVE
+    # The DAD deadline is keyed by the tentative address itself.
+    assert queued_timers(engine) == [(1000, "H1", entry.address)]
 
 
 def test_begin_autoconf_disabled_host_is_silent(engine):
@@ -107,7 +109,11 @@ def test_simultaneous_dad_smaller_id_wins(engine):
     host.on_neighbor_solicitation(engine, ns, "H0", 0)  # H1 > H0: abandon
     assert host.addresses[0].state is AddressState.ABANDONED
     assert len(records(engine, "dad-failed")) == 1
-    assert not host.dad_pending
+    # The deadline stays queued, and firing it leaves the abandoned entry be.
+    assert queued_timers(engine) == [(1000, "H1", target)]
+    engine.run_until(1000)
+    assert host.addresses[0].state is AddressState.ABANDONED
+    assert not records(engine, "addr-assigned")
 
 
 def test_na_abandons_pending_tentative(engine):
@@ -152,6 +158,8 @@ def test_link_local_assignment_solicits_routers(engine):
     host.dad_deadline(engine, host.addresses[0].address, 1000)
     assert host.addresses[0].state is AddressState.ASSIGNED
     assert records(engine, "rs-sent")
+    host.dad_deadline(engine, host.addresses[0].address, 2000)  # not tentative: a no-op
+    assert len(records(engine, "addr-assigned")) == len(records(engine, "rs-sent")) == 1
 
 
 def test_global_assignment_sends_no_rs(engine):
@@ -207,6 +215,26 @@ def test_non_64_autonomous_prefix_is_ignored(engine):
     host.process_ra(engine, ra, 0)
     assert host.addresses == []
     assert attrs(records(engine, "prefix-ignored")[0])["reason"] == "length"
+
+
+@pytest.mark.parametrize(
+    "text,forms", [("fe80::/64", False), ("febf:ffff::/64", False), ("fec0::/64", True)]
+)
+def test_link_local_prefix_forms_no_address(engine, text, forms):
+    # RFC 4862 §5.5.3(b). A prefix inside fe80::/10 must not give the host a
+    # second entry for its own link-local address: that entry restarts DAD and
+    # holds the link-local assignment back past its deadline. fec0::/64 lies
+    # just outside the range.
+    host = make_host()
+    engine.add_node(host)
+    host.begin_autoconf(engine, 0)
+    ra = make_ra(prefixes=(PrefixInfo(Prefix.parse(text), True, 3600, 3600),))
+    host.process_ra(engine, ra, 1)
+    ignored = [] if forms else [{"prefix": text, "reason": "link-local"}]
+    assert [attrs(r) for r in records(engine, "prefix-ignored")] == ignored
+    engine.run_until(2000)
+    assigned = [(r.time, attrs(r)["origin"]) for r in records(engine, "addr-assigned")]
+    assert assigned == [(1000, "link-local")] + ([(1001, "slaac")] if forms else [])
 
 
 def test_abandoned_prefix_is_never_recreated(engine):
@@ -302,7 +330,7 @@ def test_refresh_with_policy_applies_floor():
 # -- router selection ----------------------------------------------------------------
 
 def router_entry(ip: str, pref, expires=10_000_000, refreshed=0):
-    return DefaultRouterEntry(Ipv6Address.parse(ip), R1_MAC, expires, pref, refreshed)
+    return DefaultRouterEntry(Ipv6Address.parse(ip), expires, pref, refreshed)
 
 
 def test_selection_prefers_high():

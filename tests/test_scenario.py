@@ -56,6 +56,24 @@ def test_validation_rejects_dangling_references(mutation, message_part):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("mode", ["fake-router", "blackhole", "dual-stack"])
+def test_forging_attack_needs_a_persona(tmp_path, capsys, mode):
+    # Without persona-* options the attacker has nothing to forge: the input
+    # is invalid (exit 1), not a run that fails (exit 2).
+    text = MINIMAL.replace(
+        "node host H1 mac=00:1a:2b:3c:4d:5e",
+        "node attacker A1 mac=00:00:5e:00:53:66",
+    ).replace("attach H1 SW1.p2 class=host", "attach A1 SW1.p2 class=host")
+    text = text.replace("run 4", f"at 1 attack A1 {mode}\nrun 4")
+    with pytest.raises(ScenarioValidationError, match="has no persona for"):
+        parse_scenario(text)
+    parse_scenario(text.replace("53:66", "53:66 persona-routes=no"))  # any persona option will do
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run_command(["run", str(bad)]) == 1
+    assert "has no persona for" in capsys.readouterr().err
+
+
 def test_duplicate_node_id_rejected():
     text = MINIMAL.replace(
         "node host H1 mac=00:1a:2b:3c:4d:5e",

@@ -1,7 +1,7 @@
 """On-link adversary: captures router advertisements, replays them with a
-zero router lifetime to evict the default router, and forges advertisements
-for a fake-router persona (man-in-the-middle, blackhole, or dual-stack rogue
-plays)."""
+zero router lifetime to evict the default router, and advertises as a
+fake-router persona, a ``Router`` of its own (man-in-the-middle, blackhole,
+or dual-stack rogue plays)."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from .addressing import Ipv6Address, MacAddress
-from .messages import DataMessage, NdMessage, RouterAdvertisement, Timer
-from .router import RouterConfig
+from .messages import NdMessage, RouterAdvertisement, Timer
+from .router import Router, RouterConfig
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -60,7 +60,9 @@ class Attacker(object):
         self.node_id = node_id
         self.mac = mac
         self.link_local = link_local
-        self.persona = persona
+        # The router it poses as. Scenarios give it the attacker's own node
+        # id and addresses and no signing key: the attacker holds none.
+        self.persona = Router(persona) if persona is not None else None
         self.captured_ras: list[CapturedRa] = []
         self.mode = AttackMode.PASSIVE
         self.next_forge_at: Optional[int] = None  # the one live forging tick
@@ -78,19 +80,6 @@ class Attacker(object):
             raise NoCapturedRa(f"{self.node_id} holds no captured RA from {target or 'anyone'}")
         return replace(candidates[-1].ra, router_lifetime=0, auth=None)
 
-    def forge_fake_router_ra(self) -> RouterAdvertisement:
-        """Advertisement for the persona, sourced from the attacker's own
-        identifiers. The attacker holds no signing key, so auth stays empty."""
-        if self.persona is None:
-            raise PersonaMissing(f"{self.node_id} has no fake-router persona")
-        return RouterAdvertisement(
-            src_mac=self.mac,
-            src_ip=self.link_local,
-            router_lifetime=self.persona.router_lifetime,
-            preference=self.persona.preference,
-            prefixes=self.persona.advertised_prefixes,
-        )
-
     def run_playbook(self, ctx: "Engine", mode: AttackMode, target: Optional[str], now: int) -> None:
         """Switch to ``mode``. Every arming ends the forging schedule of the
         previous one; a forging mode emits at once and starts its own."""
@@ -100,27 +89,18 @@ class Attacker(object):
             # Exactly one spoofed advertisement per trigger.
             ctx.broadcast(self.node_id, self.spoof_kill_ra(target), now)
         elif mode in FORGING_MODES:
+            if self.persona is None:
+                raise PersonaMissing(f"{self.node_id} has no fake-router persona")
             if mode is AttackMode.FAKE_ROUTER_MITM and self.captured_ras:
                 ctx.broadcast(self.node_id, self.spoof_kill_ra(), now)
-            self._forge_and_reschedule(ctx, now)
+            self.next_forge_at = self.persona.emit_periodic_ra(ctx, now)
 
-    def _forge_and_reschedule(self, ctx: "Engine", now: int) -> None:
-        ctx.broadcast(self.node_id, self.forge_fake_router_ra(), now)
-        self.next_forge_at = now + self.persona.ra_interval_ms
-        ctx.set_timer(self.node_id, Timer.RA, self.next_forge_at)
-
-    def routing_enabled(self) -> bool:
+    def routes(self) -> bool:
         if self.mode is AttackMode.FAKE_ROUTER_MITM:
             return True
         if self.mode is AttackMode.BLACKHOLE_GATEWAY:
             return False
-        return self.persona.can_route if self.persona is not None else False
-
-    def forward(self, ctx: "Engine", msg: DataMessage, now: int) -> Optional[list[str]]:
-        if not self.routing_enabled():
-            ctx.trace(self.node_id, "blackhole-drop", origin=msg.src_node, payload=msg.payload_id)
-            return None
-        return ctx.deliver_to_sink(msg, via=self.node_id, now=now)
+        return self.persona is not None and self.persona.routes()
 
     def on_message(self, ctx: "Engine", msg: NdMessage, sender_id: str, now: int) -> None:
         if isinstance(msg, RouterAdvertisement):
@@ -129,4 +109,4 @@ class Attacker(object):
     def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
         # A tick booked by an earlier arming finds next_forge_at moved on.
         if timer is Timer.RA and now == self.next_forge_at:
-            self._forge_and_reschedule(ctx, now)
+            self.next_forge_at = self.persona.emit_periodic_ra(ctx, now)

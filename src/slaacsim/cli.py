@@ -2,7 +2,9 @@
 scripted expectations.
 
 Exit status: 0 clean run (and all expectations met under --check), 1 on
-parse/validation/expectation failure, 2 on an internal invariant violation.
+parse/validation/expectation failure, on a scenario file that cannot be read
+or is not UTF-8, or on a --trace/--metrics file that cannot be written, 2 on
+an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def run_command(argv: list[str]) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ScenarioError as exc:
+    except (ScenarioError, UnicodeDecodeError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 1
 
@@ -54,10 +56,14 @@ def run_command(argv: list[str]) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
 
-    if args.trace is not None:
-        args.trace.write_text(engine.trace_text())
-    if args.metrics is not None:
-        args.metrics.write_text("".join(line + "\n" for line in metrics.to_lines()))
+    try:
+        if args.trace is not None:
+            args.trace.write_text(engine.trace_text())
+        if args.metrics is not None:
+            args.metrics.write_text("".join(line + "\n" for line in metrics.to_lines()))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for line in metrics.flag_lines():
         print(line)
 

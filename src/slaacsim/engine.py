@@ -21,7 +21,6 @@ from .defense import SwitchPort, TrustAnchorRegistry, filter_ingress
 from .host import AddressState, Host
 from .messages import (
     AddressFamily,
-    DataMessage,
     NdMessage,
     NeighborAdvertisement,
     NeighborSolicitation,
@@ -101,7 +100,7 @@ Action = Union[Deliver, TimerFire, ScriptStep]
 class ProbeResult:
     family: Optional[AddressFamily]  # None when no path resolves
     delivered: bool
-    path: tuple[str, ...]
+    gateway: Optional[str]  # the node the data went to; None when no path resolves
 
 
 @dataclass
@@ -336,38 +335,36 @@ class Engine(object):
 
     # -- measurement ---------------------------------------------------------------
 
-    def deliver_to_sink(self, msg: DataMessage, via: str, now: int) -> list[str]:
-        path = [msg.src_node, via, SINK]
-        self.delivered += 1
-        self.trace(
-            SINK, "data-delivered",
-            origin=msg.src_node, via=via, family=msg.family,
-            payload=msg.payload_id, path=">".join(path),
-        )
-        return path
-
     def _probe(self, host: Host, now: int) -> ProbeResult:
+        """Send one payload toward the sink. The gateway delivers it when it
+        routes and drops it (a blackhole) when it does not."""
         hop = host.resolve_next_hop(now)
         gateway = None
         if hop is not None:
             gateway = hop.gateway_node or self._ip_owner.get(hop.router_ip)
         if hop is None or gateway is None or gateway not in self.nodes:
             self.trace(host.node_id, "path-resolved", outcome="unreachable", via="-", family="-")
-            return ProbeResult(None, False, (host.node_id,))
+            return ProbeResult(None, False, None)
         self.trace(host.node_id, "path-resolved", outcome="via", via=gateway, family=hop.family)
         if hop.family is AddressFamily.IPV6:
             self._assert_source_assigned(host, hop.src_addr, now)
-        msg = DataMessage(host.node_id, SINK, hop.family, hop.src_addr, next(self._payload_ids))
+        payload = next(self._payload_ids)
         self.emitted += 1
         self.trace(
             host.node_id, "data-sent",
-            dst=SINK, family=hop.family, src=hop.src_addr, payload=msg.payload_id,
+            dst=SINK, family=hop.family, src=hop.src_addr, payload=payload,
         )
-        path = self.nodes[gateway].forward(self, msg, now)
-        if path is None:
+        if not self.nodes[gateway].routes():
             self.dropped += 1
-            return ProbeResult(hop.family, False, (host.node_id, gateway))
-        return ProbeResult(hop.family, True, tuple(path))
+            self.trace(gateway, "blackhole-drop", origin=host.node_id, payload=payload)
+            return ProbeResult(hop.family, False, gateway)
+        self.delivered += 1
+        self.trace(
+            SINK, "data-delivered",
+            origin=host.node_id, via=gateway, family=hop.family,
+            payload=payload, path=f"{host.node_id}>{gateway}>{SINK}",
+        )
+        return ProbeResult(hop.family, True, gateway)
 
     def _assert_source_assigned(self, host: Host, src_addr: str, now: int) -> None:
         for entry in host.addresses:
@@ -389,7 +386,7 @@ class Engine(object):
             default_router = None
             if selected is not None:
                 default_router = self._ip_owner.get(selected.router_ip, str(selected.router_ip))
-            observed_global = node.first_assigned_global(now)
+            observed_global = node.select_global_source(now)
             iid = split_global(observed_global.address)[1] if observed_global else node.iid
             snapshot.hosts[node.node_id] = HostMetrics(
                 default_router=default_router,
@@ -401,10 +398,9 @@ class Engine(object):
             )
             if not under_attack:
                 continue
-            attacker_on_path = any(isinstance(self.nodes.get(h), Attacker) for h in probe.path)
             if not probe.delivered:
                 snapshot.dos_success = True
-            if attacker_on_path:
+            if isinstance(self.nodes.get(probe.gateway), Attacker):
                 snapshot.mitm_success = True
                 if probe.family is AddressFamily.IPV6 and node.ipv4 is not None:
                     snapshot.dualstack_success = True

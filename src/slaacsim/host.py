@@ -285,18 +285,19 @@ class Host(object):
             return None
         return max(live, key=lambda e: (e.preference, e.refreshed_at, -e.router_ip.value))
 
-    def first_assigned_global(self, now: int) -> Optional[AddressEntry]:
-        for entry in self.addresses:
-            if entry.origin == SLAAC and entry.state is AddressState.ASSIGNED:
-                return entry
-        return None
+    def select_global_source(self, now: int) -> Optional[AddressEntry]:
+        """The first assigned global address still preferred, else the first
+        deprecated one (RFC 4862 §5.5.4, RFC 6724 rule 3)."""
+        assigned = [e for e in self.addresses if e.origin == SLAAC and e.state is AddressState.ASSIGNED]
+        preferred = [e for e in assigned if e.preferred_until is None or e.preferred_until > now]
+        return (preferred or assigned or [None])[0]
 
     def resolve_next_hop(self, now: int) -> Optional[NextHop]:
         """Next hop for an off-link destination, in address-family preference
         order; None when no family can reach off-link (the DoS condition)."""
         for family in FAMILY_PREFERENCE:
             if family is AddressFamily.IPV6 and self.ipv6_enabled:
-                source = self.first_assigned_global(now)
+                source = self.select_global_source(now)
                 router = self.select_default_router(now)
                 if source is not None and router is not None:
                     return NextHop(family, router.router_ip, None, str(source.address))
@@ -313,7 +314,7 @@ class Host(object):
             self.on_neighbor_solicitation(ctx, msg, sender_id, now)
         elif isinstance(msg, NeighborAdvertisement):
             self.on_neighbor_advertisement(ctx, msg, now)
-        # Router solicitations and data payloads are not for hosts.
+        # Router solicitations are not for hosts.
 
     def on_timer(self, ctx: "Engine", timer: TimerKey, now: int) -> None:
         if timer is Timer.EXPIRY:

@@ -1,5 +1,5 @@
-"""Neighbor-discovery message vocabulary plus the generic data payload used
-for path probing."""
+"""Neighbor-discovery message vocabulary (router and neighbor solicitations
+and advertisements) and the values and enums the nodes share."""
 
 from __future__ import annotations
 
@@ -110,21 +110,9 @@ class NeighborAdvertisement:
     target: Ipv6Address
 
 
-@dataclass(frozen=True)
-class DataMessage:
-    """Unicast payload used to probe the forwarding path to the external sink."""
-
-    src_node: str
-    dst_node: str
-    family: AddressFamily
-    src_addr: str
-    payload_id: int
-
-
 NdMessage = Union[
     RouterAdvertisement,
     RouterSolicitation,
     NeighborSolicitation,
     NeighborAdvertisement,
-    DataMessage,
 ]

@@ -1,5 +1,6 @@
-"""Legitimate router behavior: periodic and solicited router advertisements,
-plus forwarding of off-link traffic toward the external sink."""
+"""Router behavior: periodic and solicited router advertisements. Whether a
+router forwards off-link traffic is its ``can_route`` setting, which the
+engine reads when it probes a path."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from .addressing import Ipv6Address, MacAddress
 from .defense import sign_ra
 from .messages import (
     MS,
-    DataMessage,
+    MAX_ROUTER_LIFETIME,
     NdMessage,
     PrefixInfo,
     RouterAdvertisement,
@@ -43,12 +44,12 @@ class RouterConfig:
     def __post_init__(self):
         if self.ra_interval_ms <= 0:
             raise ValueError("ra_interval must be positive")
-        if not 0 <= self.router_lifetime <= 65535:
+        if not 0 <= self.router_lifetime <= MAX_ROUTER_LIFETIME:
             raise ValueError("router lifetime out of range")
 
 
 class Router(object):
-    """One advertising, forwarding router on the link."""
+    """One advertising router on the link, or the persona an attacker poses as."""
 
     def __init__(self, config: RouterConfig):
         self.config = config
@@ -67,29 +68,25 @@ class Router(object):
             ra = sign_ra(ra, self.config.send_key, ctx.keystore)
         return ra
 
-    def emit_periodic_ra(self, ctx: "Engine", now: int) -> None:
-        """Broadcast one advertisement and book the next emission."""
+    def emit_ra(self, ctx: "Engine", now: int) -> None:
+        """Broadcast one advertisement unless disabled or set to ``ra=off``."""
         if self.enabled and self.config.ra_enabled:
             ctx.broadcast(self.node_id, self.build_ra(ctx), now)
+
+    def emit_periodic_ra(self, ctx: "Engine", now: int) -> int:
+        """Emit one advertisement and book the next; returns the booked time."""
+        self.emit_ra(ctx, now)
         jitter = ctx.rng.randint(0, self.config.jitter_ms) if self.config.jitter_ms else 0
-        ctx.set_timer(self.node_id, Timer.RA, now + self.config.ra_interval_ms + jitter)
+        at = now + self.config.ra_interval_ms + jitter
+        ctx.set_timer(self.node_id, Timer.RA, at)
+        return at
 
-    def on_router_solicitation(self, ctx: "Engine", now: int) -> None:
-        """Respond immediately; solicitations are never rate limited."""
-        if self.enabled and self.config.ra_enabled:
-            ctx.broadcast(self.node_id, self.build_ra(ctx), now)
-
-    def forward(self, ctx: "Engine", msg: DataMessage, now: int) -> Optional[list[str]]:
-        """Deliver an off-link payload to the external sink; None when this
-        box cannot actually route (the blackhole case)."""
-        if not self.config.can_route:
-            ctx.trace(self.node_id, "blackhole-drop", origin=msg.src_node, payload=msg.payload_id)
-            return None
-        return ctx.deliver_to_sink(msg, via=self.node_id, now=now)
+    def routes(self) -> bool:
+        return self.config.can_route
 
     def on_message(self, ctx: "Engine", msg: NdMessage, sender_id: str, now: int) -> None:
         if isinstance(msg, RouterSolicitation):
-            self.on_router_solicitation(ctx, now)
+            self.emit_ra(ctx, now)  # at once: solicitations are never rate limited
         # Routers ignore RAs, NS/NA (their own addresses are static).
 
     def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:

@@ -17,7 +17,7 @@ Grammar (one directive per line, ``#`` starts a comment)::
     policy <switch>.<port> ra-guard
     policy <switch>.<port> acl=<mac>[,<mac>...]
     policy global two-hour-rule
-    key <router> <key-id>
+    key <router> <key-id>                 (at most one per router)
     trust <key-id>
     at <sec> attack <attacker> kill-router target=<router>
     at <sec> attack <attacker> fake-router|blackhole|dual-stack|passive
@@ -61,7 +61,7 @@ from .engine import (
     ToggleDirective,
 )
 from .host import Host
-from .messages import MS, PrefixInfo, RouterPreference
+from .messages import MAX_ROUTER_LIFETIME, MS, PrefixInfo, RouterPreference
 from .router import DEFAULT_RA_INTERVAL_S, DEFAULT_ROUTER_LIFETIME_S, Router, RouterConfig
 
 # Bounds on input values. Both sit far above any run the simulator is meant
@@ -160,7 +160,7 @@ def _node_id(text: str) -> str:
     return text
 
 
-_router_lifetime = _int_in(0, 65535)
+_router_lifetime = _int_in(0, MAX_ROUTER_LIFETIME)
 _seconds = _int_in(0)
 _port_count = _int_in(1, MAX_PORTS)
 
@@ -356,6 +356,8 @@ def parse_scenario(text: str) -> Scenario:
                 _parse_policy(sc, tokens)
             elif head == "key":
                 _need(tokens, 3)
+                if tokens[1] in dict(sc.keys):
+                    raise ValueError(f"{tokens[1]} already has a key")
                 sc.keys.append((tokens[1], _node_id(tokens[2])))
             elif head == "trust":
                 _need(tokens, 2)

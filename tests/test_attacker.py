@@ -5,7 +5,7 @@ import pytest
 from conftest import queued_timers, records
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
-from slaacsim.attacker import AttackMode, Attacker, NoCapturedRa, PersonaMissing
+from slaacsim.attacker import FORGING_MODES, AttackMode, Attacker, NoCapturedRa, PersonaMissing
 from slaacsim.defense import sign_ra
 from slaacsim.messages import (
     NeighborSolicitation,
@@ -14,7 +14,7 @@ from slaacsim.messages import (
     RouterPreference,
     Timer,
 )
-from slaacsim.router import RouterConfig
+from slaacsim.router import Router, RouterConfig
 from slaacsim.scenario import build_engine, parse_scenario
 
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
@@ -84,17 +84,22 @@ def test_spoof_strips_auth_token(engine):
     assert attacker.spoof_kill_ra("R1").auth is None
 
 
-def test_forge_uses_attacker_source():
+def test_forge_uses_attacker_source(engine):
     attacker = make_attacker(make_persona())
-    ra = attacker.forge_fake_router_ra()
+    assert isinstance(attacker.persona, Router)
+    ra = attacker.persona.build_ra(engine)
     assert ra.src_mac == A1_MAC and ra.src_ip == A1_IP
     assert ra.router_lifetime == 9000 and ra.auth is None
     assert str(ra.prefixes[0].prefix) == "2001:db8:bad::/64"
 
 
-def test_forge_without_persona_raises():
-    with pytest.raises(PersonaMissing):
-        make_attacker().forge_fake_router_ra()
+def test_forge_without_persona_raises(engine):
+    attacker = make_attacker()
+    engine.add_node(attacker)
+    for mode in FORGING_MODES:
+        with pytest.raises(PersonaMissing):
+            attacker.run_playbook(engine, mode, None, 0)
+    assert records(engine, "ra-sent") == []
 
 
 def test_kill_playbook_emits_exactly_one_spoof(engine):
@@ -125,7 +130,7 @@ def test_mitm_playbook_kills_then_forges_periodically(engine):
     assert dict(sent[1].attrs)["src"] == str(A1_IP)
     engine.run_until(15_000)
     assert len(records(engine, "ra-sent")) == 3  # re-forged at 15 s
-    assert attacker.routing_enabled()
+    assert attacker.routes()
 
 
 REARMED = """\
@@ -165,15 +170,18 @@ def test_blackhole_playbook_never_routes(engine):
     attacker = make_attacker(make_persona(can_route=True))
     engine.add_node(attacker)
     attacker.run_playbook(engine, AttackMode.BLACKHOLE_GATEWAY, None, 0)
-    assert not attacker.routing_enabled()
+    assert not attacker.routes()
 
 
 def test_dualstack_playbook_routes_per_persona(engine):
     attacker = make_attacker(make_persona(can_route=True))
     engine.add_node(attacker)
     attacker.run_playbook(engine, AttackMode.DUAL_STACK_ROGUE, None, 0)
-    assert attacker.routing_enabled()
+    assert attacker.routes()
     assert records(engine, "ra-sent")
+    non_routing = make_attacker(make_persona(can_route=False))
+    non_routing.run_playbook(engine, AttackMode.DUAL_STACK_ROGUE, None, 0)
+    assert not non_routing.routes()
 
 
 def test_attacker_never_emits_valid_auth(engine):
@@ -188,6 +196,6 @@ def test_attacker_never_emits_valid_auth(engine):
     attacker.capture_ra(engine, sign_ra(legit_ra(), "k1", engine.keystore), "R1", 0)
     emissions = [
         attacker.spoof_kill_ra("R1"),
-        attacker.forge_fake_router_ra(),
+        attacker.persona.build_ra(engine),
     ]
     assert all(not verify_ra(ra, engine.trust_registry) for ra in emissions)

@@ -1,6 +1,8 @@
 """Event ordering, delivery and filtering, determinism, conservation."""
 
 import enum
+import hashlib
+import json
 from collections import defaultdict
 
 import pytest
@@ -92,6 +94,22 @@ def test_every_scenario_is_deterministic(name):
     _, first, _ = run_scenario(name)
     _, second, _ = run_scenario(name)
     assert first.trace_text() == second.trace_text()
+
+
+RECORDED = json.loads((SCENARIO_DIR.parent / "perfbench" / "expected.json").read_text())["corpus"]
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_corpus_matches_recorded_digests(name):
+    # The benchmark's recorded digests, computed the same way, so a change to
+    # any corpus trace or metrics byte fails here too.
+    _, engine, metrics = run_scenario(name)
+    digests = {"trace": sha256(engine.trace_text()), "metrics": sha256("\n".join(metrics.to_lines()))}
+    assert digests == RECORDED[name]
 
 
 @pytest.mark.parametrize("name", all_scenarios())

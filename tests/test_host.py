@@ -24,6 +24,7 @@ from slaacsim.messages import (
     RouterAdvertisement,
     RouterPreference,
 )
+from slaacsim.scenario import build_engine, parse_scenario
 
 H1_MAC = MacAddress.parse("00:1a:2b:3c:4d:5e")
 R1_MAC = MacAddress.parse("00:00:5e:00:53:01")
@@ -432,6 +433,52 @@ def test_resolution_needs_assigned_global():
     host = make_host()
     host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
     assert host.resolve_next_hop(0) is None  # router but no global address
+
+
+def test_resolution_prefers_a_preferred_source():
+    # RFC 6724 rule 3: an address past its preferred lifetime (deprecated)
+    # sources data only when no preferred address is assigned.
+    host = make_host()
+    host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
+    first = AddressEntry(
+        Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, "slaac",
+        valid_until=9_000, preferred_until=1_000,
+    )
+    second = AddressEntry(
+        Ipv6Address.parse("2001:db8:bad::5"), AddressState.ASSIGNED, "slaac",
+        valid_until=9_000, preferred_until=5_000,
+    )
+    host.addresses = [first, second]
+    assert host.resolve_next_hop(999).src_addr == "2001:db8:1::5"  # both preferred
+    assert host.resolve_next_hop(1_000).src_addr == "2001:db8:bad::5"  # first deprecated
+    assert host.resolve_next_hop(5_000).src_addr == "2001:db8:1::5"  # both deprecated
+    host.addresses = [second]
+    assert host.select_global_source(6_000) is second  # a lone deprecated address serves
+
+
+def test_preferred_lifetime_picks_the_probe_source():
+    text = """\
+switch SW1 ports=3
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 preferred=0
+node host H1 mac=00:1a:2b:3c:4d:5e
+node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64
+attach R1 SW1.p1 class=router
+attach H1 SW1.p2 class=host
+attach A1 SW1.p3 class=host
+at 1 attack A1 dual-stack
+at 5 measure
+run 5
+"""
+    sources = []
+    for dual_stack in (False, True):
+        sc = parse_scenario(text if dual_stack else text.replace("at 1 attack A1 dual-stack\n", ""))
+        engine = build_engine(sc)
+        engine.execute(sc.run_ms)
+        (sent,) = records(engine, "data-sent")
+        sources.append(attrs(sent)["src"])
+    # R1's address is deprecated from the start; it still serves while it is
+    # the only one, and gives way to the persona's preferred address.
+    assert sources == ["2001:db8:1:0:21a:2bff:fe3c:4d5e", "2001:db8:bad:0:21a:2bff:fe3c:4d5e"]
 
 
 # -- lifetime sweep -------------------------------------------------------------------------

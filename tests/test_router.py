@@ -1,11 +1,12 @@
-"""Router advertisement emission and forwarding."""
+"""Router advertisement emission, and probes the engine sends through a router."""
 
 from conftest import attrs, records
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.defense import verify_ra
-from slaacsim.engine import SINK, Deliver, Engine
-from slaacsim.messages import DataMessage, AddressFamily, PrefixInfo, RouterPreference, RouterSolicitation
+from slaacsim.engine import Deliver
+from slaacsim.host import AddressEntry, AddressState, DefaultRouterEntry, Host
+from slaacsim.messages import AddressFamily, PrefixInfo, RouterPreference, RouterSolicitation
 from slaacsim.router import Router, RouterConfig
 
 R1_MAC = MacAddress.parse("00:00:5e:00:53:01")
@@ -89,20 +90,33 @@ def test_periodic_emission_count(engine):
     assert len(records(engine, "ra-sent")) == 3
 
 
-def probe(family=AddressFamily.IPV6):
-    return DataMessage("H1", SINK, family, "2001:db8:1::5", 1)
+def probe_through(engine, router):
+    """Measure once with H1 holding a global address and ``router`` as its
+    default router, so the engine sends one probe through it."""
+    engine.add_node(router)
+    host = Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
+    host.addresses.append(
+        AddressEntry(Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, "slaac")
+    )
+    host.router_list.append(DefaultRouterEntry(R1_IP, 1_800_000, RouterPreference.HIGH, 0))
+    engine.add_node(host)
+    return engine.measure(0).hosts["H1"]
 
 
 def test_forward_delivers_to_sink(engine):
-    router = make_router()
-    engine.add_node(router)
-    path = router.forward(engine, probe(), 0)
-    assert path == ["H1", "R1", SINK]
-    assert attrs(records(engine, "data-delivered")[0])["path"] == "H1>R1>ext"
+    metrics = probe_through(engine, make_router())
+    assert metrics.family_in_use is AddressFamily.IPV6
+    (delivered,) = records(engine, "data-delivered")
+    assert attrs(delivered)["path"] == "H1>R1>ext" and attrs(delivered)["via"] == "R1"
+    assert records(engine, "blackhole-drop") == []
+    assert (engine.emitted, engine.delivered, engine.dropped) == (1, 1, 0)
 
 
 def test_forward_blackholes_without_routing(engine):
-    router = make_router(can_route=False)
-    engine.add_node(router)
-    assert router.forward(engine, probe(), 0) is None
-    assert records(engine, "blackhole-drop")
+    router = make_router(can_route=False)  # routes=no
+    assert not router.routes()
+    probe_through(engine, router)
+    (drop,) = records(engine, "blackhole-drop")
+    assert drop.node == "R1" and attrs(drop)["origin"] == "H1"
+    assert records(engine, "data-delivered") == []
+    assert (engine.emitted, engine.delivered, engine.dropped) == (1, 0, 1)

@@ -168,6 +168,32 @@ def test_run_command_rejects_malformed_scenario(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--trace", "{tmp}/missing/out.trace"], "No such file or directory"),
+        (["--metrics", "{tmp}/missing/out.metrics"], "No such file or directory"),
+        (["--trace", "{tmp}"], "Is a directory"),
+    ],
+)
+def test_run_command_reports_unwritable_outputs(tmp_path, capsys, args, message):
+    args = [a.format(tmp=tmp_path) for a in args]
+    assert run_command(["run", str(scenario_path("baseline"))] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_run_command_reports_unreadable_scenarios(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(MINIMAL.replace("run 4", "# caf\xe9\nrun 4").encode("latin-1"))
+    assert run_command(["run", str(latin1)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {latin1}: 'utf-8' codec can't decode")
+    assert run_command(["run", str(tmp_path / "missing.txt")]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert run_command(["run", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_check_flag_gates_on_expectations(tmp_path, capsys):
     assert run_command(["run", str(scenario_path("attack_kill")), "--check"]) == 0
     assert "check ok" in capsys.readouterr().out
@@ -270,12 +296,14 @@ def test_router_lifetime_range_checked_at_parse():
         ),
         ("run 4", "policy SW1.p2 ra-guard bogus tokens\nrun 4"),
         ("run 4", "policy global two-hour-rule bogus\nrun 4"),
+        ("run 4", "key R1 k1\nkey R1 k2\nrun 4"),
     ],
 )
 def test_out_of_range_values_rejected_at_parse(old, new):
     # Each of these once escaped as a traceback (OverflowError, a ValueError
     # at build time), exhausted memory building the port set, or was
-    # accepted with its trailing policy tokens silently dropped.
+    # accepted with its trailing policy tokens silently dropped, or with a
+    # router's first signing key silently replaced by its second.
     with pytest.raises(ScenarioParseError, match=r"^line \d+: "):
         parse_scenario(MINIMAL.replace(old, new, 1))
 
@@ -294,6 +322,7 @@ def test_value_bounds_are_inclusive():
         ("ports=2", f"ports={MAX_PORTS + 1}", 1),
         ("run 4", "policy SW1.p2 ra-guard bogus tokens\nrun 4", 6),
         ("run 4", "policy global two-hour-rule bogus\nrun 4", 6),
+        ("run 4", "key R1 k1\nkey R1 k2\nrun 4", 7),
     ],
 )
 def test_run_command_reports_bad_values_by_line(tmp_path, capsys, old, new, line):

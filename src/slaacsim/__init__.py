@@ -11,7 +11,7 @@ from .addressing import (
     link_local_from,
 )
 from .attacker import Attacker, AttackMode
-from .defense import PortPolicy, SwitchPort, TrustAnchorRegistry
+from .defense import SwitchPort
 from .engine import Engine, RunMetrics
 from .host import Host, apply_two_hour_rule
 from .messages import (
@@ -39,7 +39,6 @@ __all__ = [
     "MacAddress",
     "NeighborAdvertisement",
     "NeighborSolicitation",
-    "PortPolicy",
     "Prefix",
     "PrefixInfo",
     "Router",
@@ -50,7 +49,6 @@ __all__ = [
     "RunMetrics",
     "Scenario",
     "SwitchPort",
-    "TrustAnchorRegistry",
     "apply_two_hour_rule",
     "build_engine",
     "derive_eui64",

@@ -9,7 +9,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-from .addressing import Ipv6Address, MacAddress
+from .addressing import Ipv6Address
 from .messages import NdMessage, RouterAdvertisement, Timer
 from .router import Router, RouterConfig
 
@@ -53,12 +53,10 @@ class Attacker(object):
     def __init__(
         self,
         node_id: str,
-        mac: MacAddress,
         link_local: Ipv6Address,
         persona: Optional[RouterConfig] = None,
     ):
         self.node_id = node_id
-        self.mac = mac
         self.link_local = link_local
         # The router it poses as. Scenarios give it the attacker's own node
         # id and addresses and no signing key: the attacker holds none.

@@ -7,7 +7,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import hmac
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .addressing import IID_MASK, MacAddress
@@ -28,21 +28,16 @@ class PortClass(enum.Enum):
         return self.value
 
 
-@dataclass
-class PortPolicy:
-    """Per-port RA filtering. An *empty* ACL set drops every RA on the port;
-    ``None`` means no ACL is configured."""
-
-    ra_guard: bool = False
-    acl_allowed_ra_sources: Optional[frozenset[MacAddress]] = None
-
-
-@dataclass
+@dataclass(frozen=True)
 class SwitchPort:
+    """One switch port as wired at build: its class and its RA filtering.
+    An *empty* ACL drops every RA on the port; ``None`` means no ACL is
+    configured."""
+
     port_id: str
-    attached_node: Optional[str] = None
-    port_class: PortClass = PortClass.HOST_FACING
-    policy: PortPolicy = field(default_factory=PortPolicy)
+    port_class: PortClass
+    ra_guard: bool = False
+    acl: Optional[frozenset[MacAddress]] = None
 
 
 def filter_ingress(port: SwitchPort, msg: NdMessage) -> Optional[str]:
@@ -50,37 +45,17 @@ def filter_ingress(port: SwitchPort, msg: NdMessage) -> Optional[str]:
     None to forward. Only router advertisements are ever dropped."""
     if not isinstance(msg, RouterAdvertisement):
         return None
-    if port.policy.ra_guard and port.port_class is PortClass.HOST_FACING:
+    if port.ra_guard and port.port_class is PortClass.HOST_FACING:
         return RA_GUARD
-    acl = port.policy.acl_allowed_ra_sources
-    if acl is not None and msg.src_mac not in acl:
+    if port.acl is not None and msg.src_mac not in port.acl:
         return ACL
     return None
 
 
-class UnknownKeyError(KeyError):
-    pass
-
-
-class TrustAnchorRegistry:
-    """Flat key_id -> secret registry standing in for a certification path."""
-
-    def __init__(self):
-        self.anchors: dict[str, bytes] = {}
-
-    def add_key(self, key_id: str, secret: Optional[bytes] = None) -> None:
-        if secret is None:
-            secret = hashlib.sha256(b"key-material:" + key_id.encode()).digest()
-        self.anchors[key_id] = secret
-
-    def secret_for(self, key_id: str) -> bytes:
-        try:
-            return self.anchors[key_id]
-        except KeyError:
-            raise UnknownKeyError(key_id) from None
-
-    def __contains__(self, key_id: str) -> bool:
-        return key_id in self.anchors
+def key_secret(key_id: str) -> bytes:
+    """The secret of signing key ``key_id``, derived from its id; it stands in
+    for key material and a certification path."""
+    return hashlib.sha256(b"key-material:" + key_id.encode()).digest()
 
 
 def _ra_signing_bytes(ra: RouterAdvertisement) -> bytes:
@@ -93,19 +68,18 @@ def _ra_signing_bytes(ra: RouterAdvertisement) -> bytes:
     return body.encode()
 
 
-def sign_ra(ra: RouterAdvertisement, key_id: str, registry: TrustAnchorRegistry) -> RouterAdvertisement:
+def sign_ra(ra: RouterAdvertisement, key_id: str) -> RouterAdvertisement:
     """Attach an AuthToken computed from the RA's semantic fields."""
-    secret = registry.secret_for(key_id)
-    tag = hmac.new(secret, _ra_signing_bytes(ra), hashlib.sha256).digest()[:16]
+    tag = hmac.new(key_secret(key_id), _ra_signing_bytes(ra), hashlib.sha256).digest()[:16]
     return replace(ra, auth=AuthToken(key_id, tag))
 
 
-def verify_ra(ra: RouterAdvertisement, registry: TrustAnchorRegistry) -> bool:
-    """True iff the token is present, its key is anchored, and the tag
-    recomputes over the RA as received."""
-    if ra.auth is None or ra.auth.key_id not in registry:
+def verify_ra(ra: RouterAdvertisement, trusted: dict[str, bytes]) -> bool:
+    """True iff the token is present, its key is in ``trusted`` (key id to
+    secret), and the tag recomputes over the RA as received."""
+    if ra.auth is None or ra.auth.key_id not in trusted:
         return False
-    secret = registry.secret_for(ra.auth.key_id)
+    secret = trusted[ra.auth.key_id]
     expected = hmac.new(secret, _ra_signing_bytes(ra), hashlib.sha256).digest()[:16]
     return hmac.compare_digest(expected, ra.auth.tag)
 
@@ -115,7 +89,3 @@ def cga_generate(public_key_id: str, modifier: int) -> int:
     two EUI-64 flag bits cleared."""
     digest = hashlib.sha256(f"cga|{public_key_id}|{modifier}".encode()).digest()
     return (int.from_bytes(digest[-8:], "big") & IID_MASK) & ~_IID_FLAG_BITS
-
-
-def cga_verify(iid: int, public_key_id: str, modifier: int) -> bool:
-    return cga_generate(public_key_id, modifier) == iid

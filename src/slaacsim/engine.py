@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from .addressing import Ipv6Address, iid_text, split_global
 from .attacker import Attacker, AttackMode
-from .defense import SwitchPort, TrustAnchorRegistry, filter_ingress
+from .defense import SwitchPort, filter_ingress
 from .host import AddressState, Host
 from .messages import (
     AddressFamily,
@@ -166,11 +166,10 @@ class Engine(object):
         self.two_hour_rule = two_hour_rule
         self.now = 0
         self.nodes: dict[str, Node] = {}
-        self.switch_id: Optional[str] = None
-        self.ports: dict[str, SwitchPort] = {}
+        self.switch_id: Optional[str] = None  # labels ra-dropped records
         self.node_port: dict[str, SwitchPort] = {}
-        self.keystore = TrustAnchorRegistry()  # every created signing key
-        self.trust_registry = TrustAnchorRegistry()  # the trusted subset
+        self.trusted_keys: dict[str, bytes] = {}  # key id -> secret, from trust lines
+        self.attack_armed = False  # set by the first non-passive attack directive
         self.trace_records: list[TraceRecord] = []
         self.measurements: list[RunMetrics] = []
         self._queue: list[tuple[int, int, Action]] = []
@@ -183,25 +182,11 @@ class Engine(object):
 
     # -- topology -------------------------------------------------------------
 
-    def add_switch(self, switch_id: str, port_count: int) -> None:
-        if self.switch_id is not None:
-            raise ValueError("only one switch per link")
-        self.switch_id = switch_id
-        for i in range(1, port_count + 1):
-            port_id = f"p{i}"
-            self.ports[port_id] = SwitchPort(port_id)
-
-    def add_node(self, node: Node, port_id: Optional[str] = None, port_class=None) -> None:
+    def add_node(self, node: Node, port: Optional[SwitchPort] = None) -> None:
         if node.node_id in self.nodes or node.node_id == SINK:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes[node.node_id] = node
-        if port_id is not None:
-            port = self.ports[port_id]
-            if port.attached_node is not None:
-                raise ValueError(f"port {port_id} already occupied")
-            port.attached_node = node.node_id
-            if port_class is not None:
-                port.port_class = port_class
+        if port is not None:
             self.node_port[node.node_id] = port
         if isinstance(node, Router):
             self._ip_owner[node.config.link_local] = node.node_id
@@ -308,6 +293,8 @@ class Engine(object):
                 node.run_playbook(self, step.mode, step.target, now)
             except RuntimeError as exc:
                 raise SimInvariantError(f"playbook failed: {exc}") from exc
+            if step.mode is not AttackMode.PASSIVE:
+                self.attack_armed = True
         elif isinstance(step, MeasureDirective):
             self.measure(now)
         elif isinstance(step, ToggleDirective):
@@ -374,10 +361,9 @@ class Engine(object):
 
     def measure(self, now: int) -> RunMetrics:
         """Snapshot per-host state and attack outcomes, probing one data path
-        per host toward the external sink. Attack flags stay false in
-        attacker-free scenarios."""
+        per host toward the external sink. Attack flags stay false until a
+        non-passive attack has been armed."""
         snapshot = RunMetrics()
-        under_attack = any(isinstance(n, Attacker) for n in self.nodes.values())
         for node in self.nodes.values():
             if not isinstance(node, Host):
                 continue
@@ -396,7 +382,7 @@ class Engine(object):
                     str(e.address) for e in node.addresses if e.state is AddressState.ASSIGNED
                 ],
             )
-            if not under_attack:
+            if not self.attack_armed:
                 continue
             if not probe.delivered:
                 snapshot.dos_success = True

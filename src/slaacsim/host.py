@@ -189,7 +189,7 @@ class Host(object):
     def process_ra(self, ctx: "Engine", ra: RouterAdvertisement, now: int) -> None:
         if not self.ipv6_enabled:
             return
-        if self.send_only and not verify_ra(ra, ctx.trust_registry):
+        if self.send_only and not verify_ra(ra, ctx.trusted_keys):
             ctx.trace(self.node_id, "ra-rejected-send", src=ra.src_ip)
             return
         self._update_router_list(ctx, ra, now)

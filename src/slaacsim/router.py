@@ -27,7 +27,7 @@ DEFAULT_RA_INTERVAL_S = 10
 DEFAULT_ROUTER_LIFETIME_S = 1800
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouterConfig:
     node_id: str
     mac: MacAddress
@@ -55,23 +55,20 @@ class Router(object):
         self.config = config
         self.node_id = config.node_id
         self.enabled = True
-
-    def build_ra(self, ctx: "Engine") -> RouterAdvertisement:
+        # The one advertisement it sends all run: the config never changes.
         ra = RouterAdvertisement(
-            src_mac=self.config.mac,
-            src_ip=self.config.link_local,
-            router_lifetime=self.config.router_lifetime,
-            preference=self.config.preference,
-            prefixes=self.config.advertised_prefixes,
+            src_mac=config.mac,
+            src_ip=config.link_local,
+            router_lifetime=config.router_lifetime,
+            preference=config.preference,
+            prefixes=config.advertised_prefixes,
         )
-        if self.config.send_key is not None:
-            ra = sign_ra(ra, self.config.send_key, ctx.keystore)
-        return ra
+        self.ra = ra if config.send_key is None else sign_ra(ra, config.send_key)
 
     def emit_ra(self, ctx: "Engine", now: int) -> None:
         """Broadcast one advertisement unless disabled or set to ``ra=off``."""
         if self.enabled and self.config.ra_enabled:
-            ctx.broadcast(self.node_id, self.build_ra(ctx), now)
+            ctx.broadcast(self.node_id, self.ra, now)
 
     def emit_periodic_ra(self, ctx: "Engine", now: int) -> int:
         """Emit one advertisement and book the next; returns the booked time."""

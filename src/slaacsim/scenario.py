@@ -50,7 +50,7 @@ from .addressing import (
     parse_iid,
 )
 from .attacker import FORGING_MODES, Attacker, AttackMode
-from .defense import PortClass
+from .defense import PortClass, SwitchPort, key_secret
 from .engine import (
     SINK,
     AttackDirective,
@@ -259,7 +259,7 @@ class AttachDecl:
     node: str
     switch: str
     port: str
-    port_class: str  # "router" | "host"
+    port_class: PortClass
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ class Scenario:
     attaches: list[AttachDecl] = field(default_factory=list)
     policies: list[PolicyLine] = field(default_factory=list)
     two_hour_rule: bool = False
-    keys: list[tuple[str, str]] = field(default_factory=list)
+    keys: dict[str, str] = field(default_factory=dict)  # router -> key id
     trusts: list[str] = field(default_factory=list)
     directives: list[tuple[int, ScriptStep]] = field(default_factory=list)
     expects: list[tuple[str, str]] = field(default_factory=list)
@@ -348,17 +348,19 @@ def parse_scenario(text: str) -> Scenario:
             elif head == "attach":
                 _need(tokens, 4)
                 switch, port = _port_ref(tokens[2])
-                port_class = _kv(tokens[3:], ("class",))["class"]
-                if port_class not in ("router", "host"):
-                    raise ValueError(f"bad port class {port_class!r}")
+                class_text = _kv(tokens[3:], ("class",))["class"]
+                try:
+                    port_class = PortClass(class_text)
+                except ValueError:
+                    raise ValueError(f"bad port class {class_text!r}") from None
                 sc.attaches.append(AttachDecl(tokens[1], switch, port, port_class))
             elif head == "policy":
                 _parse_policy(sc, tokens)
             elif head == "key":
                 _need(tokens, 3)
-                if tokens[1] in dict(sc.keys):
+                if tokens[1] in sc.keys:
                     raise ValueError(f"{tokens[1]} already has a key")
-                sc.keys.append((tokens[1], _node_id(tokens[2])))
+                sc.keys[tokens[1]] = _node_id(tokens[2])
             elif head == "trust":
                 _need(tokens, 2)
                 sc.trusts.append(_node_id(tokens[1]))
@@ -512,12 +514,11 @@ def _validate(sc: Scenario) -> None:
     of_kind = {kind: {n.node_id for n in sc.nodes if n.kind == kind} for kind in NODE_OPTIONS}
     routers, hosts, attackers = of_kind["router"], of_kind["host"], of_kind["attacker"]
     personas = {n.node_id for n in sc.nodes if not _PERSONA_KEYS.isdisjoint(n.options)}
-    for node, key_id in sc.keys:
+    for node in sc.keys:
         if node not in routers:
             raise ScenarioValidationError(f"key holder {node!r} is not a declared router")
-    key_ids = {k for _, k in sc.keys}
     for key_id in sc.trusts:
-        if key_id not in key_ids:
+        if key_id not in sc.keys.values():
             raise ScenarioValidationError(f"trust references unknown key {key_id!r}")
     for n in sc.nodes:
         gw4 = n.options.get("gw4")
@@ -565,7 +566,7 @@ def print_scenario(sc: Scenario) -> str:
             lines.append(f"policy {pol.switch}.{pol.port} acl={','.join(str(m) for m in pol.acl)}")
     if sc.two_hour_rule:
         lines.append("policy global two-hour-rule")
-    for node, key_id in sc.keys:
+    for node, key_id in sc.keys.items():
         lines.append(f"key {node} {key_id}")
     for key_id in sc.trusts:
         lines.append(f"trust {key_id}")
@@ -606,24 +607,16 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
         seed=sc.seed if seed is None else seed,
         two_hour_rule=sc.two_hour_rule,
     )
-    switch_id, ports = sc.switch
-    engine.add_switch(switch_id, ports)
+    engine.switch_id = sc.switch[0]
     attach_for = {a.node: a for a in sc.attaches}
-    key_for = dict(sc.keys)
+    guarded = {pol.port for pol in sc.policies if pol.kind == "ra-guard"}
+    # A port's last acl line is the one that holds.
+    acl_for = {pol.port: frozenset(pol.acl) for pol in sc.policies if pol.kind == "acl"}
     for decl in sc.nodes:
         att = attach_for[decl.node_id]
-        port_class = PortClass.ROUTER_FACING if att.port_class == "router" else PortClass.HOST_FACING
-        engine.add_node(_build_node(decl, key_for), att.port, port_class)
-    for pol in sc.policies:
-        port = engine.ports[pol.port]
-        if pol.kind == "ra-guard":
-            port.policy.ra_guard = True
-        else:
-            port.policy.acl_allowed_ra_sources = frozenset(pol.acl)
-    for _node, key_id in sc.keys:
-        engine.keystore.add_key(key_id)
-    for key_id in sc.trusts:
-        engine.trust_registry.add_key(key_id, engine.keystore.secret_for(key_id))
+        port = SwitchPort(att.port, att.port_class, att.port in guarded, acl_for.get(att.port))
+        engine.add_node(_build_node(decl, sc.keys), port)
+    engine.trusted_keys = {key_id: key_secret(key_id) for key_id in sc.trusts}
     # Node startup precedes same-time script steps.
     engine.bootstrap()
     for time_ms, step in sc.directives:
@@ -652,7 +645,7 @@ def _build_node(decl: NodeDecl, key_for: dict[str, str]):
             cga=(values["cga-key"], values["cga-modifier"]) if "cga-key" in values else None,
         )
     persona = None if _PERSONA_KEYS.isdisjoint(values) else _router_config(decl, PERSONA)
-    return Attacker(decl.node_id, decl.mac, values["ip"], persona)
+    return Attacker(decl.node_id, values["ip"], persona)
 
 
 def _router_config(decl: NodeDecl, key_prefix: str = "", **extra) -> RouterConfig:

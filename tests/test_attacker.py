@@ -6,7 +6,7 @@ from conftest import queued_timers, records
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import FORGING_MODES, AttackMode, Attacker, NoCapturedRa, PersonaMissing
-from slaacsim.defense import sign_ra
+from slaacsim.defense import key_secret, sign_ra
 from slaacsim.messages import (
     NeighborSolicitation,
     PrefixInfo,
@@ -24,7 +24,7 @@ R1_IP = Ipv6Address.parse("fe80::1")
 
 
 def make_attacker(persona=None) -> Attacker:
-    return Attacker("A1", A1_MAC, A1_IP, persona)
+    return Attacker("A1", A1_IP, persona)
 
 
 def make_persona(**kw) -> RouterConfig:
@@ -77,17 +77,16 @@ def test_spoof_without_capture_raises():
 
 
 def test_spoof_strips_auth_token(engine):
-    engine.keystore.add_key("k1")
     attacker = make_attacker()
     engine.add_node(attacker)
-    attacker.capture_ra(engine, sign_ra(legit_ra(), "k1", engine.keystore), "R1", 0)
+    attacker.capture_ra(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
     assert attacker.spoof_kill_ra("R1").auth is None
 
 
 def test_forge_uses_attacker_source(engine):
     attacker = make_attacker(make_persona())
     assert isinstance(attacker.persona, Router)
-    ra = attacker.persona.build_ra(engine)
+    ra = attacker.persona.ra
     assert ra.src_mac == A1_MAC and ra.src_ip == A1_IP
     assert ra.router_lifetime == 9000 and ra.auth is None
     assert str(ra.prefixes[0].prefix) == "2001:db8:bad::/64"
@@ -189,13 +188,12 @@ def test_attacker_never_emits_valid_auth(engine):
     # unauthenticated.
     from slaacsim.defense import verify_ra
 
-    engine.keystore.add_key("k1")
-    engine.trust_registry.add_key("k1", engine.keystore.secret_for("k1"))
+    engine.trusted_keys["k1"] = key_secret("k1")
     attacker = make_attacker(make_persona())
     engine.add_node(attacker)
-    attacker.capture_ra(engine, sign_ra(legit_ra(), "k1", engine.keystore), "R1", 0)
+    attacker.capture_ra(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
     emissions = [
         attacker.spoof_kill_ra("R1"),
-        attacker.persona.build_ra(engine),
+        attacker.persona.ra,
     ]
-    assert all(not verify_ra(ra, engine.trust_registry) for ra in emissions)
+    assert all(not verify_ra(ra, engine.trusted_keys) for ra in emissions)

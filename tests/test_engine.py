@@ -11,7 +11,7 @@ from conftest import attrs, records, run_scenario, SCENARIO_DIR
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker
-from slaacsim.defense import PortClass
+from slaacsim.defense import PortClass, SwitchPort
 from slaacsim.engine import Engine, SimInvariantError, TimerFire
 from slaacsim.host import Host
 from slaacsim.messages import RouterAdvertisement, RouterPreference, Timer
@@ -60,12 +60,11 @@ def spoofable_ra() -> RouterAdvertisement:
 
 def three_node_link(guard_attacker: bool) -> Engine:
     engine = Engine()
-    engine.add_switch("SW1", 3)
-    engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")), "p1", PortClass.HOST_FACING)
-    engine.add_node(Host("H2", MacAddress.parse("00:1a:2b:3c:4d:5f")), "p2", PortClass.HOST_FACING)
-    engine.add_node(Attacker("A1", A1_MAC, A1_IP), "p3", PortClass.HOST_FACING)
-    if guard_attacker:
-        engine.ports["p3"].policy.ra_guard = True
+    engine.switch_id = "SW1"
+    host_port = PortClass.HOST_FACING
+    engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")), SwitchPort("p1", host_port))
+    engine.add_node(Host("H2", MacAddress.parse("00:1a:2b:3c:4d:5f")), SwitchPort("p2", host_port))
+    engine.add_node(Attacker("A1", A1_IP), SwitchPort("p3", host_port, ra_guard=guard_attacker))
     return engine
 
 
@@ -251,9 +250,9 @@ def test_attacker_traffic_in_send_run_never_verifies():
     engine.execute(sc.run_ms)
     attacker_ras = [m for (src, m) in wire if src == "A1" and isinstance(m, RouterAdvertisement)]
     assert attacker_ras
-    assert all(not verify_ra(ra, engine.trust_registry) for ra in attacker_ras)
+    assert all(not verify_ra(ra, engine.trusted_keys) for ra in attacker_ras)
     legit_ras = [m for (src, m) in wire if src == "R1" and isinstance(m, RouterAdvertisement)]
-    assert legit_ras and all(verify_ra(ra, engine.trust_registry) for ra in legit_ras)
+    assert legit_ras and all(verify_ra(ra, engine.trusted_keys) for ra in legit_ras)
 
 
 def test_begin_autoconf_keeps_single_link_local(engine):
@@ -299,3 +298,42 @@ def test_acl_soundness_every_delivered_ra_is_allow_listed():
     engine.execute(sc.run_ms)
     allowed = {MacAddress.parse("00:00:5e:00:53:01")}
     assert delivered_src_macs and set(delivered_src_macs) <= allowed
+
+
+# Appended to baseline.txt: an attacker that is never armed, one set only
+# to passive, and one armed only after a measure at 0.5 s finds H1 without
+# a path (autoconfiguration is still running). None may raise an attack flag.
+UNARMED = """\
+node attacker A1 mac=00:00:5e:00:53:66
+attach A1 SW1.p3 class=host
+at 0.5 measure
+run 4
+"""
+DISARMED = """\
+node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64 persona-preference=high
+attach A1 SW1.p3 class=host
+at 0.5 measure
+at 5 attack A1 blackhole
+at 6 attack A1 passive
+at 30 measure
+run 30
+"""
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [UNARMED, UNARMED.replace("at 0.5", "at 0.2 attack A1 passive\nat 0.5"), DISARMED],
+    ids=["never-armed", "passive-only", "measured-before-arming"],
+)
+def test_attack_flags_count_only_measures_after_arming(extra):
+    from slaacsim.scenario import build_engine, parse_scenario
+
+    text = SCENARIO_DIR.joinpath("baseline.txt").read_text().replace("run 4\n", extra)
+    sc = parse_scenario(text)
+    engine = build_engine(sc)
+    metrics = engine.execute(sc.run_ms)
+    first = engine.measurements[0].hosts["H1"]
+    assert first.family_in_use is None  # the 0.5 s probe finds no path
+    assert (metrics.dos_success, metrics.mitm_success, metrics.dualstack_success) == (
+        False, False, False,
+    )

@@ -260,13 +260,12 @@ def test_send_only_host_drops_unauthenticated_ra(engine):
 
 
 def test_send_only_host_accepts_signed_ra(engine):
-    from slaacsim.defense import sign_ra
+    from slaacsim.defense import key_secret, sign_ra
 
-    engine.keystore.add_key("k1")
-    engine.trust_registry.add_key("k1", engine.keystore.secret_for("k1"))
+    engine.trusted_keys["k1"] = key_secret("k1")
     host = make_host(send_only=True)
     engine.add_node(host)
-    host.process_ra(engine, sign_ra(make_ra(), "k1", engine.keystore), 0)
+    host.process_ra(engine, sign_ra(make_ra(), "k1"), 0)
     assert len(host.router_list) == 1
 
 

@@ -1,13 +1,19 @@
 """Router advertisement emission, and probes the engine sends through a router."""
 
-from conftest import attrs, records
+import dataclasses
 
+import pytest
+
+from conftest import SCENARIO_DIR, attrs, records
+
+import slaacsim.router
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
-from slaacsim.defense import verify_ra
+from slaacsim.defense import key_secret, verify_ra
 from slaacsim.engine import Deliver
 from slaacsim.host import AddressEntry, AddressState, DefaultRouterEntry, Host
 from slaacsim.messages import AddressFamily, PrefixInfo, RouterPreference, RouterSolicitation
 from slaacsim.router import Router, RouterConfig
+from slaacsim.scenario import build_engine, parse_scenario
 
 R1_MAC = MacAddress.parse("00:00:5e:00:53:01")
 R1_IP = Ipv6Address.parse("fe80::1")
@@ -53,13 +59,46 @@ def test_ra_without_prefixes_is_default_router_only(engine):
 
 
 def test_signed_ra_verifies_against_anchor(engine):
-    engine.keystore.add_key("k1")
-    engine.trust_registry.add_key("k1", engine.keystore.secret_for("k1"))
+    engine.trusted_keys["k1"] = key_secret("k1")
     router = make_router(send_key="k1")
     engine.add_node(router)
-    ra = router.build_ra(engine)
+    ra = router.ra
     assert ra.auth is not None
-    assert verify_ra(ra, engine.trust_registry)
+    assert verify_ra(ra, engine.trusted_keys)
+
+
+def test_signing_router_signs_its_one_ra_once(monkeypatch):
+    signed = []
+    real_sign_ra = slaacsim.router.sign_ra
+
+    def counting_sign_ra(ra, key_id):
+        signed.append(key_id)
+        return real_sign_ra(ra, key_id)
+
+    monkeypatch.setattr(slaacsim.router, "sign_ra", counting_sign_ra)
+    sc = parse_scenario(SCENARIO_DIR.joinpath("baseline_send.txt").read_text())
+    engine = build_engine(sc)
+    sent = []
+    original = engine.broadcast
+
+    def recording_broadcast(src_id, msg, now):
+        sent.append((src_id, msg))
+        original(src_id, msg, now)
+
+    engine.broadcast = recording_broadcast
+    engine.execute(sc.run_ms)
+    assert signed == ["k1"]
+    from_r1 = [msg for src, msg in sent if src == "R1"]
+    assert len(from_r1) > 1
+    assert len(from_r1) == len([r for r in records(engine, "ra-sent") if r.node == "R1"])
+    assert all(msg is engine.nodes["R1"].ra for msg in from_r1)
+    assert verify_ra(from_r1[0], engine.trusted_keys)
+
+
+def test_router_config_is_frozen():
+    config = make_router().config
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.router_lifetime = 0
 
 
 def test_solicitation_gets_immediate_response(engine):

@@ -2,14 +2,17 @@
 
 import pytest
 
-from conftest import SCENARIO_DIR, scenario_path
+from conftest import SCENARIO_DIR, attrs, records, scenario_path
 
+from slaacsim.addressing import MacAddress
 from slaacsim.cli import run_command
+from slaacsim.defense import PortClass, SwitchPort
 from slaacsim.scenario import (
     MAX_PORTS,
     MAX_TIME_S,
     ScenarioParseError,
     ScenarioValidationError,
+    build_engine,
     parse_scenario,
     print_scenario,
 )
@@ -102,6 +105,46 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario(bad)
     with pytest.raises(ScenarioParseError, match="line 1"):
         parse_scenario("bogus directive\n" + MINIMAL)
+    with pytest.raises(ScenarioParseError, match="^line 4: bad port class 'switch'$"):
+        parse_scenario(MINIMAL.replace("class=router", "class=switch"))
+
+
+R1_MAC, R2_MAC = "00:00:5e:00:53:01", "00:00:5e:00:53:02"
+POLICED = f"""\
+switch SW1 ports=3
+node router R1 mac={R1_MAC} prefix=2001:db8:1::/64
+node router R2 mac={R2_MAC} prefix=2001:db8:2::/64
+node host H1 mac=00:1a:2b:3c:4d:5e
+attach R1 SW1.p1 class=host
+attach R2 SW1.p2 class=router
+attach H1 SW1.p3 class=host
+policy SW1.p1 ra-guard
+policy SW1.p1 acl={R1_MAC}
+run 2
+"""
+
+
+@pytest.mark.parametrize(
+    "acl_lines,r2_dropped",
+    [
+        ([R2_MAC, R1_MAC], True),  # the last acl line holds
+        ([R1_MAC, R2_MAC], False),
+    ],
+)
+def test_policy_lines_fold_into_each_port(acl_lines, r2_dropped):
+    acls = "".join(f"policy SW1.p2 acl={mac}\n" for mac in acl_lines)
+    engine = build_engine(parse_scenario(POLICED.replace("run 2", acls + "run 2")))
+    engine.execute(2_000)
+    r1, last = MacAddress.parse(R1_MAC), MacAddress.parse(acl_lines[-1])
+    assert engine.node_port["R1"] == SwitchPort("p1", PortClass.HOST_FACING, True, frozenset({r1}))
+    assert engine.node_port["R2"] == SwitchPort("p2", PortClass.ROUTER_FACING, False, frozenset({last}))
+    assert engine.node_port["H1"] == SwitchPort("p3", PortClass.HOST_FACING)
+    drops = {(attrs(r)["port"], attrs(r)["reason"]) for r in records(engine, "ra-dropped")}
+    # RA Guard on a host-facing port drops even a source its ACL lists; an
+    # ACL on a router-facing port drops every source it does not list.
+    assert drops == ({("p1", "ra-guard"), ("p2", "acl")} if r2_dropped else {("p1", "ra-guard")})
+    received = {attrs(r)["src"] for r in records(engine, "ra-received") if r.node == "H1"}
+    assert len(received) == (0 if r2_dropped else 1)
 
 
 def test_missing_run_directive_rejected():

@@ -63,9 +63,9 @@ class TraceRecord:
 @dataclass(frozen=True)
 class Deliver:
     msg: NdMessage
-    dst: str
     src: str
     port: Optional[SwitchPort]  # ingress port (the sender's attach point)
+    dsts: tuple[str, ...]  # every other node, delivered to in node order
 
 
 @dataclass(frozen=True)
@@ -222,15 +222,14 @@ class Engine(object):
     # -- delivery ----------------------------------------------------------------
 
     def broadcast(self, src_id: str, msg: NdMessage, now: int) -> None:
-        """Enqueue one delivery per other attached node after link latency,
+        """Enqueue one entry delivering to every other node after link latency,
         subject to filtering at the sender's ingress port on arrival."""
         self._trace_emission(src_id, msg)
-        port = self.node_port.get(src_id)
-        for node_id in self.nodes:
-            if node_id == src_id:
-                continue
-            self.emitted += 1
-            self.schedule(now + self.link_latency_ms, Deliver(msg, node_id, src_id, port))
+        dsts = tuple([node_id for node_id in self.nodes if node_id != src_id])
+        if dsts:
+            self.emitted += len(dsts)
+            port = self.node_port.get(src_id)
+            self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, port, dsts))
 
     def _trace_emission(self, src_id: str, msg: NdMessage) -> None:
         if isinstance(msg, RouterAdvertisement):
@@ -248,25 +247,25 @@ class Engine(object):
             self.trace(src_id, "na-sent", target=msg.target)
 
     def _handle_deliver(self, event: Deliver, now: int) -> None:
-        if event.port is not None:
-            reason = filter_ingress(event.port, event.msg)
+        msg, port = event.msg, event.port
+        # Port and message are frozen, so one verdict holds for every receiver.
+        reason = None if port is None else filter_ingress(port, msg)
+        for dst in event.dsts:
             if reason is not None:
                 self.dropped += 1
                 self.trace(
                     self.switch_id, "ra-dropped",
-                    port=event.port.port_id, reason=reason,
-                    src=event.msg.src_ip, dst=event.dst,
+                    port=port.port_id, reason=reason, src=msg.src_ip, dst=dst,
                 )
-                return
-        self.delivered += 1
-        node = self.nodes[event.dst]
-        if isinstance(node, Host) and isinstance(event.msg, RouterAdvertisement):
-            self.trace(
-                event.dst, "ra-received",
-                src=event.msg.src_ip, lifetime=event.msg.router_lifetime,
-                pref=event.msg.preference,
-            )
-        node.on_message(self, event.msg, event.src, now)
+                continue
+            self.delivered += 1
+            node = self.nodes[dst]
+            if isinstance(node, Host) and isinstance(msg, RouterAdvertisement):
+                self.trace(
+                    dst, "ra-received",
+                    src=msg.src_ip, lifetime=msg.router_lifetime, pref=msg.preference,
+                )
+            node.on_message(self, msg, event.src, now)
 
     # -- run loop -------------------------------------------------------------
 
@@ -406,5 +405,5 @@ class Engine(object):
         merged.emitted = self.emitted
         merged.delivered = self.delivered
         merged.dropped = self.dropped
-        merged.in_flight = sum(1 for _, _, action in self._queue if isinstance(action, Deliver))
+        merged.in_flight = sum(len(a.dsts) for _, _, a in self._queue if isinstance(a, Deliver))
         return merged

@@ -27,11 +27,13 @@ def run_scenario(name: str, seed=None):
 
 
 def queued_deliveries(engine: Engine):
-    """Pending point-to-point deliveries in event order."""
+    """Pending deliveries in event order, as (time, receiver, message): one
+    row per receiver of each queued emission, in node order."""
     return [
-        (at, action.dst, action.msg)
+        (at, dst, action.msg)
         for (at, _seq, action) in sorted(engine._queue)
         if isinstance(action, Deliver)
+        for dst in action.dsts
     ]
 
 

@@ -7,12 +7,14 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import attrs, records, run_scenario, SCENARIO_DIR
+from conftest import attrs, load, queued_deliveries, records, run_scenario, SCENARIO_DIR
+
+import slaacsim.scenario
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker
 from slaacsim.defense import PortClass, SwitchPort
-from slaacsim.engine import Engine, SimInvariantError, TimerFire
+from slaacsim.engine import Deliver, Engine, SimInvariantError, TimerFire
 from slaacsim.host import Host
 from slaacsim.messages import RouterAdvertisement, RouterPreference, Timer
 
@@ -86,6 +88,95 @@ def test_guarded_broadcast_yields_drop_records_per_recipient():
     assert {attrs(d)["dst"] for d in drops} == {"H1", "H2"}
     assert all(attrs(d)["reason"] == "ra-guard" and attrs(d)["port"] == "p3" for d in drops)
     assert all(d.node == "SW1" for d in drops)
+
+
+def test_broadcast_queues_one_entry_per_emission():
+    engine = three_node_link(guard_attacker=False)
+    engine.broadcast("A1", spoofable_ra(), 0)
+    (entry,) = engine._queue
+    assert entry[2].dsts == ("H1", "H2")
+    lone = Engine()
+    lone.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
+    lone.broadcast("H1", spoofable_ra(), 0)
+    assert lone._queue == [] and lone.emitted == 0
+
+
+class PerReceiverEngine(Engine):
+    """The schedule batching replaced: one single-receiver entry per
+    receiver, each with its own seq."""
+
+    def broadcast(self, src_id, msg, now):
+        self._trace_emission(src_id, msg)
+        port = self.node_port.get(src_id)
+        for node_id in self.nodes:
+            if node_id != src_id:
+                self.emitted += 1
+                self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, port, (node_id,)))
+
+
+def run_output(sc, engine_class, monkeypatch) -> str:
+    monkeypatch.setattr(slaacsim.scenario, "Engine", engine_class)
+    engine = slaacsim.scenario.build_engine(sc)
+    metrics = engine.execute(sc.run_ms)
+    return engine.trace_text() + "\n".join(metrics.to_lines())
+
+
+# Each host's solicitation reaches both routers, which answer at once; at
+# latency 0 an answer handled inside the batch would land before the second
+# router has seen the solicitation.
+TWO_ROUTERS = """\
+switch SW1 ports=4
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64
+node router R2 mac=00:00:5e:00:53:02 prefix=2001:db8:2::/64 preference=high
+node host H1 mac=00:1a:2b:3c:4d:5e
+node host H2 mac=00:1a:2b:3c:4d:5f
+attach R1 SW1.p1 class=router
+attach R2 SW1.p2 class=router
+attach H1 SW1.p3 class=host
+attach H2 SW1.p4 class=host
+at 3 measure
+run 4
+"""
+
+
+@pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
+def test_batched_delivery_matches_per_receiver_entries(name, monkeypatch):
+    # One entry per emission is exact only if no event can run between its
+    # receivers and they are served in node order; latency 0 books replies
+    # at the very time of the batch.
+    sc = slaacsim.scenario.parse_scenario(TWO_ROUTERS) if name == "two-routers" else load(name)
+    for latency in sorted({sc.link_latency_ms, 0, 2}):
+        sc.link_latency_ms = latency
+        batched = run_output(sc, Engine, monkeypatch)
+        assert run_output(sc, PerReceiverEngine, monkeypatch) == batched, f"latency {latency}"
+
+
+def test_in_flight_counts_pending_receivers_not_entries():
+    # R1's RA (t=0) lands at 300 ms and starts each host's DAD probe for its
+    # global address; those two probes are still on the wire when the run
+    # ends at 500 ms.
+    from slaacsim.scenario import build_engine, parse_scenario
+
+    text = """\
+link-latency 0.3
+switch SW1 ports=3
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64
+node host H1 mac=00:1a:2b:3c:4d:5e
+node host H2 mac=00:1a:2b:3c:4d:5f
+attach R1 SW1.p1 class=router
+attach H1 SW1.p2 class=host
+attach H2 SW1.p3 class=host
+run 0.5
+"""
+    sc = parse_scenario(text)
+    engine = build_engine(sc)
+    metrics = engine.execute(sc.run_ms)
+    pending = [(at, dst) for at, dst, _ in queued_deliveries(engine)]
+    assert pending == [(600, "R1"), (600, "H2"), (600, "R1"), (600, "H1")]
+    assert sum(isinstance(a, Deliver) for _, _, a in engine._queue) == 2
+    assert metrics.in_flight == 4
+    assert (metrics.emitted, metrics.delivered, metrics.dropped) == (10, 6, 0)
+    assert metrics.emitted == metrics.delivered + metrics.dropped + metrics.in_flight
 
 
 @pytest.mark.parametrize("name", all_scenarios())

@@ -58,6 +58,18 @@ def test_begin_autoconf_emits_dad_probe(engine):
     assert queued_timers(engine) == [(1000, "H1", entry.address)]
 
 
+def test_dad_probe_is_queued_once_for_each_other_node_in_node_order(engine):
+    host = make_host()
+    for node in (host, Host("H3", R1_MAC), Host("H2", R1_MAC)):
+        engine.add_node(node)
+    host.begin_autoconf(engine, 0)
+    rows = queued_deliveries(engine)
+    assert [(at, dst) for at, dst, _ in rows] == [(1, "H3"), (1, "H2")]
+    target = host.addresses[0].address
+    assert all(isinstance(msg, NeighborSolicitation) and msg.target == target for *_, msg in rows)
+    assert engine.emitted == 2
+
+
 def test_begin_autoconf_disabled_host_is_silent(engine):
     host = make_host(ipv6_enabled=False)
     engine.add_node(host)

@@ -34,6 +34,7 @@ def make_router(**kw) -> Router:
 
 
 def emitted_ras(engine):
+    """The queued emissions' messages, one per emission whatever its fan-out."""
     return [a.msg for (_, _, a) in sorted(engine._queue) if isinstance(a, Deliver)]
 
 
@@ -41,8 +42,9 @@ def test_periodic_ra_carries_config_fields(engine):
     router = make_router()
     engine.add_node(router)
     engine.add_node(make_router(node_id="R2", link_local=Ipv6Address.parse("fe80::2")))
+    engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     router.emit_periodic_ra(engine, 0)
-    (ra,) = emitted_ras(engine)[:1]
+    (ra,) = emitted_ras(engine)
     assert ra.src_mac == R1_MAC and ra.src_ip == R1_IP
     assert ra.router_lifetime == 1800
     assert ra.preference is RouterPreference.HIGH

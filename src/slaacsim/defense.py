@@ -58,19 +58,9 @@ def key_secret(key_id: str) -> bytes:
     return hashlib.sha256(b"key-material:" + key_id.encode()).digest()
 
 
-def _ra_signing_bytes(ra: RouterAdvertisement) -> bytes:
-    # Covers every semantic field so any post-signing mutation is detected.
-    prefix_part = ";".join(
-        f"{p.prefix}|{int(p.autonomous)}|{p.valid_lifetime}|{p.preferred_lifetime}"
-        for p in ra.prefixes
-    )
-    body = f"{ra.src_mac}|{ra.src_ip}|{ra.router_lifetime}|{int(ra.preference)}|{prefix_part}"
-    return body.encode()
-
-
 def sign_ra(ra: RouterAdvertisement, key_id: str) -> RouterAdvertisement:
     """Attach an AuthToken computed from the RA's semantic fields."""
-    tag = hmac.new(key_secret(key_id), _ra_signing_bytes(ra), hashlib.sha256).digest()[:16]
+    tag = hmac.new(key_secret(key_id), ra.signed_fields, hashlib.sha256).digest()[:16]
     return replace(ra, auth=AuthToken(key_id, tag))
 
 
@@ -80,7 +70,7 @@ def verify_ra(ra: RouterAdvertisement, trusted: dict[str, bytes]) -> bool:
     if ra.auth is None or ra.auth.key_id not in trusted:
         return False
     secret = trusted[ra.auth.key_id]
-    expected = hmac.new(secret, _ra_signing_bytes(ra), hashlib.sha256).digest()[:16]
+    expected = hmac.new(secret, ra.signed_fields, hashlib.sha256).digest()[:16]
     return hmac.compare_digest(expected, ra.auth.tag)
 
 

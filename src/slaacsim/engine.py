@@ -13,7 +13,7 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .addressing import Ipv6Address, iid_text, split_global
 from .attacker import Attacker, AttackMode
@@ -40,8 +40,7 @@ class SimInvariantError(AssertionError):
     """An internal consistency check failed; maps to CLI exit status 2."""
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace event with its attribute values as given to Engine.trace.
     Text is made only when read; every value is immutable, so it reads the
     same whenever that is."""
@@ -58,6 +57,15 @@ class TraceRecord:
     def line(self) -> str:
         head = f"t={self.time} node={self.node} kind={self.kind}"
         return head + "".join([f" {k}={v!s}" for k, v in self.values])
+
+
+class AdvertisedPrefixes(tuple):
+    """An RA's prefix options as one trace value, shown as ``a/64,b/64`` or ``-``."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return ",".join([str(p.prefix) for p in self]) or "-"
 
 
 @dataclass(frozen=True)
@@ -233,11 +241,10 @@ class Engine(object):
 
     def _trace_emission(self, src_id: str, msg: NdMessage) -> None:
         if isinstance(msg, RouterAdvertisement):
-            prefixes = ",".join(str(p.prefix) for p in msg.prefixes) or "-"
             self.trace(
                 src_id, "ra-sent",
                 src=msg.src_ip, lifetime=msg.router_lifetime,
-                pref=msg.preference, prefixes=prefixes,
+                pref=msg.preference, prefixes=AdvertisedPrefixes(msg.prefixes),
             )
         elif isinstance(msg, RouterSolicitation):
             self.trace(src_id, "rs-sent", src=msg.src_ip)

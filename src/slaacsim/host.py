@@ -209,21 +209,14 @@ class Host(object):
         if ra.router_lifetime > 0:
             expires = now + ra.router_lifetime * MS
             if entry is None:
-                self.router_list.append(
-                    DefaultRouterEntry(ra.src_ip, expires, ra.preference, now)
-                )
-                ctx.trace(
-                    self.node_id, "router-added",
-                    router=ra.src_ip, pref=ra.preference, expires=expires,
-                )
+                self.router_list.append(DefaultRouterEntry(ra.src_ip, expires, ra.preference, now))
+                kind = "router-added"
             else:
                 entry.expires_at = expires
                 entry.preference = ra.preference
                 entry.refreshed_at = now
-                ctx.trace(
-                    self.node_id, "router-refreshed",
-                    router=ra.src_ip, pref=ra.preference, expires=expires,
-                )
+                kind = "router-refreshed"
+            ctx.trace(self.node_id, kind, router=ra.src_ip, pref=ra.preference, expires=expires)
             ctx.set_timer(self.node_id, Timer.EXPIRY, expires)
         elif entry is not None:
             self.router_list.remove(entry)

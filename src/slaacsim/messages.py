@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .addressing import Ipv6Address, MacAddress, Prefix
@@ -88,6 +89,17 @@ class RouterAdvertisement:
     def __post_init__(self):
         if not 0 <= self.router_lifetime <= MAX_ROUTER_LIFETIME:
             raise ValueError(f"router lifetime {self.router_lifetime} out of range")
+
+    @cached_property
+    def signed_fields(self) -> bytes:
+        """The bytes an authentication tag covers: every semantic field. Made once
+        per object; a ``replace()``d copy is a new object and makes its own."""
+        prefix_part = ";".join(
+            f"{p.prefix}|{int(p.autonomous)}|{p.valid_lifetime}|{p.preferred_lifetime}"
+            for p in self.prefixes
+        )
+        head = f"{self.src_mac}|{self.src_ip}|{self.router_lifetime}|{int(self.preference)}"
+        return f"{head}|{prefix_part}".encode()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from .addressing import Ipv6Address, MacAddress
 from .defense import sign_ra
 from .messages import (
     MS,
-    MAX_ROUTER_LIFETIME,
     NdMessage,
     PrefixInfo,
     RouterAdvertisement,
@@ -42,10 +41,9 @@ class RouterConfig:
     jitter_ms: int = 0
 
     def __post_init__(self):
+        # The router lifetime is checked by the RouterAdvertisement a Router builds.
         if self.ra_interval_ms <= 0:
             raise ValueError("ra_interval must be positive")
-        if not 0 <= self.router_lifetime <= MAX_ROUTER_LIFETIME:
-            raise ValueError("router lifetime out of range")
 
 
 class Router(object):

@@ -5,7 +5,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from slaacsim.addressing import Ipv6Address, MacAddress
+from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.defense import (
     PortClass,
     SwitchPort,
@@ -15,7 +15,12 @@ from slaacsim.defense import (
     sign_ra,
     verify_ra,
 )
-from slaacsim.messages import NeighborSolicitation, RouterAdvertisement, RouterPreference
+from slaacsim.messages import (
+    NeighborSolicitation,
+    PrefixInfo,
+    RouterAdvertisement,
+    RouterPreference,
+)
 
 R1_MAC = MacAddress.parse("00:00:5e:00:53:01")
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
@@ -82,6 +87,58 @@ def test_mutated_lifetime_fails_verification(trusted):
     signed = sign_ra(make_ra(lifetime=1800), "k1")
     tampered = replace(signed, router_lifetime=0)
     assert not verify_ra(tampered, trusted)
+
+
+TWO_PREFIXES = (
+    PrefixInfo(Prefix.parse("2001:db8:1::/64"), True, 3600, 1800),
+    PrefixInfo(Prefix.parse("2001:db8:2::/64"), False, 7200, 7200),
+)
+EXTRA_PREFIX = PrefixInfo(Prefix.parse("2001:db8:3::/64"), True, 3600, 3600)
+
+PREFIX_CHANGES = {
+    "prefix": lambda p: replace(p, prefix=Prefix.parse("2001:db8:9::/64")),
+    "autonomous": lambda p: replace(p, autonomous=not p.autonomous),
+    "valid_lifetime": lambda p: replace(p, valid_lifetime=p.valid_lifetime + 1),
+    "preferred_lifetime": lambda p: replace(p, preferred_lifetime=p.preferred_lifetime - 1),
+}
+
+
+def _with_prefix_changed(ra, index, change):
+    prefixes = list(ra.prefixes)
+    prefixes[index] = change(prefixes[index])
+    return replace(ra, prefixes=tuple(prefixes))
+
+
+TAMPERINGS = {
+    "src_mac": lambda ra: replace(ra, src_mac=A1_MAC),
+    "src_ip": lambda ra: replace(ra, src_ip=Ipv6Address.parse("fe80::66")),
+    "router_lifetime": lambda ra: replace(ra, router_lifetime=0),
+    "preference": lambda ra: replace(ra, preference=RouterPreference.LOW),
+    "prefix-added": lambda ra: replace(ra, prefixes=ra.prefixes + (EXTRA_PREFIX,)),
+    "prefix-dropped": lambda ra: replace(ra, prefixes=ra.prefixes[:1]),
+    **{
+        f"prefixes[{i}].{name}": (lambda ra, i=i, change=change: _with_prefix_changed(ra, i, change))
+        for i in range(len(TWO_PREFIXES))
+        for name, change in PREFIX_CHANGES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERINGS.values(), ids=TAMPERINGS.keys())
+def test_signature_covers_every_semantic_field(trusted, tamper):
+    signed = sign_ra(replace(make_ra(), prefixes=TWO_PREFIXES), "k1")
+    assert verify_ra(signed, trusted)
+    tampered = tamper(signed)
+    assert tampered != signed and tampered.auth == signed.auth
+    assert not verify_ra(tampered, trusted)
+
+
+def test_signed_fields_are_made_once_per_advertisement():
+    ra = replace(make_ra(), prefixes=TWO_PREFIXES)
+    assert ra.signed_fields is ra.signed_fields
+    copy = replace(ra)
+    assert copy.signed_fields == ra.signed_fields
+    assert copy.signed_fields is not ra.signed_fields
 
 
 def test_unsigned_ra_fails_verification(trusted):

@@ -14,9 +14,9 @@ import slaacsim.scenario
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker
 from slaacsim.defense import PortClass, SwitchPort
-from slaacsim.engine import Deliver, Engine, SimInvariantError, TimerFire
+from slaacsim.engine import AdvertisedPrefixes, Deliver, Engine, SimInvariantError, TimerFire
 from slaacsim.host import Host
-from slaacsim.messages import RouterAdvertisement, RouterPreference, Timer
+from slaacsim.messages import PrefixInfo, RouterAdvertisement, RouterPreference, Timer
 
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
 A1_IP = Ipv6Address.parse("fe80::66")
@@ -226,16 +226,50 @@ def test_trace_key_order_is_fixed_per_kind():
         assert len(orders) == 1, f"{kind} has varying key orders: {orders}"
 
 
+def _is_immutable_trace_value(value) -> bool:
+    if isinstance(value, AdvertisedPrefixes):
+        # PrefixInfo must stay a frozen dataclass of immutable fields.
+        return all(isinstance(p, PrefixInfo) and p.__dataclass_params__.frozen for p in value)
+    return isinstance(value, (int, str, enum.Enum, Ipv6Address, Prefix))
+
+
 def test_trace_values_are_immutable_and_render_stably():
     # Records keep the values given to trace() and format them when read, so
     # a mutable value would let the text change after the event.
-    immutable = (int, str, enum.Enum, Ipv6Address, Prefix)
     for name in all_scenarios():
         _, engine, _ = run_scenario(name)
         for record in engine.trace_records:
             for key, value in record.values:
-                assert isinstance(value, immutable), f"{name} {record.kind} {key}={value!r}"
+                assert _is_immutable_trace_value(value), f"{name} {record.kind} {key}={value!r}"
         assert engine.trace_text() == engine.trace_text()
+
+
+def test_advertised_prefixes_admit_only_frozen_prefix_infos():
+    info = PrefixInfo(Prefix.parse("2001:db8::/64"), True, 3600, 3600)
+    assert _is_immutable_trace_value(AdvertisedPrefixes((info,)))
+    assert _is_immutable_trace_value(AdvertisedPrefixes())
+    assert not _is_immutable_trace_value(AdvertisedPrefixes(([info],)))
+    assert not _is_immutable_trace_value(AdvertisedPrefixes((Prefix.parse("2001:db8::/64"),)))
+
+
+def test_advertised_prefixes_render_as_before():
+    infos = (
+        PrefixInfo(Prefix.parse("2001:db8:1::/64"), True, 3600, 3600),
+        PrefixInfo(Prefix.parse("2001:db8:2::/48"), False, 60, 0),
+    )
+    assert str(AdvertisedPrefixes(infos)) == "2001:db8:1::/64,2001:db8:2::/48"
+    assert str(AdvertisedPrefixes()) == "-"
+
+
+def test_trace_records_are_immutable():
+    _, engine, _ = run_scenario("baseline")
+    record = engine.trace_records[0]
+    with pytest.raises(AttributeError):
+        record.kind = "other"
+    with pytest.raises(TypeError):
+        record[2] = "other"
+    with pytest.raises(AttributeError):
+        AdvertisedPrefixes().extra = 1
 
 
 def test_jitter_scenarios_depend_on_seed():

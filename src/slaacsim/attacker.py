@@ -67,7 +67,7 @@ class Attacker(object):
 
     def capture_ra(self, ctx: "Engine", ra: RouterAdvertisement, sender: str, now: int) -> None:
         self.captured_ras.append(CapturedRa(now, sender, ra))
-        ctx.trace(self.node_id, "ra-captured", src=ra.src_ip, lifetime=ra.router_lifetime)
+        ctx.trace(self.node_id, "ra-captured", ra.src_ip, ra.router_lifetime)
 
     def spoof_kill_ra(self, target: Optional[str] = None) -> RouterAdvertisement:
         """Latest captured advertisement from ``target`` (or from anyone when

@@ -4,7 +4,7 @@ RA filtering, append-only trace (formatted only when read), and metric
 extraction.
 
 Trace line format (bit-exact): ``t=<ms> node=<id> kind=<kind> <k>=<v> ...``
-with keys in fixed per-kind order, one record per line.
+with keys in TRACE_KEYS order, one record per line.
 """
 
 from __future__ import annotations
@@ -40,23 +40,57 @@ class SimInvariantError(AssertionError):
     """An internal consistency check failed; maps to CLI exit status 2."""
 
 
+# Each trace kind's keys in line order; Engine.trace takes values in this order.
+TRACE_KEYS: dict[str, tuple[str, ...]] = {
+    "ra-sent": ("src", "lifetime", "pref", "prefixes"),
+    "rs-sent": ("src",),
+    "ns-sent": ("target",),
+    "na-sent": ("target",),
+    "ra-dropped": ("port", "reason", "src", "dst"),
+    "ra-received": ("src", "lifetime", "pref"),
+    "attack-mode": ("mode", "target"),
+    "router-toggled": ("enabled",),
+    "path-resolved": ("outcome", "via", "family"),
+    "data-sent": ("dst", "family", "src", "payload"),
+    "blackhole-drop": ("origin", "payload"),
+    "data-delivered": ("origin", "via", "family", "payload", "path"),
+    "dad-start": ("addr", "deadline"),
+    "dad-failed": ("addr",),
+    "addr-assigned": ("addr", "origin"),
+    "addr-lifetime": ("addr", "valid_ms"),
+    "addr-abandoned": ("addr", "reason"),
+    "ra-rejected-send": ("src",),
+    "prefix-ignored": ("prefix", "reason"),
+    "router-added": ("router", "pref", "expires"),
+    "router-refreshed": ("router", "pref", "expires"),
+    "router-removed": ("router", "reason"),
+    "ra-captured": ("src", "lifetime"),
+}
+
+# One line format per kind. %s, not format(): format() on an IntEnum such as
+# RouterPreference gives its number, str() its name.
+_TRACE_FORMATS = {
+    kind: " ".join([f"t=%d node=%s kind={kind}", *[f"{key}=%s" for key in keys]])
+    for kind, keys in TRACE_KEYS.items()
+}
+
+
 class TraceRecord(NamedTuple):
-    """One trace event with its attribute values as given to Engine.trace.
-    Text is made only when read; every value is immutable, so it reads the
-    same whenever that is."""
+    """One trace event with its values as given to Engine.trace, in
+    TRACE_KEYS order. Text is made only when read; every value is immutable,
+    so it reads the same whenever that is."""
 
     time: int
     node: str
     kind: str
-    values: tuple[tuple[str, object], ...]
+    values: tuple[object, ...]
 
     @property
     def attrs(self) -> tuple[tuple[str, str], ...]:
-        return tuple((k, str(v)) for k, v in self.values)
+        return tuple((k, str(v)) for k, v in zip(TRACE_KEYS[self.kind], self.values, strict=True))
 
     def line(self) -> str:
-        head = f"t={self.time} node={self.node} kind={self.kind}"
-        return head + "".join([f" {k}={v!s}" for k, v in self.values])
+        return _TRACE_FORMATS[self.kind] % (self.time, self.node, *self.values)
 
 
 class AdvertisedPrefixes(tuple):
@@ -68,16 +102,14 @@ class AdvertisedPrefixes(tuple):
         return ",".join([str(p.prefix) for p in self]) or "-"
 
 
-@dataclass(frozen=True)
-class Deliver:
+class Deliver(NamedTuple):
     msg: NdMessage
     src: str
     port: Optional[SwitchPort]  # ingress port (the sender's attach point)
     dsts: tuple[str, ...]  # every other node, delivered to in node order
 
 
-@dataclass(frozen=True)
-class TimerFire:
+class TimerFire(NamedTuple):
     node: str
     timer: TimerKey
 
@@ -183,6 +215,7 @@ class Engine(object):
         self._queue: list[tuple[int, int, Action]] = []
         self._seq = itertools.count()
         self._ip_owner: dict[Ipv6Address, str] = {}
+        self._claims: dict[Ipv6Address, set[str]] = {}  # DAD target -> hosts
         self._payload_ids = itertools.count(1)
         self.emitted = 0
         self.delivered = 0
@@ -221,8 +254,8 @@ class Engine(object):
 
     # -- tracing ---------------------------------------------------------------
 
-    def trace(self, node: str, kind: str, **attrs) -> None:
-        self.trace_records.append(TraceRecord(self.now, node, kind, tuple(attrs.items())))
+    def trace(self, node: str, kind: str, *values) -> None:
+        self.trace_records.append(TraceRecord(self.now, node, kind, values))
 
     def trace_text(self) -> str:
         return "".join([rec.line() + "\n" for rec in self.trace_records])
@@ -241,38 +274,50 @@ class Engine(object):
 
     def _trace_emission(self, src_id: str, msg: NdMessage) -> None:
         if isinstance(msg, RouterAdvertisement):
-            self.trace(
-                src_id, "ra-sent",
-                src=msg.src_ip, lifetime=msg.router_lifetime,
-                pref=msg.preference, prefixes=AdvertisedPrefixes(msg.prefixes),
-            )
+            prefixes = AdvertisedPrefixes(msg.prefixes)
+            self.trace(src_id, "ra-sent", msg.src_ip, msg.router_lifetime, msg.preference, prefixes)
         elif isinstance(msg, RouterSolicitation):
-            self.trace(src_id, "rs-sent", src=msg.src_ip)
+            self.trace(src_id, "rs-sent", msg.src_ip)
         elif isinstance(msg, NeighborSolicitation):
-            self.trace(src_id, "ns-sent", target=msg.target)
+            self.trace(src_id, "ns-sent", msg.target)
         elif isinstance(msg, NeighborAdvertisement):
-            self.trace(src_id, "na-sent", target=msg.target)
+            self.trace(src_id, "na-sent", msg.target)
+
+    def claim(self, node_id: str, address: Ipv6Address) -> None:
+        """A host started DAD on ``address``: it hears NS and NA for it from now on."""
+        self._claims.setdefault(address, set()).add(node_id)
 
     def _handle_deliver(self, event: Deliver, now: int) -> None:
-        msg, port = event.msg, event.port
+        msg, src, port, dsts = event
         # Port and message are frozen, so one verdict holds for every receiver.
         reason = None if port is None else filter_ingress(port, msg)
-        for dst in event.dsts:
-            if reason is not None:
-                self.dropped += 1
-                self.trace(
-                    self.switch_id, "ra-dropped",
-                    port=port.port_id, reason=reason, src=msg.src_ip, dst=dst,
-                )
-                continue
-            self.delivered += 1
-            node = self.nodes[dst]
-            if isinstance(node, Host) and isinstance(msg, RouterAdvertisement):
-                self.trace(
-                    dst, "ra-received",
-                    src=msg.src_ip, lifetime=msg.router_lifetime, pref=msg.preference,
-                )
-            node.on_message(self, msg, event.src, now)
+        if reason is not None:
+            self.dropped += len(dsts)
+            for dst in dsts:
+                self.trace(self.switch_id, "ra-dropped", port.port_id, reason, msg.src_ip, dst)
+            return
+        # Every receiver counts as delivered; only those that act on the
+        # message kind are called, in node order.
+        self.delivered += len(dsts)
+        nodes = self.nodes
+        if isinstance(msg, RouterAdvertisement):
+            for dst in dsts:
+                node = nodes[dst]
+                if isinstance(node, Host):
+                    self.trace(dst, "ra-received", msg.src_ip, msg.router_lifetime, msg.preference)
+                if not isinstance(node, Router):
+                    node.on_message(self, msg, src, now)
+        elif isinstance(msg, RouterSolicitation):
+            for dst in dsts:
+                node = nodes[dst]
+                if isinstance(node, Router):
+                    node.on_message(self, msg, src, now)
+        else:  # NS or NA: only hosts that claimed the target act on it
+            claimants = self._claims.get(msg.target)
+            if claimants:
+                for dst in dsts:
+                    if dst in claimants:
+                        nodes[dst].on_message(self, msg, src, now)
 
     # -- run loop -------------------------------------------------------------
 
@@ -294,7 +339,7 @@ class Engine(object):
             node = self.nodes[step.attacker]
             if not isinstance(node, Attacker):
                 raise SimInvariantError(f"{step.attacker} is not an attacker")
-            self.trace(step.attacker, "attack-mode", mode=step.mode, target=step.target or "-")
+            self.trace(step.attacker, "attack-mode", step.mode, step.target or "-")
             try:
                 node.run_playbook(self, step.mode, step.target, now)
             except RuntimeError as exc:
@@ -308,7 +353,7 @@ class Engine(object):
             if not isinstance(node, Router):
                 raise SimInvariantError(f"{step.node} is not a router")
             node.enabled = step.enabled
-            self.trace(step.node, "router-toggled", enabled="on" if step.enabled else "off")
+            self.trace(step.node, "router-toggled", "on" if step.enabled else "off")
 
     def execute(self, t_end_ms: int) -> RunMetrics:
         """Run to t_end, measuring at the end if the script never did, then
@@ -336,26 +381,22 @@ class Engine(object):
         if hop is not None:
             gateway = hop.gateway_node or self._ip_owner.get(hop.router_ip)
         if hop is None or gateway is None or gateway not in self.nodes:
-            self.trace(host.node_id, "path-resolved", outcome="unreachable", via="-", family="-")
+            self.trace(host.node_id, "path-resolved", "unreachable", "-", "-")
             return ProbeResult(None, False, None)
-        self.trace(host.node_id, "path-resolved", outcome="via", via=gateway, family=hop.family)
+        self.trace(host.node_id, "path-resolved", "via", gateway, hop.family)
         if hop.family is AddressFamily.IPV6:
             self._assert_source_assigned(host, hop.src_addr, now)
         payload = next(self._payload_ids)
         self.emitted += 1
-        self.trace(
-            host.node_id, "data-sent",
-            dst=SINK, family=hop.family, src=hop.src_addr, payload=payload,
-        )
+        self.trace(host.node_id, "data-sent", SINK, hop.family, hop.src_addr, payload)
         if not self.nodes[gateway].routes():
             self.dropped += 1
-            self.trace(gateway, "blackhole-drop", origin=host.node_id, payload=payload)
+            self.trace(gateway, "blackhole-drop", host.node_id, payload)
             return ProbeResult(hop.family, False, gateway)
         self.delivered += 1
         self.trace(
             SINK, "data-delivered",
-            origin=host.node_id, via=gateway, family=hop.family,
-            payload=payload, path=f"{host.node_id}>{gateway}>{SINK}",
+            host.node_id, gateway, hop.family, payload, f"{host.node_id}>{gateway}>{SINK}",
         )
         return ProbeResult(hop.family, True, gateway)
 

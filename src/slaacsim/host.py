@@ -135,7 +135,8 @@ class Host(object):
 
     def _start_dad(self, ctx: "Engine", entry: AddressEntry, now: int) -> None:
         deadline = now + DAD_TIMEOUT_MS
-        ctx.trace(self.node_id, "dad-start", addr=entry.address, deadline=deadline)
+        ctx.trace(self.node_id, "dad-start", entry.address, deadline)
+        ctx.claim(self.node_id, entry.address)
         ctx.broadcast(self.node_id, NeighborSolicitation(self.mac, UNSPECIFIED, entry.address), now)
         ctx.set_timer(self.node_id, entry.address, deadline)
 
@@ -170,7 +171,7 @@ class Host(object):
 
     def _abandon_tentative(self, ctx: "Engine", entry: AddressEntry) -> None:
         entry.state = AddressState.ABANDONED
-        ctx.trace(self.node_id, "dad-failed", addr=entry.address)
+        ctx.trace(self.node_id, "dad-failed", entry.address)
 
     def dad_deadline(self, ctx: "Engine", address: Ipv6Address, now: int) -> None:
         """No conflict arrived before the deadline: assign the address's entry
@@ -179,7 +180,7 @@ class Host(object):
         if entry is None or entry.state is not AddressState.TENTATIVE:
             return  # abandoned after a conflict or on expiry
         entry.state = AddressState.ASSIGNED
-        ctx.trace(self.node_id, "addr-assigned", addr=address, origin=entry.origin)
+        ctx.trace(self.node_id, "addr-assigned", address, entry.origin)
         if entry.origin == LINK_LOCAL:
             # Phase 2 entry point: solicit router advertisements.
             ctx.broadcast(self.node_id, RouterSolicitation(self.mac, address), now)
@@ -190,17 +191,17 @@ class Host(object):
         if not self.ipv6_enabled:
             return
         if self.send_only and not verify_ra(ra, ctx.trusted_keys):
-            ctx.trace(self.node_id, "ra-rejected-send", src=ra.src_ip)
+            ctx.trace(self.node_id, "ra-rejected-send", ra.src_ip)
             return
         self._update_router_list(ctx, ra, now)
         for info in ra.prefixes:
             if not info.autonomous:
                 continue
             if is_link_local(info.prefix.address):  # RFC 4862 §5.5.3(b)
-                ctx.trace(self.node_id, "prefix-ignored", prefix=info.prefix, reason="link-local")
+                ctx.trace(self.node_id, "prefix-ignored", info.prefix, "link-local")
                 continue
             if info.prefix.length != 64:
-                ctx.trace(self.node_id, "prefix-ignored", prefix=info.prefix, reason="length")
+                ctx.trace(self.node_id, "prefix-ignored", info.prefix, "length")
                 continue
             self._apply_prefix(ctx, ra, info, now)
 
@@ -216,11 +217,11 @@ class Host(object):
                 entry.preference = ra.preference
                 entry.refreshed_at = now
                 kind = "router-refreshed"
-            ctx.trace(self.node_id, kind, router=ra.src_ip, pref=ra.preference, expires=expires)
+            ctx.trace(self.node_id, kind, ra.src_ip, ra.preference, expires)
             ctx.set_timer(self.node_id, Timer.EXPIRY, expires)
         elif entry is not None:
             self.router_list.remove(entry)
-            ctx.trace(self.node_id, "router-removed", router=ra.src_ip, reason="lifetime-zero")
+            ctx.trace(self.node_id, "router-removed", ra.src_ip, "lifetime-zero")
 
     def _apply_prefix(self, ctx: "Engine", ra: RouterAdvertisement, info, now: int) -> None:
         existing = next(
@@ -253,14 +254,14 @@ class Host(object):
         entry.valid_until = now + new_valid_ms
         entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
         ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
-        ctx.trace(self.node_id, "addr-lifetime", addr=entry.address, valid_ms=new_valid_ms)
+        ctx.trace(self.node_id, "addr-lifetime", entry.address, new_valid_ms)
 
     # -- bookkeeping -----------------------------------------------------------
 
     def tick_lifetimes(self, ctx: "Engine", now: int) -> None:
         for entry in [e for e in self.router_list if e.expires_at <= now]:
             self.router_list.remove(entry)
-            ctx.trace(self.node_id, "router-removed", router=entry.router_ip, reason="expired")
+            ctx.trace(self.node_id, "router-removed", entry.router_ip, "expired")
         for entry in self.addresses:
             if (
                 entry.state is not AddressState.ABANDONED
@@ -268,7 +269,7 @@ class Host(object):
                 and entry.valid_until <= now
             ):
                 entry.state = AddressState.ABANDONED
-                ctx.trace(self.node_id, "addr-abandoned", addr=entry.address, reason="expired")
+                ctx.trace(self.node_id, "addr-abandoned", entry.address, "expired")
 
     def select_default_router(self, now: int) -> Optional[DefaultRouterEntry]:
         """Highest preference among unexpired entries; ties broken by most

@@ -1,9 +1,11 @@
 """Event ordering, delivery and filtering, determinism, conservation."""
 
+import ast
 import enum
 import hashlib
 import json
-from collections import defaultdict
+import re
+from collections import Counter
 
 import pytest
 
@@ -13,10 +15,27 @@ import slaacsim.scenario
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker
-from slaacsim.defense import PortClass, SwitchPort
-from slaacsim.engine import AdvertisedPrefixes, Deliver, Engine, SimInvariantError, TimerFire
+from slaacsim.defense import PortClass, SwitchPort, filter_ingress
+from slaacsim.engine import (
+    TRACE_KEYS,
+    AdvertisedPrefixes,
+    Deliver,
+    Engine,
+    SimInvariantError,
+    TimerFire,
+    TraceRecord,
+)
 from slaacsim.host import Host
-from slaacsim.messages import PrefixInfo, RouterAdvertisement, RouterPreference, Timer
+from slaacsim.messages import (
+    NeighborAdvertisement,
+    NeighborSolicitation,
+    PrefixInfo,
+    RouterAdvertisement,
+    RouterPreference,
+    RouterSolicitation,
+    Timer,
+)
+from slaacsim.router import Router
 
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
 A1_IP = Ipv6Address.parse("fe80::66")
@@ -139,16 +158,84 @@ run 4
 """
 
 
+def assert_same_output(name, reference, monkeypatch):
+    """``reference`` gives Engine's trace and metrics on ``name`` at its own
+    link latency and at 0 and 2 ms."""
+    sc = slaacsim.scenario.parse_scenario(TWO_ROUTERS) if name == "two-routers" else load(name)
+    for latency in sorted({sc.link_latency_ms, 0, 2}):
+        sc.link_latency_ms = latency
+        expected = run_output(sc, Engine, monkeypatch)
+        assert run_output(sc, reference, monkeypatch) == expected, f"latency {latency}"
+
+
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
 def test_batched_delivery_matches_per_receiver_entries(name, monkeypatch):
     # One entry per emission is exact only if no event can run between its
     # receivers and they are served in node order; latency 0 books replies
     # at the very time of the batch.
-    sc = slaacsim.scenario.parse_scenario(TWO_ROUTERS) if name == "two-routers" else load(name)
-    for latency in sorted({sc.link_latency_ms, 0, 2}):
-        sc.link_latency_ms = latency
-        batched = run_output(sc, Engine, monkeypatch)
-        assert run_output(sc, PerReceiverEngine, monkeypatch) == batched, f"latency {latency}"
+    assert_same_output(name, PerReceiverEngine, monkeypatch)
+
+
+class EveryReceiverEngine(Engine):
+    """The dispatch the per-kind one replaced: every receiver's on_message is
+    called, whatever the message kind."""
+
+    def _handle_deliver(self, event, now):
+        msg, port = event.msg, event.port
+        reason = None if port is None else filter_ingress(port, msg)
+        for dst in event.dsts:
+            if reason is not None:
+                self.dropped += 1
+                self.trace(self.switch_id, "ra-dropped", port.port_id, reason, msg.src_ip, dst)
+                continue
+            self.delivered += 1
+            node = self.nodes[dst]
+            if isinstance(node, Host) and isinstance(msg, RouterAdvertisement):
+                self.trace(dst, "ra-received", msg.src_ip, msg.router_lifetime, msg.preference)
+            node.on_message(self, msg, event.src, now)
+
+
+@pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
+def test_dispatch_by_kind_matches_calling_every_receiver(name, monkeypatch):
+    # Exact only if every call the engine skips was a no-op.
+    assert_same_output(name, EveryReceiverEngine, monkeypatch)
+
+
+def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
+    calls = Counter()
+
+    def counting(cls):
+        on_message = cls.on_message
+
+        def counted(node, ctx, msg, sender_id, now):
+            claimed = isinstance(msg, (NeighborSolicitation, NeighborAdvertisement)) and (
+                node.node_id in ctx._claims.get(msg.target, ())
+            )
+            calls[cls.__name__, type(msg).__name__, claimed] += 1
+            on_message(node, ctx, msg, sender_id, now)
+
+        monkeypatch.setattr(cls, "on_message", counted)
+
+    for cls in (Host, Router, Attacker):
+        counting(cls)
+    for name in all_scenarios():
+        run_scenario(name)
+    assert set(calls) == {
+        ("Host", "RouterAdvertisement", False),
+        ("Host", "NeighborSolicitation", True),
+        ("Host", "NeighborAdvertisement", True),
+        ("Attacker", "RouterAdvertisement", False),
+        ("Router", "RouterSolicitation", False),
+    }
+
+
+@pytest.mark.parametrize("name", all_scenarios())
+def test_every_host_address_is_claimed_by_its_host(name):
+    _, engine, _ = run_scenario(name)
+    for node in engine.nodes.values():
+        if isinstance(node, Host):
+            for entry in node.addresses:
+                assert node.node_id in engine._claims[entry.address], f"{node.node_id} {entry}"
 
 
 def test_in_flight_counts_pending_receivers_not_entries():
@@ -217,13 +304,59 @@ def test_trace_times_never_go_backwards(name):
 
 
 def test_trace_key_order_is_fixed_per_kind():
-    per_kind = defaultdict(set)
+    # Every record of a kind has that kind's keys, in TRACE_KEYS order; a
+    # record with the wrong number of values has no keys and renders no line.
     for name in all_scenarios():
         _, engine, _ = run_scenario(name)
         for record in engine.trace_records:
-            per_kind[record.kind].add(tuple(k for k, _ in record.attrs))
-    for kind, orders in per_kind.items():
-        assert len(orders) == 1, f"{kind} has varying key orders: {orders}"
+            assert len(record.values) == len(TRACE_KEYS[record.kind]), f"{name} {record}"
+            assert tuple(k for k, _ in record.attrs) == TRACE_KEYS[record.kind]
+    short = TraceRecord(0, "H1", "dad-start", (Ipv6Address.parse("fe80::1"),))
+    with pytest.raises(ValueError):
+        short.attrs
+    with pytest.raises(TypeError):
+        short.line()
+
+
+SOURCE_DIR = SCENARIO_DIR.parent / "src" / "slaacsim"
+# The one trace call whose kind is a variable: Host._update_router_list.
+VARIABLE_KINDS = ("router-added", "router-refreshed")
+
+
+def test_every_trace_call_passes_its_kinds_values():
+    seen = set()
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
+                continue
+            if call.func.attr != "trace":
+                continue
+            where = f"{path.name}:{call.lineno}"
+            assert not call.keywords and not any(isinstance(a, ast.Starred) for a in call.args), where
+            if isinstance(call.args[1], ast.Constant):
+                kinds = (call.args[1].value,)
+            else:
+                assert (path.name, ast.unparse(call.args[1])) == ("host.py", "kind"), where
+                kinds = VARIABLE_KINDS
+            for kind in kinds:
+                assert kind in TRACE_KEYS, where
+                assert len(call.args) - 2 == len(TRACE_KEYS[kind]), where
+            seen.update(kinds)
+    assert seen == set(TRACE_KEYS)
+
+
+def test_trace_line_names_each_key_of_its_kind():
+    record = TraceRecord(5, "R1", "ra-sent", (A1_IP, 0, RouterPreference.HIGH, AdvertisedPrefixes()))
+    assert record.line() == "t=5 node=R1 kind=ra-sent src=fe80::66 lifetime=0 pref=high prefixes=-"
+    assert record.attrs == (("src", "fe80::66"), ("lifetime", "0"), ("pref", "high"), ("prefixes", "-"))
+
+
+def test_readme_lists_each_trace_kind_and_its_keys():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    section = readme.split("## Trace and metrics formats")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \| `([a-z_ ]+)`", section, re.MULTILINE)
+    assert {kind: tuple(keys.split()) for kind, keys in rows} == TRACE_KEYS
+    assert len(rows) == len(TRACE_KEYS)
 
 
 def _is_immutable_trace_value(value) -> bool:
@@ -239,7 +372,7 @@ def test_trace_values_are_immutable_and_render_stably():
     for name in all_scenarios():
         _, engine, _ = run_scenario(name)
         for record in engine.trace_records:
-            for key, value in record.values:
+            for key, value in zip(TRACE_KEYS[record.kind], record.values):
                 assert _is_immutable_trace_value(value), f"{name} {record.kind} {key}={value!r}"
         assert engine.trace_text() == engine.trace_text()
 

@@ -33,7 +33,7 @@ class AttackMode(enum.Enum):
     DUAL_STACK_ROGUE = "dual-stack"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 # Modes that forge advertisements for the persona, one per persona interval.

@@ -25,7 +25,7 @@ class PortClass(enum.Enum):
     HOST_FACING = "host"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 @dataclass(frozen=True)

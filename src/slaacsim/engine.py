@@ -67,18 +67,20 @@ TRACE_KEYS: dict[str, tuple[str, ...]] = {
     "ra-captured": ("src", "lifetime"),
 }
 
-# One line format per kind. %s, not format(): format() on an IntEnum such as
-# RouterPreference gives its number, str() its name.
+# One newline-terminated line format per kind. %s, not format(): format() on
+# an IntEnum such as RouterPreference gives its number, str() its name.
 _TRACE_FORMATS = {
-    kind: " ".join([f"t=%d node=%s kind={kind}", *[f"{key}=%s" for key in keys]])
+    kind: " ".join([f"t=%d node=%s kind={kind}", *[f"{key}=%s" for key in keys]]) + "\n"
     for kind, keys in TRACE_KEYS.items()
 }
 
 
 class TraceRecord(NamedTuple):
-    """One trace event with its values as given to Engine.trace, in
-    TRACE_KEYS order. Text is made only when read; every value is immutable,
-    so it reads the same whenever that is."""
+    """Names the fields of one trace record for readers:
+    ``TraceRecord._make(raw)`` on a bare tuple from ``Engine.trace_records``.
+    Values are as given to Engine.trace, in TRACE_KEYS order. Text is made
+    only when read; every value is immutable, so it reads the same whenever
+    that is."""
 
     time: int
     node: str
@@ -90,7 +92,8 @@ class TraceRecord(NamedTuple):
         return tuple((k, str(v)) for k, v in zip(TRACE_KEYS[self.kind], self.values, strict=True))
 
     def line(self) -> str:
-        return _TRACE_FORMATS[self.kind] % (self.time, self.node, *self.values)
+        """The record's trace line, without its newline."""
+        return (_TRACE_FORMATS[self.kind] % (self.time, self.node, *self.values))[:-1]
 
 
 class AdvertisedPrefixes(tuple):
@@ -107,11 +110,6 @@ class Deliver(NamedTuple):
     src: str
     port: Optional[SwitchPort]  # ingress port (the sender's attach point)
     dsts: tuple[str, ...]  # every other node, delivered to in node order
-
-
-class TimerFire(NamedTuple):
-    node: str
-    timer: TimerKey
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,7 @@ class ToggleDirective:
 
 
 ScriptStep = Union[AttackDirective, MeasureDirective, ToggleDirective]
-Action = Union[Deliver, TimerFire, ScriptStep]
+Action = Union[Deliver, ScriptStep]
 
 
 @dataclass
@@ -210,9 +208,12 @@ class Engine(object):
         self.node_port: dict[str, SwitchPort] = {}
         self.trusted_keys: dict[str, bytes] = {}  # key id -> secret, from trust lines
         self.attack_armed = False  # set by the first non-passive attack directive
-        self.trace_records: list[TraceRecord] = []
+        # Bare (time, node, kind, values) tuples; TraceRecord names the fields.
+        self.trace_records: list[tuple[int, str, str, tuple[object, ...]]] = []
         self.measurements: list[RunMetrics] = []
-        self._queue: list[tuple[int, int, Action]] = []
+        # (time, seq, node id, timer) for a timer, (time, seq, None, action)
+        # for anything else.
+        self._queue: list[tuple[int, int, Optional[str], Union[TimerKey, Action]]] = []
         self._seq = itertools.count()
         self._ip_owner: dict[Ipv6Address, str] = {}
         self._claims: dict[Ipv6Address, set[str]] = {}  # DAD target -> hosts
@@ -239,10 +240,12 @@ class Engine(object):
     def schedule(self, at_ms: int, action: Action) -> None:
         if at_ms < self.now:
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
-        heapq.heappush(self._queue, (at_ms, next(self._seq), action))
+        heapq.heappush(self._queue, (at_ms, next(self._seq), None, action))
 
     def set_timer(self, node_id: str, timer: TimerKey, at_ms: int) -> None:
-        self.schedule(at_ms, TimerFire(node_id, timer))
+        if at_ms < self.now:
+            raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
+        heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
 
     def bootstrap(self) -> None:
         """Book each node's startup work at t=0, in declaration order."""
@@ -255,10 +258,12 @@ class Engine(object):
     # -- tracing ---------------------------------------------------------------
 
     def trace(self, node: str, kind: str, *values) -> None:
-        self.trace_records.append(TraceRecord(self.now, node, kind, values))
+        self.trace_records.append((self.now, node, kind, values))
 
     def trace_text(self) -> str:
-        return "".join([rec.line() + "\n" for rec in self.trace_records])
+        formats = _TRACE_FORMATS
+        records = self.trace_records
+        return "".join([formats[kind] % (t, node, *values) for t, node, kind, values in records])
 
     # -- delivery ----------------------------------------------------------------
 
@@ -323,13 +328,14 @@ class Engine(object):
 
     def run_until(self, t_end_ms: int) -> None:
         """Process all events with time <= t_end in (time, seq) order."""
-        while self._queue and self._queue[0][0] <= t_end_ms:
-            at, _seq, action = heapq.heappop(self._queue)
+        queue, nodes = self._queue, self.nodes
+        while queue and queue[0][0] <= t_end_ms:
+            at, _seq, node_id, action = heapq.heappop(queue)
             self.now = at
-            if isinstance(action, Deliver):
+            if node_id is not None:
+                nodes[node_id].on_timer(self, action, at)
+            elif isinstance(action, Deliver):
                 self._handle_deliver(action, at)
-            elif isinstance(action, TimerFire):
-                self.nodes[action.node].on_timer(self, action.timer, at)
             else:
                 self._handle_script(action, at)
         self.now = t_end_ms
@@ -453,5 +459,5 @@ class Engine(object):
         merged.emitted = self.emitted
         merged.delivered = self.delivered
         merged.dropped = self.dropped
-        merged.in_flight = sum(len(a.dsts) for _, _, a in self._queue if isinstance(a, Deliver))
+        merged.in_flight = sum(len(a.dsts) for _, _, _, a in self._queue if isinstance(a, Deliver))
         return merged

@@ -206,7 +206,11 @@ class Host(object):
             self._apply_prefix(ctx, ra, info, now)
 
     def _update_router_list(self, ctx: "Engine", ra: RouterAdvertisement, now: int) -> None:
-        entry = next((e for e in self.router_list if e.router_ip == ra.src_ip), None)
+        for entry in self.router_list:
+            if entry.router_ip == ra.src_ip:
+                break
+        else:
+            entry = None
         if ra.router_lifetime > 0:
             expires = now + ra.router_lifetime * MS
             if entry is None:
@@ -224,9 +228,11 @@ class Host(object):
             ctx.trace(self.node_id, "router-removed", ra.src_ip, "lifetime-zero")
 
     def _apply_prefix(self, ctx: "Engine", ra: RouterAdvertisement, info, now: int) -> None:
-        existing = next(
-            (e for e in self.addresses if e.origin == SLAAC and e.prefix == info.prefix), None
-        )
+        for existing in self.addresses:
+            if existing.origin == SLAAC and existing.prefix == info.prefix:
+                break
+        else:
+            existing = None
         if existing is None:
             entry = AddressEntry(
                 global_from(info.prefix, self.iid),

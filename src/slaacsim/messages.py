@@ -28,7 +28,7 @@ class RouterPreference(enum.IntEnum):
             raise ValueError(f"unknown preference {text!r}") from None
 
     def __str__(self) -> str:
-        return self.name.lower()
+        return self._name_.lower()
 
 
 class Timer(enum.Enum):
@@ -47,7 +47,7 @@ class AddressFamily(enum.Enum):
     IPV4 = "ipv4"
 
     def __str__(self) -> str:
-        return self.value
+        return self._value_
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from slaacsim.engine import Deliver, Engine, TimerFire
+from slaacsim.engine import Deliver, Engine, TraceRecord
 from slaacsim.scenario import build_engine, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -31,7 +31,7 @@ def queued_deliveries(engine: Engine):
     row per receiver of each queued emission, in node order."""
     return [
         (at, dst, action.msg)
-        for (at, _seq, action) in sorted(engine._queue)
+        for (at, *_, action) in sorted(engine._queue)
         if isinstance(action, Deliver)
         for dst in action.dsts
     ]
@@ -40,18 +40,19 @@ def queued_deliveries(engine: Engine):
 def queued_timers(engine: Engine):
     """Pending timers in event order, as (time, node, timer)."""
     return [
-        (at, action.node, action.timer)
-        for (at, _seq, action) in sorted(engine._queue)
-        if isinstance(action, TimerFire)
+        (at, node_id, timer)
+        for (at, _seq, node_id, timer) in sorted(engine._queue)
+        if node_id is not None
     ]
 
 
 def records(engine: Engine, kind: str):
-    return [r for r in engine.trace_records if r.kind == kind]
+    """The records of one kind, in trace order, with their fields named."""
+    return [TraceRecord._make(r) for r in engine.trace_records if r[2] == kind]
 
 
 def attrs(record) -> dict:
-    return dict(record.attrs)
+    return dict(TraceRecord._make(record).attrs)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import ast
 import enum
 import hashlib
+import heapq
 import json
 import re
 from collections import Counter
@@ -19,10 +20,12 @@ from slaacsim.defense import PortClass, SwitchPort, filter_ingress
 from slaacsim.engine import (
     TRACE_KEYS,
     AdvertisedPrefixes,
+    AttackDirective,
     Deliver,
     Engine,
+    MeasureDirective,
     SimInvariantError,
-    TimerFire,
+    ToggleDirective,
     TraceRecord,
 )
 from slaacsim.host import Host
@@ -48,6 +51,7 @@ def all_scenarios():
 def test_empty_queue_returns_immediately(engine):
     engine.run_until(10_000)
     assert engine.trace_records == [] and engine.now == 10_000
+    assert engine.trace_text() == ""
 
 
 def test_same_time_events_run_in_schedule_order(engine):
@@ -62,9 +66,9 @@ def test_same_time_events_run_in_schedule_order(engine):
 
     for name in ("N1", "N2", "N3"):
         engine.add_node(Probe(name))
-    engine.schedule(5, TimerFire("N2", Timer.RA))
-    engine.schedule(5, TimerFire("N1", Timer.RA))
-    engine.schedule(5, TimerFire("N3", Timer.RA))
+    engine.set_timer("N2", Timer.RA, 5)
+    engine.set_timer("N1", Timer.RA, 5)
+    engine.set_timer("N3", Timer.RA, 5)
     engine.run_until(5)
     assert order == ["N2", "N1", "N3"]
 
@@ -72,7 +76,10 @@ def test_same_time_events_run_in_schedule_order(engine):
 def test_scheduling_into_the_past_raises(engine):
     engine.now = 100
     with pytest.raises(SimInvariantError):
-        engine.schedule(99, TimerFire("N1", Timer.RA))
+        engine.schedule(99, MeasureDirective())
+    with pytest.raises(SimInvariantError):
+        engine.set_timer("N1", Timer.RA, 99)
+    assert engine._queue == []
 
 
 def spoofable_ra() -> RouterAdvertisement:
@@ -113,7 +120,7 @@ def test_broadcast_queues_one_entry_per_emission():
     engine = three_node_link(guard_attacker=False)
     engine.broadcast("A1", spoofable_ra(), 0)
     (entry,) = engine._queue
-    assert entry[2].dsts == ("H1", "H2")
+    assert entry[3].dsts == ("H1", "H2")
     lone = Engine()
     lone.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     lone.broadcast("H1", spoofable_ra(), 0)
@@ -260,7 +267,7 @@ run 0.5
     metrics = engine.execute(sc.run_ms)
     pending = [(at, dst) for at, dst, _ in queued_deliveries(engine)]
     assert pending == [(600, "R1"), (600, "H2"), (600, "R1"), (600, "H1")]
-    assert sum(isinstance(a, Deliver) for _, _, a in engine._queue) == 2
+    assert sum(isinstance(a, Deliver) for *_, a in engine._queue) == 2
     assert metrics.in_flight == 4
     assert (metrics.emitted, metrics.delivered, metrics.dropped) == (10, 6, 0)
     assert metrics.emitted == metrics.delivered + metrics.dropped + metrics.in_flight
@@ -299,7 +306,7 @@ def test_every_scenario_conserves_messages(name):
 @pytest.mark.parametrize("name", all_scenarios())
 def test_trace_times_never_go_backwards(name):
     _, engine, _ = run_scenario(name)
-    times = [r.time for r in engine.trace_records]
+    times = [r.time for r in map(TraceRecord._make, engine.trace_records)]
     assert times == sorted(times)
 
 
@@ -308,7 +315,7 @@ def test_trace_key_order_is_fixed_per_kind():
     # record with the wrong number of values has no keys and renders no line.
     for name in all_scenarios():
         _, engine, _ = run_scenario(name)
-        for record in engine.trace_records:
+        for record in map(TraceRecord._make, engine.trace_records):
             assert len(record.values) == len(TRACE_KEYS[record.kind]), f"{name} {record}"
             assert tuple(k for k, _ in record.attrs) == TRACE_KEYS[record.kind]
     short = TraceRecord(0, "H1", "dad-start", (Ipv6Address.parse("fe80::1"),))
@@ -371,10 +378,12 @@ def test_trace_values_are_immutable_and_render_stably():
     # a mutable value would let the text change after the event.
     for name in all_scenarios():
         _, engine, _ = run_scenario(name)
-        for record in engine.trace_records:
+        for record in map(TraceRecord._make, engine.trace_records):
             for key, value in zip(TRACE_KEYS[record.kind], record.values):
                 assert _is_immutable_trace_value(value), f"{name} {record.kind} {key}={value!r}"
         assert engine.trace_text() == engine.trace_text()
+        lines = [TraceRecord._make(r).line() + "\n" for r in engine.trace_records]
+        assert engine.trace_text() == "".join(lines), name
 
 
 def test_advertised_prefixes_admit_only_frozen_prefix_infos():
@@ -396,13 +405,37 @@ def test_advertised_prefixes_render_as_before():
 
 def test_trace_records_are_immutable():
     _, engine, _ = run_scenario("baseline")
-    record = engine.trace_records[0]
+    record = TraceRecord._make(engine.trace_records[0])
     with pytest.raises(AttributeError):
         record.kind = "other"
     with pytest.raises(TypeError):
         record[2] = "other"
     with pytest.raises(AttributeError):
         AdvertisedPrefixes().extra = 1
+
+
+@pytest.mark.parametrize("name", all_scenarios())
+def test_records_and_queue_entries_are_bare_tuples(name, monkeypatch):
+    # Nothing on the event path builds an object per record or per timer: a
+    # record is (time, node, kind, values), a queue entry (time, seq, node
+    # id, timer) for a timer and (time, seq, None, action) for anything else.
+    booked = []
+
+    def heappush(queue, entry):
+        booked.append(entry)
+        real_heappush(queue, entry)
+
+    real_heappush = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", heappush)
+    _, engine, _ = run_scenario(name)
+    assert booked and all(type(e) is tuple and len(e) == 4 for e in booked)
+    for _at, _seq, node_id, action in booked:
+        if node_id is None:
+            assert isinstance(action, (Deliver, AttackDirective, MeasureDirective, ToggleDirective))
+        else:
+            assert node_id in engine.nodes and isinstance(action, (Timer, Ipv6Address))
+    assert any(e[2] is not None for e in booked) and any(e[2] is None for e in booked)
+    assert all(type(r) is tuple and len(r) == 4 for r in engine.trace_records)
 
 
 def test_jitter_scenarios_depend_on_seed():
@@ -422,7 +455,8 @@ def test_duplicate_node_id_rejected(engine):
 def test_disabled_host_emits_no_nd_messages():
     _, engine, _ = run_scenario("attack_dualstack_v6off")
     nd_kinds = ("ns-sent", "na-sent", "rs-sent", "ra-sent")
-    offenders = [r for r in engine.trace_records if r.kind in nd_kinds and r.node == "H1"]
+    named = map(TraceRecord._make, engine.trace_records)
+    offenders = [r for r in named if r.kind in nd_kinds and r.node == "H1"]
     assert offenders == []
 
 

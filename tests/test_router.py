@@ -35,7 +35,7 @@ def make_router(**kw) -> Router:
 
 def emitted_ras(engine):
     """The queued emissions' messages, one per emission whatever its fan-out."""
-    return [a.msg for (_, _, a) in sorted(engine._queue) if isinstance(a, Deliver)]
+    return [a.msg for (*_, a) in sorted(engine._queue) if isinstance(a, Deliver)]
 
 
 def test_periodic_ra_carries_config_fields(engine):
@@ -50,7 +50,7 @@ def test_periodic_ra_carries_config_fields(engine):
     assert ra.preference is RouterPreference.HIGH
     assert ra.prefixes == (PREFIX_INFO,)
     # next emission booked one interval out
-    assert any(at == 10_000 for (at, _, a) in engine._queue if not isinstance(a, Deliver))
+    assert any(at == 10_000 for (at, _, node_id, _) in engine._queue if node_id is not None)
 
 
 def test_ra_without_prefixes_is_default_router_only(engine):

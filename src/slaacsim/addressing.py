@@ -162,11 +162,6 @@ def global_from(prefix: Prefix, iid: int) -> Ipv6Address:
     return Ipv6Address(prefix.address.value | (iid & IID_MASK))
 
 
-def split_global(addr: Ipv6Address) -> tuple[int, int]:
-    """Inverse of global_from: (64-bit prefix value, iid)."""
-    return addr.value >> IID_BITS, addr.value & IID_MASK
-
-
 def iid_text(iid: int) -> str:
     """Fixed-width four-group hex form used in traces and metrics."""
     raw = f"{iid & IID_MASK:016x}"

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .addressing import Ipv6Address, iid_text, split_global
+from .addressing import Ipv6Address, iid_text
 from .attacker import Attacker, AttackMode
 from .defense import SwitchPort, filter_ingress
 from .host import AddressState, Host
@@ -32,6 +32,9 @@ from .messages import (
 from .router import Router
 
 SINK = "ext"  # external-destination pseudo-node, reachable only via a routing box
+
+# The attack flags, in output order: RunMetrics field names and expect keys.
+FLAGS = ("dos_success", "mitm_success", "dualstack_success")
 
 Node = Union[Host, Router, Attacker]
 
@@ -135,13 +138,6 @@ Action = Union[Deliver, ScriptStep]
 
 
 @dataclass
-class ProbeResult:
-    family: Optional[AddressFamily]  # None when no path resolves
-    delivered: bool
-    gateway: Optional[str]  # the node the data went to; None when no path resolves
-
-
-@dataclass
 class HostMetrics:
     default_router: Optional[str]
     family_in_use: Optional[AddressFamily]
@@ -170,12 +166,18 @@ class RunMetrics:
     dropped: int = 0
     in_flight: int = 0
 
+    def texts(self) -> dict[str, str]:
+        """The text of each flag and of each ``<host>.<field>``, keyed as
+        `expect` lines name them; stdout, `--metrics` and `--check` all
+        show this text."""
+        texts = {flag: "true" if getattr(self, flag) else "false" for flag in FLAGS}
+        for host_id, hm in self.hosts.items():
+            texts.update((f"{host_id}.{k}", v) for k, v in hm.field_texts().items())
+        return texts
+
     def flag_lines(self) -> list[str]:
-        return [
-            f"dos_success={_bool_text(self.dos_success)}",
-            f"mitm_success={_bool_text(self.mitm_success)}",
-            f"dualstack_success={_bool_text(self.dualstack_success)}",
-        ]
+        texts = self.texts()
+        return [f"{flag}={texts[flag]}" for flag in FLAGS]
 
     def to_lines(self) -> list[str]:
         lines = []
@@ -188,10 +190,6 @@ class RunMetrics:
             f" dropped={self.dropped} in_flight={self.in_flight}"
         )
         return lines
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
 
 
 class Engine(object):
@@ -210,7 +208,7 @@ class Engine(object):
         self.attack_armed = False  # set by the first non-passive attack directive
         # Bare (time, node, kind, values) tuples; TraceRecord names the fields.
         self.trace_records: list[tuple[int, str, str, tuple[object, ...]]] = []
-        self.measurements: list[RunMetrics] = []
+        self.metrics: Optional[RunMetrics] = None  # made by the first measure
         # (time, seq, node id, timer) for a timer, (time, seq, None, action)
         # for anything else.
         self._queue: list[tuple[int, int, Optional[str], Union[TimerKey, Action]]] = []
@@ -363,12 +361,17 @@ class Engine(object):
 
     def execute(self, t_end_ms: int) -> RunMetrics:
         """Run to t_end, measuring at the end if the script never did, then
-        verify message conservation and produce the merged metrics. Expects
-        bootstrap() to have been called (the scenario builder does so)."""
+        add the message counters to the run's metrics and verify message
+        conservation. Expects bootstrap() to have been called (the scenario
+        builder does so)."""
         self.run_until(t_end_ms)
-        if not self.measurements:
+        if self.metrics is None:
             self.measure(t_end_ms)
-        metrics = self.final_metrics()
+        metrics = self.metrics
+        metrics.emitted = self.emitted
+        metrics.delivered = self.delivered
+        metrics.dropped = self.dropped
+        metrics.in_flight = sum(len(a.dsts) for _, _, _, a in self._queue if isinstance(a, Deliver))
         if metrics.emitted != metrics.delivered + metrics.dropped + metrics.in_flight:
             raise SimInvariantError(
                 f"message conservation broken: emitted={metrics.emitted}"
@@ -379,16 +382,18 @@ class Engine(object):
 
     # -- measurement ---------------------------------------------------------------
 
-    def _probe(self, host: Host, now: int) -> ProbeResult:
+    def _probe(self, host: Host, now: int) -> tuple[Optional[AddressFamily], Optional[str], bool]:
         """Send one payload toward the sink. The gateway delivers it when it
-        routes and drops it (a blackhole) when it does not."""
+        routes and drops it (a blackhole) when it does not. Returns the
+        family, the gateway (both None when no path resolves) and whether
+        the payload was delivered."""
         hop = host.resolve_next_hop(now)
         gateway = None
         if hop is not None:
             gateway = hop.gateway_node or self._ip_owner.get(hop.router_ip)
         if hop is None or gateway is None or gateway not in self.nodes:
             self.trace(host.node_id, "path-resolved", "unreachable", "-", "-")
-            return ProbeResult(None, False, None)
+            return None, None, False
         self.trace(host.node_id, "path-resolved", "via", gateway, hop.family)
         if hop.family is AddressFamily.IPV6:
             self._assert_source_assigned(host, hop.src_addr, now)
@@ -398,13 +403,13 @@ class Engine(object):
         if not self.nodes[gateway].routes():
             self.dropped += 1
             self.trace(gateway, "blackhole-drop", host.node_id, payload)
-            return ProbeResult(hop.family, False, gateway)
+            return hop.family, gateway, False
         self.delivered += 1
         self.trace(
             SINK, "data-delivered",
             host.node_id, gateway, hop.family, payload, f"{host.node_id}>{gateway}>{SINK}",
         )
-        return ProbeResult(hop.family, True, gateway)
+        return hop.family, gateway, True
 
     def _assert_source_assigned(self, host: Host, src_addr: str, now: int) -> None:
         for entry in host.addresses:
@@ -413,51 +418,37 @@ class Engine(object):
         raise SimInvariantError(f"{host.node_id} sourced data from non-assigned {src_addr}")
 
     def measure(self, now: int) -> RunMetrics:
-        """Snapshot per-host state and attack outcomes, probing one data path
-        per host toward the external sink. Attack flags stay false until a
-        non-passive attack has been armed."""
-        snapshot = RunMetrics()
+        """Probe one data path per host toward the external sink and record
+        each host's state in the run's metrics, replacing the last measure's.
+        A flag, once set, stays set; only measures after a non-passive attack
+        has been armed set one."""
+        metrics = self.metrics
+        if metrics is None:
+            metrics = self.metrics = RunMetrics()
+        hosts = {}
         for node in self.nodes.values():
             if not isinstance(node, Host):
                 continue
-            probe = self._probe(node, now)
+            family, gateway, delivered = self._probe(node, now)
             selected = node.select_default_router(now)
             default_router = None
             if selected is not None:
                 default_router = self._ip_owner.get(selected.router_ip, str(selected.router_ip))
-            observed_global = node.select_global_source(now)
-            iid = split_global(observed_global.address)[1] if observed_global else node.iid
-            snapshot.hosts[node.node_id] = HostMetrics(
+            hosts[node.node_id] = HostMetrics(
                 default_router=default_router,
-                family_in_use=probe.family,
-                iid=iid,
+                family_in_use=family,
+                iid=node.iid,
                 addresses=[
                     str(e.address) for e in node.addresses if e.state is AddressState.ASSIGNED
                 ],
             )
             if not self.attack_armed:
                 continue
-            if not probe.delivered:
-                snapshot.dos_success = True
-            if isinstance(self.nodes.get(probe.gateway), Attacker):
-                snapshot.mitm_success = True
-                if probe.family is AddressFamily.IPV6 and node.ipv4 is not None:
-                    snapshot.dualstack_success = True
-        self.measurements.append(snapshot)
-        return snapshot
-
-    def final_metrics(self) -> RunMetrics:
-        """Host state from the last measurement; attack flags hold if any
-        measurement saw the attack succeed."""
-        merged = RunMetrics()
-        if self.measurements:
-            last = self.measurements[-1]
-            merged.hosts = last.hosts
-            merged.dos_success = any(m.dos_success for m in self.measurements)
-            merged.mitm_success = any(m.mitm_success for m in self.measurements)
-            merged.dualstack_success = any(m.dualstack_success for m in self.measurements)
-        merged.emitted = self.emitted
-        merged.delivered = self.delivered
-        merged.dropped = self.dropped
-        merged.in_flight = sum(len(a.dsts) for _, _, _, a in self._queue if isinstance(a, Deliver))
-        return merged
+            if not delivered:
+                metrics.dos_success = True
+            if isinstance(self.nodes.get(gateway), Attacker):
+                metrics.mitm_success = True
+                if family is AddressFamily.IPV6 and node.ipv4 is not None:
+                    metrics.dualstack_success = True
+        metrics.hosts = hosts
+        return metrics

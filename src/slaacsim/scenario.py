@@ -52,6 +52,7 @@ from .addressing import (
 from .attacker import FORGING_MODES, Attacker, AttackMode
 from .defense import PortClass, SwitchPort, key_secret
 from .engine import (
+    FLAGS,
     SINK,
     AttackDirective,
     Engine,
@@ -76,7 +77,6 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _PORT_RE = re.compile(r"p([1-9][0-9]*)")
 
 ATTACK_MODES = {m.value: m for m in AttackMode}
-FLAG_METRICS = ("dos_success", "mitm_success", "dualstack_success")
 HOST_METRIC_FIELDS = ("default_router", "family_in_use", "iid")
 
 
@@ -484,6 +484,10 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioValidationError(
                 f"duplicate MAC(s) {sorted(dup_macs)}; add allow-dup-mac to permit"
             )
+    # The engine maps each router and attacker address to its node; hosts are not in that map.
+    dup_ips = _repeated(str(n.options["ip"]) for n in sc.nodes if "ip" in n.options)
+    if dup_ips:
+        raise ScenarioValidationError(f"routers or attackers share address(es) {sorted(dup_ips)}")
     if sc.switch is None:
         raise ScenarioValidationError("scenario needs a switch")
     switch_id, port_count = sc.switch
@@ -538,7 +542,7 @@ def _validate(sc: Scenario) -> None:
             if step.node not in routers:
                 raise ScenarioValidationError(f"enable/disable references non-router {step.node!r}")
     for key, _value in sc.expects:
-        if key in FLAG_METRICS:
+        if key in FLAGS:
             continue
         host_id, sep, fld = key.partition(".")
         if not sep or host_id not in hosts or fld not in HOST_METRIC_FIELDS:
@@ -672,19 +676,10 @@ def _router_config(decl: NodeDecl, key_prefix: str = "", **extra) -> RouterConfi
 
 def evaluate_expects(sc: Scenario, metrics: RunMetrics) -> list[str]:
     """Return one failure description per unmet expectation."""
+    texts = metrics.texts()
     failures = []
     for key, wanted in sc.expects:
-        actual = _metric_value(metrics, key)
+        actual = texts.get(key, "unmeasured")
         if actual != wanted:
             failures.append(f"expect {key}={wanted}: got {actual}")
     return failures
-
-
-def _metric_value(metrics: RunMetrics, key: str) -> str:
-    if key in FLAG_METRICS:
-        return "true" if getattr(metrics, key) else "false"
-    host_id, _sep, fld = key.partition(".")
-    hm = metrics.hosts.get(host_id)
-    if hm is None:
-        return "unmeasured"
-    return hm.field_texts()[fld]

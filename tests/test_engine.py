@@ -624,8 +624,26 @@ def test_attack_flags_count_only_measures_after_arming(extra):
     sc = parse_scenario(text)
     engine = build_engine(sc)
     metrics = engine.execute(sc.run_ms)
-    first = engine.measurements[0].hosts["H1"]
-    assert first.family_in_use is None  # the 0.5 s probe finds no path
+    first = records(engine, "path-resolved")[0]
+    assert (first.time, first.node) == (500, "H1")
+    assert attrs(first)["outcome"] == "unreachable"  # the 0.5 s probe finds no path
     assert (metrics.dos_success, metrics.mitm_success, metrics.dualstack_success) == (
         False, False, False,
     )
+
+
+def test_flags_hold_from_any_measure_and_hosts_from_the_last():
+    # Under the ACL, the opening kill replay empties H1's router list at 7 s;
+    # by 12 s R1 has re-advertised and H1 uses it again.
+    from slaacsim.scenario import build_engine, parse_scenario
+
+    text = SCENARIO_DIR.joinpath("attack_mitm_acl.txt").read_text()
+    text = text.replace("at 12 measure", "at 7 measure\nat 12 measure")
+    sc = parse_scenario(text)
+    engine = build_engine(sc)
+    metrics = engine.execute(sc.run_ms)
+    assert metrics is engine.metrics
+    assert [r.time for r in records(engine, "path-resolved")] == [7000, 12000]
+    texts = metrics.texts()
+    assert (texts["dos_success"], texts["mitm_success"]) == ("true", "false")
+    assert texts["H1.default_router"] == "R1"

@@ -8,11 +8,13 @@ from slaacsim.addressing import MacAddress
 from slaacsim.cli import run_command
 from slaacsim.defense import PortClass, SwitchPort
 from slaacsim.scenario import (
+    HOST_METRIC_FIELDS,
     MAX_PORTS,
     MAX_TIME_S,
     ScenarioParseError,
     ScenarioValidationError,
     build_engine,
+    evaluate_expects,
     parse_scenario,
     print_scenario,
 )
@@ -91,6 +93,28 @@ def test_duplicate_mac_needs_opt_in():
     with pytest.raises(ScenarioValidationError, match="duplicate MAC"):
         parse_scenario(text)
     assert parse_scenario(text + "allow-dup-mac\n").allow_dup_mac
+
+
+def test_shared_router_address_rejected(tmp_path, capsys):
+    # Explicit ip= on a second router: without the rule, H1 reported R2 as
+    # its default router although R2 never advertised.
+    text = MINIMAL.replace("ports=2", "ports=3").replace(
+        "node router R1 mac=00:00:5e:00:53:01",
+        "node router R1 mac=00:00:5e:00:53:01 ip=fe80::1\n"
+        "node router R2 mac=00:00:5e:00:53:02 ip=fe80::1 ra=off routes=no",
+    ) + "attach R2 SW1.p3 class=router\n"
+    bad = tmp_path / "shared.txt"
+    bad.write_text(text)
+    assert run_command(["run", str(bad)]) == 1
+    assert "share address(es) ['fe80::1']" in capsys.readouterr().err
+    # The same MAC under allow-dup-mac derives the same link-local address.
+    text = MINIMAL.replace("ports=2", "ports=3").replace(
+        "node host H1", "node attacker A1 mac=00:00:5e:00:53:01\nnode host H1"
+    ) + "attach A1 SW1.p3 class=host\nallow-dup-mac\n"
+    with pytest.raises(ScenarioValidationError, match=r"\['fe80::200:5eff:fe00:5301'\]"):
+        parse_scenario(text)
+    # Hosts may still share one: that is the DAD conflict of phase1_dup.
+    assert parse_scenario(scenario_path("phase1_dup").read_text()).allow_dup_mac
 
 
 def test_unattached_node_rejected():
@@ -288,6 +312,34 @@ def test_whole_corpus_checks_clean(path, capsys):
     # scenarios, and every expectation must hold.
     assert run_command(["run", str(path), "--check"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.txt")), ids=lambda p: p.stem)
+def test_check_compares_against_the_printed_text(path, tmp_path, capsys):
+    out = tmp_path / "metrics.txt"
+    assert run_command(["run", str(path), "--metrics", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    printed = {}
+    for line in out.read_text().splitlines():
+        head, *fields = line.split()
+        if head.startswith("host="):
+            host = head[len("host="):]
+            for key, value in (f.split("=", 1) for f in fields):
+                if key in HOST_METRIC_FIELDS:
+                    printed[f"{host}.{key}"] = value
+        elif head != "counters":
+            assert not fields and head in stdout.splitlines()
+            key, value = head.split("=", 1)
+            printed[key] = value
+    sc = parse_scenario(path.read_text() + "".join(f"expect {k}={v}\n" for k, v in printed.items()))
+    hosts = [n for n in sc.nodes if n.kind == "host"]
+    assert len(printed) == 3 + len(HOST_METRIC_FIELDS) * len(hosts)
+    metrics = build_engine(sc).execute(sc.run_ms)
+    assert evaluate_expects(sc, metrics) == []
+    sc.expects = [(key, "altered") for key in printed]
+    assert evaluate_expects(sc, metrics) == [
+        f"expect {key}=altered: got {value}" for key, value in printed.items()
+    ]
 
 
 def test_playbook_precondition_failure_exits_2(tmp_path, capsys):

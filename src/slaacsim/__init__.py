@@ -23,7 +23,7 @@ from .messages import (
     RouterPreference,
     RouterSolicitation,
 )
-from .router import Router, RouterConfig
+from .router import Router
 from .scenario import Scenario, build_engine, parse_scenario, print_scenario
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "PrefixInfo",
     "Router",
     "RouterAdvertisement",
-    "RouterConfig",
     "RouterPreference",
     "RouterSolicitation",
     "RunMetrics",

@@ -6,12 +6,12 @@ or dual-stack rogue plays)."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
 from .addressing import Ipv6Address
 from .messages import NdMessage, RouterAdvertisement, Timer
-from .router import Router, RouterConfig
+from .router import Router
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -40,13 +40,6 @@ class AttackMode(enum.Enum):
 FORGING_MODES = frozenset(AttackMode) - {AttackMode.PASSIVE, AttackMode.KILL_ROUTER}
 
 
-@dataclass
-class CapturedRa:
-    time: int
-    sender: str
-    ra: RouterAdvertisement
-
-
 class Attacker(object):
     """Adversary node; passive until a scenario directive arms a playbook."""
 
@@ -54,29 +47,35 @@ class Attacker(object):
         self,
         node_id: str,
         link_local: Ipv6Address,
-        persona: Optional[RouterConfig] = None,
+        persona: Optional[Router] = None,
     ):
         self.node_id = node_id
         self.link_local = link_local
         # The router it poses as. Scenarios give it the attacker's own node
         # id and addresses and no signing key: the attacker holds none.
-        self.persona = Router(persona) if persona is not None else None
-        self.captured_ras: list[CapturedRa] = []
+        self.persona = persona
+        # The latest advertisement from each sender, in capture order: a
+        # replay reads nothing older.
+        self.captured_ras: dict[str, RouterAdvertisement] = {}
         self.mode = AttackMode.PASSIVE
         self.next_forge_at: Optional[int] = None  # the one live forging tick
 
     def capture_ra(self, ctx: "Engine", ra: RouterAdvertisement, sender: str, now: int) -> None:
-        self.captured_ras.append(CapturedRa(now, sender, ra))
+        self.captured_ras.pop(sender, None)
+        self.captured_ras[sender] = ra
         ctx.trace(self.node_id, "ra-captured", ra.src_ip, ra.router_lifetime)
 
     def spoof_kill_ra(self, target: Optional[str] = None) -> RouterAdvertisement:
         """Latest captured advertisement from ``target`` (or from anyone when
         unset), replayed with lifetime zero and any auth token stripped: the
         source identifiers still impersonate the real router."""
-        candidates = [c for c in self.captured_ras if target is None or c.sender == target]
-        if not candidates:
+        if target is None:
+            ra = next(reversed(self.captured_ras.values()), None)
+        else:
+            ra = self.captured_ras.get(target)
+        if ra is None:
             raise NoCapturedRa(f"{self.node_id} holds no captured RA from {target or 'anyone'}")
-        return replace(candidates[-1].ra, router_lifetime=0, auth=None)
+        return replace(ra, router_lifetime=0, auth=None)
 
     def run_playbook(self, ctx: "Engine", mode: AttackMode, target: Optional[str], now: int) -> None:
         """Switch to ``mode``. Every arming ends the forging schedule of the

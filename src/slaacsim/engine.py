@@ -229,7 +229,7 @@ class Engine(object):
         if port is not None:
             self.node_port[node.node_id] = port
         if isinstance(node, Router):
-            self._ip_owner[node.config.link_local] = node.node_id
+            self._ip_owner[node.ra.src_ip] = node.node_id
         elif isinstance(node, Attacker):
             self._ip_owner[node.link_local] = node.node_id
 

@@ -43,7 +43,6 @@ if TYPE_CHECKING:
 
 DAD_TIMEOUT_MS = 1 * MS  # single probe, one-second deadline
 TWO_HOURS = 7200  # seconds
-FAMILY_PREFERENCE = (AddressFamily.IPV6, AddressFamily.IPV4)  # next-hop resolution order
 
 LINK_LOCAL = "link-local"
 SLAAC = "slaac"
@@ -293,16 +292,15 @@ class Host(object):
         return (preferred or assigned or [None])[0]
 
     def resolve_next_hop(self, now: int) -> Optional[NextHop]:
-        """Next hop for an off-link destination, in address-family preference
-        order; None when no family can reach off-link (the DoS condition)."""
-        for family in FAMILY_PREFERENCE:
-            if family is AddressFamily.IPV6 and self.ipv6_enabled:
-                source = self.select_global_source(now)
-                router = self.select_default_router(now)
-                if source is not None and router is not None:
-                    return NextHop(family, router.router_ip, None, str(source.address))
-            elif family is AddressFamily.IPV4 and self.ipv4 is not None:
-                return NextHop(family, None, self.ipv4[1], str(self.ipv4[0]))
+        """Next hop for an off-link destination: IPv6 when it can reach
+        off-link, else IPv4; None when neither can (the DoS condition)."""
+        if self.ipv6_enabled:
+            source = self.select_global_source(now)
+            router = self.select_default_router(now)
+            if source is not None and router is not None:
+                return NextHop(AddressFamily.IPV6, router.router_ip, None, str(source.address))
+        if self.ipv4 is not None:
+            return NextHop(AddressFamily.IPV4, None, self.ipv4[1], str(self.ipv4[0]))
         return None
 
     # -- dispatch ---------------------------------------------------------------

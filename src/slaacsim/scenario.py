@@ -19,7 +19,7 @@ Grammar (one directive per line, ``#`` starts a comment)::
     policy global two-hour-rule
     key <router> <key-id>                 (at most one per router)
     trust <key-id>
-    at <sec> attack <attacker> kill-router target=<router>
+    at <sec> attack <attacker> kill-router target=<router with ra=on, or another attacker>
     at <sec> attack <attacker> fake-router|blackhole|dual-stack|passive
     at <sec> measure
     at <sec> disable <router> | enable <router>
@@ -62,8 +62,8 @@ from .engine import (
     ToggleDirective,
 )
 from .host import Host
-from .messages import MAX_ROUTER_LIFETIME, MS, PrefixInfo, RouterPreference
-from .router import DEFAULT_RA_INTERVAL_S, DEFAULT_ROUTER_LIFETIME_S, Router, RouterConfig
+from .messages import MAX_ROUTER_LIFETIME, MS, PrefixInfo, RouterAdvertisement, RouterPreference
+from .router import Router
 
 # Bounds on input values. Both sit far above any run the simulator is meant
 # for (the longest shipped workload is two simulated hours on 11 ports) and
@@ -186,9 +186,9 @@ ROUTER_OPTIONS = (
     _MAC,
     _IP,
     Option("prefix", _prefixes, _show_prefixes),
-    Option("lifetime", _router_lifetime, str, DEFAULT_ROUTER_LIFETIME_S),
+    Option("lifetime", _router_lifetime, str, 1800),
     Option("preference", RouterPreference.parse, str, RouterPreference.MEDIUM),
-    Option("interval", _interval_ms, _fmt_time, DEFAULT_RA_INTERVAL_S * MS),
+    Option("interval", _interval_ms, _fmt_time, 10 * MS),
     Option("valid", _seconds, str, 3600),
     Option("preferred", _seconds, str, 3600),
     Option("routes", _on_off, _show_yes_no, True),
@@ -518,6 +518,8 @@ def _validate(sc: Scenario) -> None:
     of_kind = {kind: {n.node_id for n in sc.nodes if n.kind == kind} for kind in NODE_OPTIONS}
     routers, hosts, attackers = of_kind["router"], of_kind["host"], of_kind["attacker"]
     personas = {n.node_id for n in sc.nodes if not _PERSONA_KEYS.isdisjoint(n.options)}
+    # The nodes whose advertisements an attacker can capture: routers with RA on and attackers.
+    ra_senders = attackers | {n.node_id for n in sc.nodes if n.kind == "router" and n.options["ra"]}
     for node in sc.keys:
         if node not in routers:
             raise ScenarioValidationError(f"key holder {node!r} is not a declared router")
@@ -538,6 +540,10 @@ def _validate(sc: Scenario) -> None:
                 raise ScenarioValidationError(f"{step.attacker!r} has no persona for {step.mode}")
             if step.target is not None and step.target not in declared:
                 raise ScenarioValidationError(f"attack target {step.target!r} not declared")
+            if step.target is not None and step.target not in ra_senders - {step.attacker}:
+                raise ScenarioValidationError(
+                    f"attack target {step.target!r} sends no RA {step.attacker!r} can capture"
+                )
         elif isinstance(step, ToggleDirective):
             if step.node not in routers:
                 raise ScenarioValidationError(f"enable/disable references non-router {step.node!r}")
@@ -631,13 +637,7 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
 def _build_node(decl: NodeDecl, key_for: dict[str, str]):
     values = decl.options
     if decl.kind == "router":
-        config = _router_config(
-            decl,
-            send_key=key_for.get(decl.node_id),
-            ra_enabled=values["ra"],
-            jitter_ms=values["jitter"],
-        )
-        return Router(config)
+        return _router(decl, "", key_for.get(decl.node_id), values["ra"], values["jitter"])
     if decl.kind == "host":
         return Host(
             node_id=decl.node_id,
@@ -648,28 +648,33 @@ def _build_node(decl: NodeDecl, key_for: dict[str, str]):
             iid_override=values.get("iid"),
             cga=(values["cga-key"], values["cga-modifier"]) if "cga-key" in values else None,
         )
-    persona = None if _PERSONA_KEYS.isdisjoint(values) else _router_config(decl, PERSONA)
+    # The persona is unsigned (the attacker holds no key), always advertises
+    # when armed, and keeps to its interval.
+    persona = None
+    if not _PERSONA_KEYS.isdisjoint(values):
+        persona = _router(decl, PERSONA, send_key=None, ra_enabled=True, jitter_ms=0)
     return Attacker(decl.node_id, values["ip"], persona)
 
 
-def _router_config(decl: NodeDecl, key_prefix: str = "", **extra) -> RouterConfig:
-    """The advertising side of a router node, or with ``key_prefix`` set to
-    ``persona-`` of an attacker's persona."""
+def _router(
+    decl: NodeDecl, key_prefix: str, send_key: Optional[str], ra_enabled: bool, jitter_ms: int
+) -> Router:
+    """The router a router line declares, or with ``key_prefix`` set to
+    ``persona-`` an attacker's persona: the one advertisement it sends, from
+    the node's own addresses, and when it sends it."""
     values = decl.options
     valid, preferred = values[key_prefix + "valid"], values[key_prefix + "preferred"]
-    return RouterConfig(
-        node_id=decl.node_id,
-        mac=decl.mac,
-        link_local=values["ip"],
-        advertised_prefixes=tuple(
-            PrefixInfo(p, True, valid, preferred) for p in values.get(key_prefix + "prefix", ())
-        ),
+    ra = RouterAdvertisement(
+        src_mac=decl.mac,
+        src_ip=values["ip"],
         router_lifetime=values[key_prefix + "lifetime"],
         preference=values[key_prefix + "preference"],
-        ra_interval_ms=values[key_prefix + "interval"],
-        can_route=values[key_prefix + "routes"],
-        **extra,
+        prefixes=tuple(
+            PrefixInfo(p, True, valid, preferred) for p in values.get(key_prefix + "prefix", ())
+        ),
     )
+    interval_ms, can_route = values[key_prefix + "interval"], values[key_prefix + "routes"]
+    return Router(decl.node_id, ra, interval_ms, can_route, send_key, ra_enabled, jitter_ms)
 
 
 # -- expectations -----------------------------------------------------------------------

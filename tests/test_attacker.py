@@ -1,5 +1,7 @@
 """Adversary plays: capture, lifetime-zero replay, persona forging."""
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import queued_timers, records
@@ -14,43 +16,49 @@ from slaacsim.messages import (
     RouterPreference,
     Timer,
 )
-from slaacsim.router import Router, RouterConfig
+from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
 
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
 A1_IP = Ipv6Address.parse("fe80::66")
 R1_MAC = MacAddress.parse("00:00:5e:00:53:01")
 R1_IP = Ipv6Address.parse("fe80::1")
+R2_MAC = MacAddress.parse("00:00:5e:00:53:02")
+R2_IP = Ipv6Address.parse("fe80::2")
 
 
 def make_attacker(persona=None) -> Attacker:
     return Attacker("A1", A1_IP, persona)
 
 
-def make_persona(**kw) -> RouterConfig:
-    defaults = dict(
-        node_id="A1",
-        mac=A1_MAC,
-        link_local=A1_IP,
-        advertised_prefixes=(PrefixInfo(Prefix.parse("2001:db8:bad::/64"), True, 3600, 3600),),
-        router_lifetime=9000,
-        preference=RouterPreference.HIGH,
-    )
-    defaults.update(kw)
-    return RouterConfig(**defaults)
+def make_persona(can_route=True) -> Router:
+    """A1's persona, with the settings a scenario gives every persona."""
+    prefix = PrefixInfo(Prefix.parse("2001:db8:bad::/64"), True, 3600, 3600)
+    ra = RouterAdvertisement(A1_MAC, A1_IP, 9000, RouterPreference.HIGH, (prefix,))
+    return Router("A1", ra, 10_000, can_route, send_key=None, ra_enabled=True, jitter_ms=0)
 
 
 def legit_ra(lifetime=1800) -> RouterAdvertisement:
     return RouterAdvertisement(R1_MAC, R1_IP, lifetime, RouterPreference.HIGH)
 
 
-def test_capture_stores_ras_in_order(engine):
+def test_capture_keeps_latest_ra_per_sender(engine):
     attacker = make_attacker()
     engine.add_node(attacker)
+    r2_ra = RouterAdvertisement(R2_MAC, R2_IP, 600, RouterPreference.LOW)
     attacker.on_message(engine, legit_ra(1800), "R1", 0)
+    attacker.on_message(engine, r2_ra, "R2", 5)
     attacker.on_message(engine, legit_ra(900), "R1", 10)
-    assert [c.ra.router_lifetime for c in attacker.captured_ras] == [1800, 900]
-    assert [c.time for c in attacker.captured_ras] == [0, 10]
+    assert list(attacker.captured_ras) == ["R2", "R1"]
+    assert [r.attrs for r in records(engine, "ra-captured")] == [
+        (("src", str(R1_IP)), ("lifetime", "1800")),
+        (("src", str(R2_IP)), ("lifetime", "600")),
+        (("src", str(R1_IP)), ("lifetime", "900")),
+    ]
+    # Each replay is the latest RA from its target, or the latest from anyone.
+    assert attacker.spoof_kill_ra("R2") == replace(r2_ra, router_lifetime=0)
+    assert attacker.spoof_kill_ra() == replace(legit_ra(900), router_lifetime=0)
+    assert attacker.spoof_kill_ra("R1") == replace(legit_ra(900), router_lifetime=0)
 
 
 def test_non_ra_messages_are_not_captured(engine):
@@ -58,7 +66,7 @@ def test_non_ra_messages_are_not_captured(engine):
     engine.add_node(attacker)
     ns = NeighborSolicitation(R1_MAC, R1_IP, Ipv6Address.parse("fe80::5"))
     attacker.on_message(engine, ns, "R1", 0)
-    assert attacker.captured_ras == []
+    assert attacker.captured_ras == {}
 
 
 def test_spoof_zeroes_lifetime_and_keeps_source(engine):

@@ -565,7 +565,7 @@ def test_ra_guard_completeness_when_all_host_ports_guarded():
     sc = parse_scenario(text)
     engine = build_engine(sc)
     engine.execute(sc.run_ms)
-    legit_src = str(engine.nodes["R1"].config.link_local)
+    legit_src = str(engine.nodes["R1"].ra.src_ip)
     received = {attrs(r)["src"] for r in records(engine, "ra-received")}
     assert received == {legit_src}
     assert all(attrs(r)["port"] == "p3" for r in records(engine, "ra-dropped"))

@@ -11,8 +11,14 @@ from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.defense import key_secret, verify_ra
 from slaacsim.engine import Deliver
 from slaacsim.host import AddressEntry, AddressState, DefaultRouterEntry, Host
-from slaacsim.messages import AddressFamily, PrefixInfo, RouterPreference, RouterSolicitation
-from slaacsim.router import Router, RouterConfig
+from slaacsim.messages import (
+    AddressFamily,
+    PrefixInfo,
+    RouterAdvertisement,
+    RouterPreference,
+    RouterSolicitation,
+)
+from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
 
 R1_MAC = MacAddress.parse("00:00:5e:00:53:01")
@@ -20,17 +26,12 @@ R1_IP = Ipv6Address.parse("fe80::1")
 PREFIX_INFO = PrefixInfo(Prefix.parse("2001:db8:1::/64"), True, 3600, 3600)
 
 
-def make_router(**kw) -> Router:
-    defaults = dict(
-        node_id="R1",
-        mac=R1_MAC,
-        link_local=R1_IP,
-        advertised_prefixes=(PREFIX_INFO,),
-        router_lifetime=1800,
-        preference=RouterPreference.HIGH,
-    )
-    defaults.update(kw)
-    return Router(RouterConfig(**defaults))
+def make_router(node_id="R1", src_ip=R1_IP, prefixes=(PREFIX_INFO,), **kw) -> Router:
+    """A router sending an RA from R1's MAC; ``kw`` overrides its schedule settings."""
+    ra = RouterAdvertisement(R1_MAC, src_ip, 1800, RouterPreference.HIGH, prefixes)
+    settings = dict(interval_ms=10_000, can_route=True, send_key=None, ra_enabled=True, jitter_ms=0)
+    settings.update(kw)
+    return Router(node_id, ra, **settings)
 
 
 def emitted_ras(engine):
@@ -41,7 +42,7 @@ def emitted_ras(engine):
 def test_periodic_ra_carries_config_fields(engine):
     router = make_router()
     engine.add_node(router)
-    engine.add_node(make_router(node_id="R2", link_local=Ipv6Address.parse("fe80::2")))
+    engine.add_node(make_router(node_id="R2", src_ip=Ipv6Address.parse("fe80::2")))
     engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     router.emit_periodic_ra(engine, 0)
     (ra,) = emitted_ras(engine)
@@ -54,7 +55,7 @@ def test_periodic_ra_carries_config_fields(engine):
 
 
 def test_ra_without_prefixes_is_default_router_only(engine):
-    router = make_router(advertised_prefixes=())
+    router = make_router(prefixes=())
     engine.add_node(router)
     router.emit_periodic_ra(engine, 0)
     assert attrs(records(engine, "ra-sent")[0])["prefixes"] == "-"
@@ -98,9 +99,14 @@ def test_signing_router_signs_its_one_ra_once(monkeypatch):
 
 
 def test_router_config_is_frozen():
-    config = make_router().config
+    ra = make_router().ra
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.router_lifetime = 0
+        ra.router_lifetime = 0
+
+
+def test_router_interval_must_be_positive():
+    with pytest.raises(ValueError, match="positive"):
+        make_router(interval_ms=0)
 
 
 def test_solicitation_gets_immediate_response(engine):

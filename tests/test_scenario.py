@@ -79,6 +79,42 @@ def test_forging_attack_needs_a_persona(tmp_path, capsys, mode):
     assert "has no persona for" in capsys.readouterr().err
 
 
+KILL_TARGETS = """\
+switch SW1 ports=5
+node router R1 mac=00:00:5e:00:53:01
+node router R2 mac=00:00:5e:00:53:02 ra=off
+node host H1 mac=00:1a:2b:3c:4d:5e
+node attacker A1 mac=00:00:5e:00:53:66
+node attacker A2 mac=00:00:5e:00:53:67
+attach R1 SW1.p1 class=router
+attach R2 SW1.p2 class=router
+attach H1 SW1.p3 class=host
+attach A1 SW1.p4 class=host
+attach A2 SW1.p5 class=host
+run 4
+"""
+
+
+@pytest.mark.parametrize("target", ["H1", "A1", "R2"])
+def test_kill_router_target_must_send_a_capturable_ra(tmp_path, capsys, target):
+    # A host, the attacker itself and an ra=off router never send an RA the
+    # attacker can capture: the input is invalid (exit 1), not a run that
+    # fails (exit 2).
+    text = KILL_TARGETS.replace("run 4", f"at 5 attack A1 kill-router target={target}\nrun 4")
+    message = f"attack target '{target}' sends no RA 'A1' can capture"
+    with pytest.raises(ScenarioValidationError, match=message):
+        parse_scenario(text)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run_command(["run", str(bad)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["R1", "A2"])
+def test_kill_router_may_target_an_advertising_router_or_another_attacker(target):
+    parse_scenario(KILL_TARGETS.replace("run 4", f"at 5 attack A1 kill-router target={target}\nrun 4"))
+
+
 def test_duplicate_node_id_rejected():
     text = MINIMAL.replace(
         "node host H1 mac=00:1a:2b:3c:4d:5e",
@@ -279,6 +315,26 @@ def test_dump_normalized_round_trips(capsys):
     dumped = capsys.readouterr().out
     sc = parse_scenario(scenario_path("baseline").read_text())
     assert parse_scenario(dumped) == sc
+
+
+def test_dump_normalized_states_the_readme_defaults(tmp_path, capsys):
+    # Every default a router or persona takes is printed, as the README gives it.
+    text = MINIMAL.replace(" prefix=2001:db8:1::/64", "").replace(
+        "node host H1 mac=00:1a:2b:3c:4d:5e",
+        "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64",
+    ).replace("attach H1 SW1.p2 class=host", "attach A1 SW1.p2 class=host")
+    path = tmp_path / "defaults.txt"
+    path.write_text(text)
+    assert run_command(["run", str(path), "--dump-normalized"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == [
+        "node router R1 mac=00:00:5e:00:53:01 ip=fe80::200:5eff:fe00:5301"
+        " lifetime=1800 preference=medium interval=10 valid=3600 preferred=3600"
+        " routes=yes ra=on jitter=0",
+        "node attacker A1 mac=00:00:5e:00:53:66 ip=fe80::200:5eff:fe00:5366"
+        " persona-prefix=2001:db8:bad::/64 persona-lifetime=9000 persona-preference=medium"
+        " persona-interval=10 persona-routes=yes persona-valid=3600 persona-preferred=3600",
+    ]
 
 
 def test_seed_override_changes_jittered_run(tmp_path, capsys):

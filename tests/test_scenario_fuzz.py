@@ -55,6 +55,8 @@ def scenario_texts(draw):
     ids = [f"{kind[0].upper()}{i}" for i, kind in enumerate(kinds)]
     gateways = [i for i, kind in zip(ids, kinds) if kind != "host"]
     lines = []
+    ra_senders = []  # the nodes a kill-router attack may target: routers with RA on, attackers
+    personas = []  # the attackers a forging attack may arm
     for i, (node_id, kind) in enumerate(zip(ids, kinds)):
         mac = [f"mac=02:00:5e:00:53:{i:02x}"]
         if kind == "router":
@@ -90,6 +92,10 @@ def scenario_texts(draw):
             ]
         options = draw(_options(mac, optional))
         lines.append(" ".join([f"node {kind} {node_id}", *options]))
+        if kind == "attacker" or (kind == "router" and not {"ra=off", "ra=no"} & set(options)):
+            ra_senders.append(node_id)
+        if any(o.startswith("persona-") for o in options):
+            personas.append(node_id)
     ports = draw(st.integers(len(ids), len(ids) + 4))
     lines.insert(0, f"switch SW1 ports={ports}")
     lines.insert(0, f"link-latency {draw(times)}")
@@ -113,9 +119,15 @@ def scenario_texts(draw):
         else:
             lines.append(f"{at} measure")
     for attacker in (i for i, kind in zip(ids, kinds) if kind == "attacker"):
+        targets = [t for t in ra_senders if t != attacker]
         if draw(st.booleans()):
-            mode = draw(st.sampled_from(["kill-router", "fake-router", "blackhole", "dual-stack", "passive"]))
-            target = f" target={draw(st.sampled_from(ids))}" if mode == "kill-router" else ""
+            modes = ["passive"]
+            if targets:
+                modes.append("kill-router")
+            if attacker in personas:
+                modes += ["fake-router", "blackhole", "dual-stack"]
+            mode = draw(st.sampled_from(modes))
+            target = f" target={draw(st.sampled_from(targets))}" if mode == "kill-router" else ""
             lines.append(f"at {draw(times)} attack {attacker} {mode}{target}")
     if draw(st.booleans()):
         lines.append("expect dos_success=false")

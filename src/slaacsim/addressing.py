@@ -87,9 +87,6 @@ def _ipv6_text(value: int) -> str:
     return str(ipaddress.IPv6Address(value))
 
 
-UNSPECIFIED = Ipv6Address(0)
-
-
 @dataclass(frozen=True, order=True)
 class Ipv4Address:
     """32-bit address, dotted-quad text form."""

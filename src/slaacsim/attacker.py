@@ -9,7 +9,6 @@ import enum
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from .addressing import Ipv6Address
 from .messages import NdMessage, RouterAdvertisement, Timer
 from .router import Router
 
@@ -43,14 +42,8 @@ FORGING_MODES = frozenset(AttackMode) - {AttackMode.PASSIVE, AttackMode.KILL_ROU
 class Attacker(object):
     """Adversary node; passive until a scenario directive arms a playbook."""
 
-    def __init__(
-        self,
-        node_id: str,
-        link_local: Ipv6Address,
-        persona: Optional[Router] = None,
-    ):
+    def __init__(self, node_id: str, persona: Optional[Router] = None):
         self.node_id = node_id
-        self.link_local = link_local
         # The router it poses as. Scenarios give it the attacker's own node
         # id and addresses and no signing key: the attacker holds none.
         self.persona = persona

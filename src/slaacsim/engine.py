@@ -228,10 +228,11 @@ class Engine(object):
         self.nodes[node.node_id] = node
         if port is not None:
             self.node_port[node.node_id] = port
+        # Only a router's or a persona's RAs put an address in a router list.
         if isinstance(node, Router):
             self._ip_owner[node.ra.src_ip] = node.node_id
-        elif isinstance(node, Attacker):
-            self._ip_owner[node.link_local] = node.node_id
+        elif isinstance(node, Attacker) and node.persona is not None:
+            self._ip_owner[node.persona.ra.src_ip] = node.node_id
 
     # -- scheduling -------------------------------------------------------------
 
@@ -396,7 +397,7 @@ class Engine(object):
             return None, None, False
         self.trace(host.node_id, "path-resolved", "via", gateway, hop.family)
         if hop.family is AddressFamily.IPV6:
-            self._assert_source_assigned(host, hop.src_addr, now)
+            self._assert_source_assigned(host, hop.src_addr)
         payload = next(self._payload_ids)
         self.emitted += 1
         self.trace(host.node_id, "data-sent", SINK, hop.family, hop.src_addr, payload)
@@ -411,9 +412,9 @@ class Engine(object):
         )
         return hop.family, gateway, True
 
-    def _assert_source_assigned(self, host: Host, src_addr: str, now: int) -> None:
+    def _assert_source_assigned(self, host: Host, src_addr: Ipv6Address) -> None:
         for entry in host.addresses:
-            if str(entry.address) == src_addr and entry.state is AddressState.ASSIGNED:
+            if entry.address == src_addr and entry.state is AddressState.ASSIGNED:
                 return
         raise SimInvariantError(f"{host.node_id} sourced data from non-assigned {src_addr}")
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from .addressing import (
     IID_MASK,
-    UNSPECIFIED,
     Ipv4Address,
     Ipv6Address,
     MacAddress,
@@ -44,9 +43,6 @@ if TYPE_CHECKING:
 DAD_TIMEOUT_MS = 1 * MS  # single probe, one-second deadline
 TWO_HOURS = 7200  # seconds
 
-LINK_LOCAL = "link-local"
-SLAAC = "slaac"
-
 
 class AddressState(enum.Enum):
     TENTATIVE = "tentative"
@@ -56,13 +52,14 @@ class AddressState(enum.Enum):
 
 @dataclass
 class AddressEntry:
-    """One configured address. ``valid_until``/``preferred_until`` are absolute
-    engine times; None means an infinite lifetime (link-local)."""
+    """One configured address: the link-local entry when ``prefix`` is None,
+    else the SLAAC entry formed from that prefix. ``valid_until``/
+    ``preferred_until`` are absolute engine times; None means an infinite
+    lifetime (link-local)."""
 
     address: Ipv6Address
     state: AddressState
-    origin: str  # LINK_LOCAL or SLAAC
-    prefix: Optional[Prefix] = None  # set for SLAAC entries
+    prefix: Optional[Prefix] = None
     valid_until: Optional[int] = None
     preferred_until: Optional[int] = None
 
@@ -82,7 +79,7 @@ class NextHop:
     family: AddressFamily
     router_ip: Optional[Ipv6Address]  # IPv6 route
     gateway_node: Optional[str]  # IPv4 route
-    src_addr: str
+    src_addr: Union[Ipv6Address, Ipv4Address]
 
 
 def apply_two_hour_rule(remaining: int, received: int, two_hours: int = TWO_HOURS) -> int:
@@ -109,7 +106,6 @@ class Host(object):
         cga: Optional[tuple[str, int]] = None,
     ):
         self.node_id = node_id
-        self.mac = mac
         self.ipv6_enabled = ipv6_enabled
         self.ipv4 = ipv4
         self.send_only = send_only
@@ -126,9 +122,9 @@ class Host(object):
 
     def begin_autoconf(self, ctx: "Engine", now: int) -> None:
         """Create the tentative link-local address and start its DAD probe."""
-        if not self.ipv6_enabled or any(e.origin == LINK_LOCAL for e in self.addresses):
+        if not self.ipv6_enabled or any(e.prefix is None for e in self.addresses):
             return
-        entry = AddressEntry(link_local_from(self.iid), AddressState.TENTATIVE, LINK_LOCAL)
+        entry = AddressEntry(link_local_from(self.iid), AddressState.TENTATIVE)
         self.addresses.append(entry)
         self._start_dad(ctx, entry, now)
 
@@ -136,37 +132,27 @@ class Host(object):
         deadline = now + DAD_TIMEOUT_MS
         ctx.trace(self.node_id, "dad-start", entry.address, deadline)
         ctx.claim(self.node_id, entry.address)
-        ctx.broadcast(self.node_id, NeighborSolicitation(self.mac, UNSPECIFIED, entry.address), now)
+        ctx.broadcast(self.node_id, NeighborSolicitation(entry.address), now)
         ctx.set_timer(self.node_id, entry.address, deadline)
 
     def on_neighbor_solicitation(
         self, ctx: "Engine", msg: NeighborSolicitation, sender_id: str, now: int
     ) -> None:
-        if not self.ipv6_enabled:
-            return
         entry = self._entry_for(msg.target)
         if entry is None:
             return
-        if entry.state is AddressState.ASSIGNED:
-            # Defend an address we hold: the soliciting node must abandon.
-            self._send_na(ctx, entry.address, entry.address, now)
-        elif entry.state is AddressState.TENTATIVE:
-            # Simultaneous DAD for the same target; the lexicographically
-            # smaller node id wins, the other abandons.
-            if self.node_id < sender_id:
-                self._send_na(ctx, entry.address, UNSPECIFIED, now)
-            else:
-                self._abandon_tentative(ctx, entry)
+        # Defend an address we hold, or win simultaneous DAD for the same
+        # target with the lexicographically smaller node id: the soliciting
+        # node must abandon. Otherwise this node abandons.
+        if entry.state is AddressState.ASSIGNED or self.node_id < sender_id:
+            ctx.broadcast(self.node_id, NeighborAdvertisement(entry.address), now)
+        else:
+            self._abandon_tentative(ctx, entry)
 
     def on_neighbor_advertisement(self, ctx: "Engine", msg: NeighborAdvertisement, now: int) -> None:
-        if not self.ipv6_enabled:
-            return
         entry = self._entry_for(msg.target)
         if entry is not None and entry.state is AddressState.TENTATIVE:
             self._abandon_tentative(ctx, entry)
-
-    def _send_na(self, ctx: "Engine", target: Ipv6Address, src_ip: Ipv6Address, now: int) -> None:
-        ctx.broadcast(self.node_id, NeighborAdvertisement(self.mac, src_ip, target), now)
 
     def _abandon_tentative(self, ctx: "Engine", entry: AddressEntry) -> None:
         entry.state = AddressState.ABANDONED
@@ -179,10 +165,11 @@ class Host(object):
         if entry is None or entry.state is not AddressState.TENTATIVE:
             return  # abandoned after a conflict or on expiry
         entry.state = AddressState.ASSIGNED
-        ctx.trace(self.node_id, "addr-assigned", address, entry.origin)
-        if entry.origin == LINK_LOCAL:
+        origin = "link-local" if entry.prefix is None else "slaac"
+        ctx.trace(self.node_id, "addr-assigned", address, origin)
+        if entry.prefix is None:
             # Phase 2 entry point: solicit router advertisements.
-            ctx.broadcast(self.node_id, RouterSolicitation(self.mac, address), now)
+            ctx.broadcast(self.node_id, RouterSolicitation(address), now)
 
     # -- phase 2 -------------------------------------------------------------
 
@@ -194,8 +181,6 @@ class Host(object):
             return
         self._update_router_list(ctx, ra, now)
         for info in ra.prefixes:
-            if not info.autonomous:
-                continue
             if is_link_local(info.prefix.address):  # RFC 4862 §5.5.3(b)
                 ctx.trace(self.node_id, "prefix-ignored", info.prefix, "link-local")
                 continue
@@ -228,7 +213,7 @@ class Host(object):
 
     def _apply_prefix(self, ctx: "Engine", ra: RouterAdvertisement, info, now: int) -> None:
         for existing in self.addresses:
-            if existing.origin == SLAAC and existing.prefix == info.prefix:
+            if existing.prefix is not None and existing.prefix == info.prefix:
                 break
         else:
             existing = None
@@ -236,7 +221,6 @@ class Host(object):
             entry = AddressEntry(
                 global_from(info.prefix, self.iid),
                 AddressState.TENTATIVE,
-                SLAAC,
                 prefix=info.prefix,
                 valid_until=now + info.valid_lifetime * MS,
                 preferred_until=now + info.preferred_lifetime * MS,
@@ -287,7 +271,9 @@ class Host(object):
     def select_global_source(self, now: int) -> Optional[AddressEntry]:
         """The first assigned global address still preferred, else the first
         deprecated one (RFC 4862 §5.5.4, RFC 6724 rule 3)."""
-        assigned = [e for e in self.addresses if e.origin == SLAAC and e.state is AddressState.ASSIGNED]
+        assigned = [
+            e for e in self.addresses if e.prefix is not None and e.state is AddressState.ASSIGNED
+        ]
         preferred = [e for e in assigned if e.preferred_until is None or e.preferred_until > now]
         return (preferred or assigned or [None])[0]
 
@@ -298,9 +284,9 @@ class Host(object):
             source = self.select_global_source(now)
             router = self.select_default_router(now)
             if source is not None and router is not None:
-                return NextHop(AddressFamily.IPV6, router.router_ip, None, str(source.address))
+                return NextHop(AddressFamily.IPV6, router.router_ip, None, source.address)
         if self.ipv4 is not None:
-            return NextHop(AddressFamily.IPV4, None, self.ipv4[1], str(self.ipv4[0]))
+            return NextHop(AddressFamily.IPV4, None, self.ipv4[1], self.ipv4[0])
         return None
 
     # -- dispatch ---------------------------------------------------------------

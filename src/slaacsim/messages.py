@@ -55,7 +55,6 @@ class PrefixInfo:
     """Prefix option carried in a router advertisement."""
 
     prefix: Prefix
-    autonomous: bool
     valid_lifetime: int
     preferred_lifetime: int
 
@@ -95,30 +94,28 @@ class RouterAdvertisement:
         """The bytes an authentication tag covers: every semantic field. Made once
         per object; a ``replace()``d copy is a new object and makes its own."""
         prefix_part = ";".join(
-            f"{p.prefix}|{int(p.autonomous)}|{p.valid_lifetime}|{p.preferred_lifetime}"
+            f"{p.prefix}|{p.valid_lifetime}|{p.preferred_lifetime}"
             for p in self.prefixes
         )
         head = f"{self.src_mac}|{self.src_ip}|{self.router_lifetime}|{int(self.preference)}"
         return f"{head}|{prefix_part}".encode()
 
 
+# Solicitations and neighbor advertisements carry only what a receiver or the
+# trace reads: no switch filter looks past an RA, routers answer any RS, and
+# DAD is decided by the target alone.
 @dataclass(frozen=True)
 class RouterSolicitation:
-    src_mac: MacAddress
     src_ip: Ipv6Address
 
 
 @dataclass(frozen=True)
 class NeighborSolicitation:
-    src_mac: MacAddress
-    src_ip: Ipv6Address
     target: Ipv6Address
 
 
 @dataclass(frozen=True)
 class NeighborAdvertisement:
-    src_mac: MacAddress
-    src_ip: Ipv6Address
     target: Ipv6Address
 
 

@@ -484,7 +484,7 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioValidationError(
                 f"duplicate MAC(s) {sorted(dup_macs)}; add allow-dup-mac to permit"
             )
-    # The engine maps each router and attacker address to its node; hosts are not in that map.
+    # The engine maps the address a router or a persona advertises from to its node.
     dup_ips = _repeated(str(n.options["ip"]) for n in sc.nodes if "ip" in n.options)
     if dup_ips:
         raise ScenarioValidationError(f"routers or attackers share address(es) {sorted(dup_ips)}")
@@ -653,7 +653,7 @@ def _build_node(decl: NodeDecl, key_for: dict[str, str]):
     persona = None
     if not _PERSONA_KEYS.isdisjoint(values):
         persona = _router(decl, PERSONA, send_key=None, ra_enabled=True, jitter_ms=0)
-    return Attacker(decl.node_id, values["ip"], persona)
+    return Attacker(decl.node_id, persona)
 
 
 def _router(
@@ -670,7 +670,7 @@ def _router(
         router_lifetime=values[key_prefix + "lifetime"],
         preference=values[key_prefix + "preference"],
         prefixes=tuple(
-            PrefixInfo(p, True, valid, preferred) for p in values.get(key_prefix + "prefix", ())
+            PrefixInfo(p, valid, preferred) for p in values.get(key_prefix + "prefix", ())
         ),
     )
     interval_ms, can_route = values[key_prefix + "interval"], values[key_prefix + "routes"]

@@ -28,12 +28,12 @@ R2_IP = Ipv6Address.parse("fe80::2")
 
 
 def make_attacker(persona=None) -> Attacker:
-    return Attacker("A1", A1_IP, persona)
+    return Attacker("A1", persona)
 
 
 def make_persona(can_route=True) -> Router:
     """A1's persona, with the settings a scenario gives every persona."""
-    prefix = PrefixInfo(Prefix.parse("2001:db8:bad::/64"), True, 3600, 3600)
+    prefix = PrefixInfo(Prefix.parse("2001:db8:bad::/64"), 3600, 3600)
     ra = RouterAdvertisement(A1_MAC, A1_IP, 9000, RouterPreference.HIGH, (prefix,))
     return Router("A1", ra, 10_000, can_route, send_key=None, ra_enabled=True, jitter_ms=0)
 
@@ -64,7 +64,7 @@ def test_capture_keeps_latest_ra_per_sender(engine):
 def test_non_ra_messages_are_not_captured(engine):
     attacker = make_attacker()
     engine.add_node(attacker)
-    ns = NeighborSolicitation(R1_MAC, R1_IP, Ipv6Address.parse("fe80::5"))
+    ns = NeighborSolicitation(Ipv6Address.parse("fe80::5"))
     attacker.on_message(engine, ns, "R1", 0)
     assert attacker.captured_ras == {}
 

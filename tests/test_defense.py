@@ -62,7 +62,7 @@ def test_empty_acl_drops_every_ra():
 
 def test_non_ra_messages_always_pass():
     guarded = port(ra_guard=True, acl=frozenset())
-    ns = NeighborSolicitation(A1_MAC, Ipv6Address(0), R1_IP)
+    ns = NeighborSolicitation(R1_IP)
     assert filter_ingress(guarded, ns) is None
 
 
@@ -90,14 +90,13 @@ def test_mutated_lifetime_fails_verification(trusted):
 
 
 TWO_PREFIXES = (
-    PrefixInfo(Prefix.parse("2001:db8:1::/64"), True, 3600, 1800),
-    PrefixInfo(Prefix.parse("2001:db8:2::/64"), False, 7200, 7200),
+    PrefixInfo(Prefix.parse("2001:db8:1::/64"), 3600, 1800),
+    PrefixInfo(Prefix.parse("2001:db8:2::/64"), 7200, 7200),
 )
-EXTRA_PREFIX = PrefixInfo(Prefix.parse("2001:db8:3::/64"), True, 3600, 3600)
+EXTRA_PREFIX = PrefixInfo(Prefix.parse("2001:db8:3::/64"), 3600, 3600)
 
 PREFIX_CHANGES = {
     "prefix": lambda p: replace(p, prefix=Prefix.parse("2001:db8:9::/64")),
-    "autonomous": lambda p: replace(p, autonomous=not p.autonomous),
     "valid_lifetime": lambda p: replace(p, valid_lifetime=p.valid_lifetime + 1),
     "preferred_lifetime": lambda p: replace(p, preferred_lifetime=p.preferred_lifetime - 1),
 }

@@ -14,7 +14,7 @@ from conftest import attrs, load, queued_deliveries, records, run_scenario, SCEN
 
 import slaacsim.scenario
 
-from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
+from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker
 from slaacsim.defense import PortClass, SwitchPort, filter_ingress
 from slaacsim.engine import (
@@ -92,7 +92,7 @@ def three_node_link(guard_attacker: bool) -> Engine:
     host_port = PortClass.HOST_FACING
     engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")), SwitchPort("p1", host_port))
     engine.add_node(Host("H2", MacAddress.parse("00:1a:2b:3c:4d:5f")), SwitchPort("p2", host_port))
-    engine.add_node(Attacker("A1", A1_IP), SwitchPort("p3", host_port, ra_guard=guard_attacker))
+    engine.add_node(Attacker("A1"), SwitchPort("p3", host_port, ra_guard=guard_attacker))
     return engine
 
 
@@ -370,7 +370,7 @@ def _is_immutable_trace_value(value) -> bool:
     if isinstance(value, AdvertisedPrefixes):
         # PrefixInfo must stay a frozen dataclass of immutable fields.
         return all(isinstance(p, PrefixInfo) and p.__dataclass_params__.frozen for p in value)
-    return isinstance(value, (int, str, enum.Enum, Ipv6Address, Prefix))
+    return isinstance(value, (int, str, enum.Enum, Ipv6Address, Ipv4Address, Prefix))
 
 
 def test_trace_values_are_immutable_and_render_stably():
@@ -387,7 +387,7 @@ def test_trace_values_are_immutable_and_render_stably():
 
 
 def test_advertised_prefixes_admit_only_frozen_prefix_infos():
-    info = PrefixInfo(Prefix.parse("2001:db8::/64"), True, 3600, 3600)
+    info = PrefixInfo(Prefix.parse("2001:db8::/64"), 3600, 3600)
     assert _is_immutable_trace_value(AdvertisedPrefixes((info,)))
     assert _is_immutable_trace_value(AdvertisedPrefixes())
     assert not _is_immutable_trace_value(AdvertisedPrefixes(([info],)))
@@ -396,8 +396,8 @@ def test_advertised_prefixes_admit_only_frozen_prefix_infos():
 
 def test_advertised_prefixes_render_as_before():
     infos = (
-        PrefixInfo(Prefix.parse("2001:db8:1::/64"), True, 3600, 3600),
-        PrefixInfo(Prefix.parse("2001:db8:2::/48"), False, 60, 0),
+        PrefixInfo(Prefix.parse("2001:db8:1::/64"), 3600, 3600),
+        PrefixInfo(Prefix.parse("2001:db8:2::/48"), 60, 0),
     )
     assert str(AdvertisedPrefixes(infos)) == "2001:db8:1::/64,2001:db8:2::/48"
     assert str(AdvertisedPrefixes()) == "-"
@@ -552,7 +552,7 @@ def test_begin_autoconf_keeps_single_link_local(engine):
     engine.add_node(host)
     host.begin_autoconf(engine, 0)
     host.begin_autoconf(engine, 5)
-    assert len([e for e in host.addresses if e.origin == "link-local"]) == 1
+    assert len([e for e in host.addresses if e.prefix is None]) == 1
 
 
 def test_ra_guard_completeness_when_all_host_ports_guarded():

@@ -36,10 +36,10 @@ def make_host(**kw) -> Host:
     return Host("H1", H1_MAC, **kw)
 
 
-def make_ra(lifetime=1800, preference=RouterPreference.HIGH, prefixes=None, autonomous=True,
+def make_ra(lifetime=1800, preference=RouterPreference.HIGH, prefixes=None,
             valid=3600, preferred=3600, src_ip=R1_IP):
     if prefixes is None:
-        prefixes = (PrefixInfo(PREFIX, autonomous, valid, preferred),)
+        prefixes = (PrefixInfo(PREFIX, valid, preferred),)
     return RouterAdvertisement(R1_MAC, src_ip, lifetime, preference, tuple(prefixes))
 
 
@@ -88,15 +88,18 @@ def test_begin_autoconf_with_zero_iid(engine):
 # -- neighbor solicitation / advertisement -------------------------------------
 
 def assigned_entry(text: str) -> AddressEntry:
-    return AddressEntry(Ipv6Address.parse(text), AddressState.ASSIGNED, "link-local")
+    return AddressEntry(Ipv6Address.parse(text), AddressState.ASSIGNED)
 
 
-def test_ns_for_assigned_address_is_defended(engine):
+@pytest.mark.parametrize("sender", ["H9", "H0"])
+def test_ns_for_assigned_address_is_defended(engine, sender):
+    # An assigned holder defends whichever id solicits, smaller or larger.
     host = make_host()
     engine.add_node(host)
     host.addresses.append(assigned_entry("fe80::1"))
-    ns = NeighborSolicitation(R1_MAC, Ipv6Address(0), Ipv6Address.parse("fe80::1"))
-    host.on_neighbor_solicitation(engine, ns, "H9", 0)
+    ns = NeighborSolicitation(Ipv6Address.parse("fe80::1"))
+    host.on_neighbor_solicitation(engine, ns, sender, 0)
+    assert host.addresses[0].state is AddressState.ASSIGNED
     out = records(engine, "na-sent")
     assert len(out) == 1 and attrs(out[0])["target"] == "fe80::1"
 
@@ -105,7 +108,7 @@ def test_ns_for_unknown_target_is_ignored(engine):
     host = make_host()
     engine.add_node(host)
     host.addresses.append(assigned_entry("fe80::1"))
-    ns = NeighborSolicitation(R1_MAC, Ipv6Address(0), Ipv6Address.parse("fe80::2"))
+    ns = NeighborSolicitation(Ipv6Address.parse("fe80::2"))
     host.on_neighbor_solicitation(engine, ns, "H9", 0)
     assert engine.trace_records == []
 
@@ -115,7 +118,7 @@ def test_simultaneous_dad_smaller_id_wins(engine):
     engine.add_node(host)
     host.begin_autoconf(engine, 0)
     target = host.addresses[0].address
-    ns = NeighborSolicitation(H1_MAC, Ipv6Address(0), target)
+    ns = NeighborSolicitation(target)
     host.on_neighbor_solicitation(engine, ns, "H2", 0)  # H1 < H2: defend
     assert host.addresses[0].state is AddressState.TENTATIVE
     assert records(engine, "na-sent")
@@ -134,7 +137,7 @@ def test_na_abandons_pending_tentative(engine):
     engine.add_node(host)
     host.begin_autoconf(engine, 0)
     target = host.addresses[0].address
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(R1_MAC, R1_IP, target), 5)
+    host.on_neighbor_advertisement(engine, NeighborAdvertisement(target), 5)
     assert host.addresses[0].state is AddressState.ABANDONED
     assert records(engine, "dad-failed")
     # the cancelled deadline never assigns
@@ -147,7 +150,7 @@ def test_na_for_foreign_target_is_noop(engine):
     engine.add_node(host)
     host.begin_autoconf(engine, 0)
     foreign = Ipv6Address.parse("fe80::dead")
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(R1_MAC, R1_IP, foreign), 5)
+    host.on_neighbor_advertisement(engine, NeighborAdvertisement(foreign), 5)
     assert host.addresses[0].state is AddressState.TENTATIVE
 
 
@@ -158,7 +161,7 @@ def test_na_after_assignment_is_noop(engine):
     target = host.addresses[0].address
     host.dad_deadline(engine, target, 1000)
     assert host.addresses[0].state is AddressState.ASSIGNED
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(R1_MAC, R1_IP, target), 1500)
+    host.on_neighbor_advertisement(engine, NeighborAdvertisement(target), 1500)
     assert host.addresses[0].state is AddressState.ASSIGNED
 
 
@@ -180,7 +183,7 @@ def test_global_assignment_sends_no_rs(engine):
     engine.add_node(host)
     host.process_ra(engine, make_ra(), 0)
     entry = host.addresses[0]
-    assert entry.origin == "slaac" and entry.state is AddressState.TENTATIVE
+    assert entry.prefix == PREFIX and entry.state is AddressState.TENTATIVE
     host.dad_deadline(engine, entry.address, 1000)
     assert entry.state is AddressState.ASSIGNED
     assert not records(engine, "rs-sent")
@@ -213,20 +216,13 @@ def test_lifetime_zero_removes_default_router(engine):
     assert host.select_default_router(40).router_ip == R1_IP
 
 
-def test_non_autonomous_prefix_creates_no_address(engine):
-    host = make_host()
-    engine.add_node(host)
-    host.process_ra(engine, make_ra(autonomous=False), 0)
-    assert host.addresses == []
-    assert len(host.router_list) == 1
-
-
 def test_non_64_autonomous_prefix_is_ignored(engine):
     host = make_host()
     engine.add_node(host)
-    ra = make_ra(prefixes=(PrefixInfo(Prefix.parse("2001:db8::/48"), True, 3600, 3600),))
+    ra = make_ra(prefixes=(PrefixInfo(Prefix.parse("2001:db8::/48"), 3600, 3600),))
     host.process_ra(engine, ra, 0)
     assert host.addresses == []
+    assert len(host.router_list) == 1  # a prefix that forms no address still installs the router
     assert attrs(records(engine, "prefix-ignored")[0])["reason"] == "length"
 
 
@@ -241,7 +237,7 @@ def test_link_local_prefix_forms_no_address(engine, text, forms):
     host = make_host()
     engine.add_node(host)
     host.begin_autoconf(engine, 0)
-    ra = make_ra(prefixes=(PrefixInfo(Prefix.parse(text), True, 3600, 3600),))
+    ra = make_ra(prefixes=(PrefixInfo(Prefix.parse(text), 3600, 3600),))
     host.process_ra(engine, ra, 1)
     ignored = [] if forms else [{"prefix": text, "reason": "link-local"}]
     assert [attrs(r) for r in records(engine, "prefix-ignored")] == ignored
@@ -256,7 +252,7 @@ def test_abandoned_prefix_is_never_recreated(engine):
     host.process_ra(engine, make_ra(), 0)
     entry = host.addresses[0]
     host.on_neighbor_advertisement(
-        engine, NeighborAdvertisement(R1_MAC, R1_IP, entry.address), 5
+        engine, NeighborAdvertisement(entry.address), 5
     )
     assert entry.state is AddressState.ABANDONED
     host.process_ra(engine, make_ra(), 10)
@@ -412,7 +408,6 @@ def dual_stack_host() -> Host:
         AddressEntry(
             Ipv6Address.parse("2001:db8:1:0:21a:2bff:fe3c:4d5e"),
             AddressState.ASSIGNED,
-            "slaac",
             prefix=PREFIX,
         )
     )
@@ -452,17 +447,17 @@ def test_resolution_prefers_a_preferred_source():
     host = make_host()
     host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
     first = AddressEntry(
-        Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, "slaac",
+        Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, PREFIX,
         valid_until=9_000, preferred_until=1_000,
     )
     second = AddressEntry(
-        Ipv6Address.parse("2001:db8:bad::5"), AddressState.ASSIGNED, "slaac",
-        valid_until=9_000, preferred_until=5_000,
+        Ipv6Address.parse("2001:db8:bad::5"), AddressState.ASSIGNED,
+        Prefix.parse("2001:db8:bad::/64"), valid_until=9_000, preferred_until=5_000,
     )
     host.addresses = [first, second]
-    assert host.resolve_next_hop(999).src_addr == "2001:db8:1::5"  # both preferred
-    assert host.resolve_next_hop(1_000).src_addr == "2001:db8:bad::5"  # first deprecated
-    assert host.resolve_next_hop(5_000).src_addr == "2001:db8:1::5"  # both deprecated
+    assert host.resolve_next_hop(999).src_addr == first.address  # both preferred
+    assert host.resolve_next_hop(1_000).src_addr == second.address  # first deprecated
+    assert host.resolve_next_hop(5_000).src_addr == first.address  # both deprecated
     host.addresses = [second]
     assert host.select_global_source(6_000) is second  # a lone deprecated address serves
 

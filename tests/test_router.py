@@ -23,7 +23,7 @@ from slaacsim.scenario import build_engine, parse_scenario
 
 R1_MAC = MacAddress.parse("00:00:5e:00:53:01")
 R1_IP = Ipv6Address.parse("fe80::1")
-PREFIX_INFO = PrefixInfo(Prefix.parse("2001:db8:1::/64"), True, 3600, 3600)
+PREFIX_INFO = PrefixInfo(Prefix.parse("2001:db8:1::/64"), 3600, 3600)
 
 
 def make_router(node_id="R1", src_ip=R1_IP, prefixes=(PREFIX_INFO,), **kw) -> Router:
@@ -112,7 +112,7 @@ def test_router_interval_must_be_positive():
 def test_solicitation_gets_immediate_response(engine):
     router = make_router()
     engine.add_node(router)
-    rs = RouterSolicitation(MacAddress.parse("00:1a:2b:3c:4d:5e"), Ipv6Address.parse("fe80::9"))
+    rs = RouterSolicitation(Ipv6Address.parse("fe80::9"))
     router.on_message(engine, rs, "H1", 0)
     router.on_message(engine, rs, "H1", 0)  # no rate limiting
     assert len(records(engine, "ra-sent")) == 2
@@ -122,7 +122,7 @@ def test_disabled_router_stays_silent(engine):
     router = make_router()
     router.enabled = False
     engine.add_node(router)
-    rs = RouterSolicitation(MacAddress.parse("00:1a:2b:3c:4d:5e"), Ipv6Address.parse("fe80::9"))
+    rs = RouterSolicitation(Ipv6Address.parse("fe80::9"))
     router.on_message(engine, rs, "H1", 0)
     router.emit_periodic_ra(engine, 0)
     assert records(engine, "ra-sent") == []
@@ -143,7 +143,7 @@ def probe_through(engine, router):
     engine.add_node(router)
     host = Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
     host.addresses.append(
-        AddressEntry(Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, "slaac")
+        AddressEntry(Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, PREFIX_INFO.prefix)
     )
     host.router_list.append(DefaultRouterEntry(R1_IP, 1_800_000, RouterPreference.HIGH, 0))
     engine.add_node(host)

@@ -59,15 +59,15 @@ class MacAddress:
         return ":".join(f"{b:02x}" for b in self.octets)
 
 
-@dataclass(frozen=True, order=True)
-class Ipv6Address:
-    """128-bit address held as an integer; text form is RFC-compressed."""
+class Ipv6Address(int):
+    """128-bit address; an int, so it compares and hashes in C. RFC-compressed text."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.value < 1 << 128:
+    def __new__(cls, value: int) -> "Ipv6Address":
+        if not 0 <= value < 1 << 128:
             raise ValueError("IPv6 address out of range")
+        return int.__new__(cls, value)
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Address":
@@ -77,7 +77,7 @@ class Ipv6Address:
             raise AddressParseError(text, _fault_offset(text), "invalid IPv6 address") from None
 
     def __str__(self) -> str:
-        return _ipv6_text(self.value)
+        return _ipv6_text(self)
 
 
 @functools.lru_cache(maxsize=IPV6_TEXT_CACHE_SIZE)
@@ -119,7 +119,7 @@ class Prefix:
         if not 0 <= self.length <= 128:
             raise ValueError(f"prefix length {self.length} out of range")
         host_mask = (1 << (128 - self.length)) - 1
-        if self.address.value & host_mask:
+        if self.address & host_mask:
             raise ValueError(f"host bits set in prefix {self.address}/{self.length}")
 
     @classmethod
@@ -147,7 +147,7 @@ def link_local_from(iid: int) -> Ipv6Address:
 
 def is_link_local(address: Ipv6Address) -> bool:
     """True inside fe80::/10, the link-local unicast range."""
-    return address.value >> 118 == LINK_LOCAL_PREFIX >> 118
+    return address >> 118 == LINK_LOCAL_PREFIX >> 118
 
 
 def global_from(prefix: Prefix, iid: int) -> Ipv6Address:
@@ -156,7 +156,7 @@ def global_from(prefix: Prefix, iid: int) -> Ipv6Address:
         raise PrefixLengthUnsupported(
             f"cannot form an address from {prefix}: only /64 prefixes carry a 64-bit IID"
         )
-    return Ipv6Address(prefix.address.value | (iid & IID_MASK))
+    return Ipv6Address(prefix.address | (iid & IID_MASK))
 
 
 def iid_text(iid: int) -> str:

@@ -70,11 +70,10 @@ TRACE_KEYS: dict[str, tuple[str, ...]] = {
     "ra-captured": ("src", "lifetime"),
 }
 
-# One newline-terminated line format per kind. %s, not format(): format() on
-# an IntEnum such as RouterPreference gives its number, str() its name.
-_TRACE_FORMATS = {
-    kind: " ".join([f"t=%d node=%s kind={kind}", *[f"{key}=%s" for key in keys]]) + "\n"
-    for kind, keys in TRACE_KEYS.items()
+# Each kind's newline-terminated text after ``kind=<kind>``. %s, not format():
+# format() on an IntEnum such as RouterPreference gives its number, not name.
+_TAIL_FORMATS = {
+    kind: "".join([f" {key}=%s" for key in keys]) + "\n" for kind, keys in TRACE_KEYS.items()
 }
 
 
@@ -96,7 +95,8 @@ class TraceRecord(NamedTuple):
 
     def line(self) -> str:
         """The record's trace line, without its newline."""
-        return (_TRACE_FORMATS[self.kind] % (self.time, self.node, *self.values))[:-1]
+        tail = _TAIL_FORMATS[self.kind] % self.values
+        return f"t={self.time} node={self.node} kind={self.kind}{tail}"[:-1]
 
 
 class AdvertisedPrefixes(tuple):
@@ -212,6 +212,7 @@ class Engine(object):
         # (time, seq, node id, timer) for a timer, (time, seq, None, action)
         # for anything else.
         self._queue: list[tuple[int, int, Optional[str], Union[TimerKey, Action]]] = []
+        self._queued = 0  # receivers of the queued Deliver entries
         self._seq = itertools.count()
         self._ip_owner: dict[Ipv6Address, str] = {}
         self._claims: dict[Ipv6Address, set[str]] = {}  # DAD target -> hosts
@@ -239,6 +240,8 @@ class Engine(object):
     def schedule(self, at_ms: int, action: Action) -> None:
         if at_ms < self.now:
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
+        if isinstance(action, Deliver):
+            self._queued += len(action.dsts)
         heapq.heappush(self._queue, (at_ms, next(self._seq), None, action))
 
     def set_timer(self, node_id: str, timer: TimerKey, at_ms: int) -> None:
@@ -260,9 +263,17 @@ class Engine(object):
         self.trace_records.append((self.now, node, kind, values))
 
     def trace_text(self) -> str:
-        formats = _TRACE_FORMATS
-        records = self.trace_records
-        return "".join([formats[kind] % (t, node, *values) for t, node, kind, values in records])
+        # An RA's values recur once per receiving host, so each kind renders
+        # each distinct (hashable, immutable) values tuple once.
+        tails: dict[str, dict[tuple[object, ...], str]] = {kind: {} for kind in _TAIL_FORMATS}
+        lines = []
+        for t, node, kind, values in self.trace_records:
+            memo = tails[kind]
+            tail = memo.get(values)
+            if tail is None:
+                tail = memo[values] = _TAIL_FORMATS[kind] % values
+            lines.append(f"t={t} node={node} kind={kind}{tail}")
+        return "".join(lines)
 
     # -- delivery ----------------------------------------------------------------
 
@@ -334,6 +345,7 @@ class Engine(object):
             if node_id is not None:
                 nodes[node_id].on_timer(self, action, at)
             elif isinstance(action, Deliver):
+                self._queued -= len(action.dsts)
                 self._handle_deliver(action, at)
             else:
                 self._handle_script(action, at)
@@ -372,7 +384,7 @@ class Engine(object):
         metrics.emitted = self.emitted
         metrics.delivered = self.delivered
         metrics.dropped = self.dropped
-        metrics.in_flight = sum(len(a.dsts) for _, _, _, a in self._queue if isinstance(a, Deliver))
+        metrics.in_flight = self._queued
         if metrics.emitted != metrics.delivered + metrics.dropped + metrics.in_flight:
             raise SimInvariantError(
                 f"message conservation broken: emitted={metrics.emitted}"

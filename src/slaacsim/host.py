@@ -266,7 +266,7 @@ class Host(object):
         live = [e for e in self.router_list if e.expires_at > now]
         if not live:
             return None
-        return max(live, key=lambda e: (e.preference, e.refreshed_at, -e.router_ip.value))
+        return max(live, key=lambda e: (e.preference, e.refreshed_at, -e.router_ip))
 
     def select_global_source(self, now: int) -> Optional[AddressEntry]:
         """The first assigned global address still preferred, else the first

@@ -22,6 +22,7 @@ from slaacsim.addressing import (
     link_local_from,
     parse_iid,
 )
+from slaacsim.messages import Timer
 
 
 def eui64_by_string_splice(mac_text: str) -> str:
@@ -90,8 +91,8 @@ def test_link_local_vectors():
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_link_local_split(iid):
     addr = link_local_from(iid)
-    assert addr.value & 0xFFFFFFFFFFFFFFFF == iid
-    assert addr.value >> 64 == 0xFE80 << 48
+    assert int(addr) & 0xFFFFFFFFFFFFFFFF == iid
+    assert int(addr) >> 64 == 0xFE80 << 48
 
 
 def test_global_from_vectors():
@@ -99,7 +100,7 @@ def test_global_from_vectors():
     assert str(global_from(p, 0x021A2BFFFE3C4D5E)) == "2001:db8:1:0:21a:2bff:fe3c:4d5e"
     assert str(global_from(p, 0)) == "2001:db8:1::"
     zero = Prefix.parse("::/64")
-    assert global_from(zero, 0xDEADBEEF).value == 0xDEADBEEF
+    assert int(global_from(zero, 0xDEADBEEF)) == 0xDEADBEEF
 
 
 def test_global_from_rejects_non_64():
@@ -114,15 +115,15 @@ def test_global_from_rejects_non_64():
 def test_global_from_bijection(high, iid):
     prefix = Prefix(Ipv6Address(high << 64), 64)
     addr = global_from(prefix, iid)
-    assert addr.value >> 64 == high
-    assert addr.value & 0xFFFFFFFFFFFFFFFF == iid
+    assert int(addr) >> 64 == high
+    assert int(addr) & 0xFFFFFFFFFFFFFFFF == iid
 
 
 # --- parse / print ----------------------------------------------------------
 
 def test_parse_vectors():
-    assert Ipv6Address.parse("fe80::1").value == (0xFE80 << 112) | 1
-    assert Ipv6Address.parse("::").value == 0
+    assert int(Ipv6Address.parse("fe80::1")) == (0xFE80 << 112) | 1
+    assert int(Ipv6Address.parse("::")) == 0
     assert str(Ipv6Address.parse("2001:0db8:0:0:0:0:0:1")) == "2001:db8::1"
 
 
@@ -150,6 +151,47 @@ def test_parse_error_offset():
     assert exc.value.offset == 6
     with pytest.raises(AddressParseError):
         Ipv6Address.parse("1:2:3:4:5:6:7:8:9")
+
+
+# --- the address type ----------------------------------------------------------
+
+def test_ipv6_address_is_an_int_with_its_hash():
+    addr = Ipv6Address(5)
+    assert addr == 5 and 5 == addr
+    assert hash(addr) == hash(5)
+    assert {5: "x"}[addr] == "x"
+    assert not hasattr(addr, "__dict__")
+    with pytest.raises(AttributeError):
+        addr.extra = 1
+
+
+def test_ipv6_address_order_is_numeric():
+    values = [2**128 - 1, 0, 0xFE80 << 112, 1, 0x2001 << 112]
+    assert sorted(Ipv6Address(v) for v in values) == [Ipv6Address(v) for v in sorted(values)]
+    assert Ipv6Address.parse("::1") < Ipv6Address.parse("fe80::") < Ipv6Address.parse("ff02::1")
+
+
+def test_ipv6_address_text_is_compressed_in_every_form():
+    addr = Ipv6Address.parse("2001:db8:0:0:0:0:0:1")
+    assert str(addr) == "2001:db8::1"
+    assert "%s" % addr == "2001:db8::1"
+    assert format(addr, "") == "2001:db8::1"
+    assert f"{addr}" == "2001:db8::1"
+    assert f"a={addr} b={Ipv6Address(0)}" == "a=2001:db8::1 b=::"
+
+
+@pytest.mark.parametrize("value", [-1, 2**128])
+def test_ipv6_address_out_of_range(value):
+    with pytest.raises(ValueError):
+        Ipv6Address(value)
+
+
+def test_no_timer_equals_an_address():
+    # A timer key is a Timer or the address of a DAD deadline.
+    addresses = [Ipv6Address(0), Ipv6Address(1), Ipv6Address.parse("fe80::1")]
+    for timer in Timer:
+        assert all(timer != addr and addr != timer for addr in addresses)
+        assert timer not in set(addresses)
 
 
 def test_mac_text_round_trip():

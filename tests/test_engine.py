@@ -274,6 +274,17 @@ run 0.5
 
 
 @pytest.mark.parametrize("name", all_scenarios())
+def test_queued_receivers_match_a_queue_walk(name):
+    sc = load(name)
+    for latency in (0, 2):
+        sc.link_latency_ms = latency
+        engine = slaacsim.scenario.build_engine(sc)
+        for stop in sorted({0, 1, 2, 500, 1000, 2003, sc.run_ms // 2, sc.run_ms}):
+            engine.run_until(stop)
+            assert engine._queued == len(queued_deliveries(engine)), f"latency {latency} t={stop}"
+
+
+@pytest.mark.parametrize("name", all_scenarios())
 def test_every_scenario_is_deterministic(name):
     _, first, _ = run_scenario(name)
     _, second, _ = run_scenario(name)
@@ -375,12 +386,20 @@ def _is_immutable_trace_value(value) -> bool:
 
 def test_trace_values_are_immutable_and_render_stably():
     # Records keep the values given to trace() and format them when read, so
-    # a mutable value would let the text change after the event.
+    # a mutable value would let the text change after the event. trace_text
+    # renders each distinct values tuple of a kind once, so the tuple must
+    # hash, and two values in one slot that compare equal must be of one type
+    # (an Ipv6Address equal to an int would take the int's text).
     for name in all_scenarios():
         _, engine, _ = run_scenario(name)
+        slot_types = {}
         for record in map(TraceRecord._make, engine.trace_records):
-            for key, value in zip(TRACE_KEYS[record.kind], record.values):
+            hash(record.values)
+            for slot, (key, value) in enumerate(zip(TRACE_KEYS[record.kind], record.values)):
                 assert _is_immutable_trace_value(value), f"{name} {record.kind} {key}={value!r}"
+                seen = slot_types.setdefault((record.kind, slot), {})
+                first = seen.setdefault(value, type(value))
+                assert first is type(value), f"{name} {record.kind} {key}={value!r}"
         assert engine.trace_text() == engine.trace_text()
         lines = [TraceRecord._make(r).line() + "\n" for r in engine.trace_records]
         assert engine.trace_text() == "".join(lines), name

@@ -36,8 +36,8 @@ class SwitchPort:
 
     port_id: str
     port_class: PortClass
-    ra_guard: bool = False
-    acl: Optional[frozenset[MacAddress]] = None
+    ra_guard: bool
+    acl: Optional[frozenset[MacAddress]]
 
 
 def filter_ingress(port: SwitchPort, msg: NdMessage) -> Optional[str]:

@@ -196,7 +196,7 @@ class Engine(object):
     """Single-link simulation engine. Owns all node state; strictly
     single-threaded during a run."""
 
-    def __init__(self, link_latency_ms: int = 1, seed: int = 0, two_hour_rule: bool = False):
+    def __init__(self, link_latency_ms: int, seed: int, two_hour_rule: bool):
         self.link_latency_ms = link_latency_ms
         self.rng = random.Random(seed)
         self.two_hour_rule = two_hour_rule

@@ -13,17 +13,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from .addressing import (
-    IID_MASK,
     Ipv4Address,
     Ipv6Address,
-    MacAddress,
     Prefix,
-    derive_eui64,
     global_from,
     is_link_local,
     link_local_from,
 )
-from .defense import cga_generate, verify_ra
+from .defense import verify_ra
 from .messages import (
     MS,
     AddressFamily,
@@ -41,7 +38,7 @@ if TYPE_CHECKING:
     from .engine import Engine
 
 DAD_TIMEOUT_MS = 1 * MS  # single probe, one-second deadline
-TWO_HOURS = 7200  # seconds
+TWO_HOURS_MS = 7200 * MS
 
 
 class AddressState(enum.Enum):
@@ -82,14 +79,14 @@ class NextHop:
     src_addr: Union[Ipv6Address, Ipv4Address]
 
 
-def apply_two_hour_rule(remaining: int, received: int, two_hours: int = TWO_HOURS) -> int:
+def apply_two_hour_rule(remaining_ms: int, received_ms: int) -> int:
     """Valid-lifetime update rule limiting how far an unauthenticated
     advertisement can shorten an address's remaining lifetime."""
-    if received > two_hours or received > remaining:
-        return received
-    if remaining <= two_hours:
-        return remaining
-    return two_hours
+    if received_ms > TWO_HOURS_MS or received_ms > remaining_ms:
+        return received_ms
+    if remaining_ms <= TWO_HOURS_MS:
+        return remaining_ms
+    return TWO_HOURS_MS
 
 
 class Host(object):
@@ -98,23 +95,16 @@ class Host(object):
     def __init__(
         self,
         node_id: str,
-        mac: MacAddress,
-        ipv6_enabled: bool = True,
-        ipv4: Optional[tuple[Ipv4Address, str]] = None,
-        send_only: bool = False,
-        iid_override: Optional[int] = None,
-        cga: Optional[tuple[str, int]] = None,
+        iid: int,
+        ipv6_enabled: bool,
+        ipv4: Optional[tuple[Ipv4Address, str]],
+        send_only: bool,
     ):
         self.node_id = node_id
+        self.iid = iid
         self.ipv6_enabled = ipv6_enabled
         self.ipv4 = ipv4
         self.send_only = send_only
-        if iid_override is not None:
-            self.iid = iid_override & IID_MASK
-        elif cga is not None:
-            self.iid = cga_generate(cga[0], cga[1])
-        else:
-            self.iid = derive_eui64(mac)
         self.addresses: list[AddressEntry] = []
         self.router_list: list[DefaultRouterEntry] = []
 
@@ -237,7 +227,7 @@ class Host(object):
         remaining_ms = max(0, (entry.valid_until or now) - now)
         received_ms = info.valid_lifetime * MS
         if ctx.two_hour_rule:
-            new_valid_ms = apply_two_hour_rule(remaining_ms, received_ms, TWO_HOURS * MS)
+            new_valid_ms = apply_two_hour_rule(remaining_ms, received_ms)
         else:
             new_valid_ms = received_ms
         entry.valid_until = now + new_valid_ms

@@ -81,7 +81,7 @@ class RouterAdvertisement:
     src_mac: MacAddress
     src_ip: Ipv6Address
     router_lifetime: int  # seconds; 0 means "not a default router"
-    preference: RouterPreference = RouterPreference.MEDIUM
+    preference: RouterPreference
     prefixes: tuple[PrefixInfo, ...] = ()
     auth: Optional[AuthToken] = None
 

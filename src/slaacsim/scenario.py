@@ -50,7 +50,7 @@ from .addressing import (
     parse_iid,
 )
 from .attacker import FORGING_MODES, Attacker, AttackMode
-from .defense import PortClass, SwitchPort, key_secret
+from .defense import ACL, RA_GUARD, PortClass, SwitchPort, cga_generate, key_secret
 from .engine import (
     FLAGS,
     SINK,
@@ -266,7 +266,7 @@ class AttachDecl:
 class PolicyLine:
     switch: str
     port: str
-    kind: str  # "ra-guard" | "acl"
+    kind: str  # RA_GUARD | ACL
     acl: tuple[MacAddress, ...] = ()
 
 
@@ -325,7 +325,7 @@ def _need_at_least(tokens: list[str], count: int) -> None:
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    seen_run = False
+    seen: set[str] = set()  # the directives read so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -333,6 +333,9 @@ def parse_scenario(text: str) -> Scenario:
         tokens = line.split()
         head = tokens[0]
         try:
+            if head in ("link-latency", "run") and head in seen:
+                raise ValueError(f"duplicate {head} line")
+            seen.add(head)
             if head == "link-latency":
                 _need(tokens, 2)
                 sc.link_latency_ms = _time_ms(tokens[1])
@@ -381,12 +384,11 @@ def parse_scenario(text: str) -> Scenario:
                 kv = _kv(tokens[2:], ("seed",))
                 if "seed" in kv:
                     sc.seed = int(kv["seed"])
-                seen_run = True
             else:
                 raise ValueError(f"unknown directive {head!r}")
         except ValueError as exc:
             raise ScenarioParseError(line_no, str(exc)) from exc
-    if not seen_run:
+    if "run" not in seen:
         raise ScenarioValidationError("scenario has no run directive")
     _validate(sc)
     return sc
@@ -438,11 +440,11 @@ def _parse_policy(sc: Scenario, tokens: list[str]) -> None:
         return
     switch, port = _port_ref(tokens[1])
     spec = tokens[2]
-    if spec == "ra-guard":
-        sc.policies.append(PolicyLine(switch, port, "ra-guard"))
-    elif spec.startswith("acl="):
-        macs = tuple(MacAddress.parse(m) for m in spec[len("acl="):].split(",") if m)
-        sc.policies.append(PolicyLine(switch, port, "acl", macs))
+    if spec == RA_GUARD:
+        sc.policies.append(PolicyLine(switch, port, RA_GUARD))
+    elif spec.startswith(ACL + "="):
+        macs = tuple(MacAddress.parse(m) for m in spec[len(ACL) + 1:].split(",") if m)
+        sc.policies.append(PolicyLine(switch, port, ACL, macs))
     else:
         raise ValueError(f"unknown policy {spec!r}")
 
@@ -479,15 +481,15 @@ def _validate(sc: Scenario) -> None:
         raise ScenarioValidationError(f"duplicate node id(s): {sorted(dup)}")
     declared = set(ids)
     if not sc.allow_dup_mac:
-        dup_macs = _repeated(str(n.mac) for n in sc.nodes)
+        dup_macs = sorted(map(str, _repeated(n.mac for n in sc.nodes)))
         if dup_macs:
             raise ScenarioValidationError(
-                f"duplicate MAC(s) {sorted(dup_macs)}; add allow-dup-mac to permit"
+                f"duplicate MAC(s) {dup_macs}; add allow-dup-mac to permit"
             )
     # The engine maps the address a router or a persona advertises from to its node.
-    dup_ips = _repeated(str(n.options["ip"]) for n in sc.nodes if "ip" in n.options)
+    dup_ips = sorted(map(str, _repeated(n.options["ip"] for n in sc.nodes if "ip" in n.options)))
     if dup_ips:
-        raise ScenarioValidationError(f"routers or attackers share address(es) {sorted(dup_ips)}")
+        raise ScenarioValidationError(f"routers or attackers share address(es) {dup_ips}")
     if sc.switch is None:
         raise ScenarioValidationError("scenario needs a switch")
     switch_id, port_count = sc.switch
@@ -570,10 +572,10 @@ def print_scenario(sc: Scenario) -> str:
     for att in sc.attaches:
         lines.append(f"attach {att.node} {att.switch}.{att.port} class={att.port_class}")
     for pol in sc.policies:
-        if pol.kind == "ra-guard":
-            lines.append(f"policy {pol.switch}.{pol.port} ra-guard")
+        if pol.kind == RA_GUARD:
+            lines.append(f"policy {pol.switch}.{pol.port} {RA_GUARD}")
         else:
-            lines.append(f"policy {pol.switch}.{pol.port} acl={','.join(str(m) for m in pol.acl)}")
+            lines.append(f"policy {pol.switch}.{pol.port} {ACL}={','.join(str(m) for m in pol.acl)}")
     if sc.two_hour_rule:
         lines.append("policy global two-hour-rule")
     for node, key_id in sc.keys.items():
@@ -619,9 +621,9 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
     )
     engine.switch_id = sc.switch[0]
     attach_for = {a.node: a for a in sc.attaches}
-    guarded = {pol.port for pol in sc.policies if pol.kind == "ra-guard"}
+    guarded = {pol.port for pol in sc.policies if pol.kind == RA_GUARD}
     # A port's last acl line is the one that holds.
-    acl_for = {pol.port: frozenset(pol.acl) for pol in sc.policies if pol.kind == "acl"}
+    acl_for = {pol.port: frozenset(pol.acl) for pol in sc.policies if pol.kind == ACL}
     for decl in sc.nodes:
         att = attach_for[decl.node_id]
         port = SwitchPort(att.port, att.port_class, att.port in guarded, acl_for.get(att.port))
@@ -639,14 +641,18 @@ def _build_node(decl: NodeDecl, key_for: dict[str, str]):
     if decl.kind == "router":
         return _router(decl, "", key_for.get(decl.node_id), values["ra"], values["jitter"])
     if decl.kind == "host":
+        if "iid" in values:
+            iid = values["iid"]
+        elif "cga-key" in values:
+            iid = cga_generate(values["cga-key"], values["cga-modifier"])
+        else:
+            iid = derive_eui64(decl.mac)
         return Host(
             node_id=decl.node_id,
-            mac=decl.mac,
+            iid=iid,
             ipv6_enabled=values["ipv6"],
             ipv4=(values["ipv4"], values["gw4"]) if "ipv4" in values else None,
             send_only=values["send"],
-            iid_override=values.get("iid"),
-            cga=(values["cga-key"], values["cga-modifier"]) if "cga-key" in values else None,
         )
     # The persona is unsigned (the attacker holds no key), always advertises
     # when armed, and keeps to its interval.

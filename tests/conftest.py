@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from slaacsim.addressing import MacAddress, derive_eui64
 from slaacsim.engine import Deliver, Engine, TraceRecord
+from slaacsim.host import Host
 from slaacsim.scenario import build_engine, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -24,6 +26,12 @@ def run_scenario(name: str, seed=None):
     engine = build_engine(sc, seed=seed)
     metrics = engine.execute(sc.run_ms)
     return sc, engine, metrics
+
+
+def eui64_host(node_id: str, mac: MacAddress) -> Host:
+    """An IPv6-only host without SEND whose identifier is the EUI-64 of ``mac``,
+    as a bare host line builds it."""
+    return Host(node_id, derive_eui64(mac), ipv6_enabled=True, ipv4=None, send_only=False)
 
 
 def queued_deliveries(engine: Engine):
@@ -57,4 +65,4 @@ def attrs(record) -> dict:
 
 @pytest.fixture
 def engine():
-    return Engine()
+    return Engine(link_latency_ms=1, seed=0, two_hour_rule=False)

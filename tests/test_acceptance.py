@@ -152,9 +152,13 @@ def test_criterion_08_router_preference_policy():
 
 def test_criterion_09_two_hour_rule():
     def oracle(remaining, received):
-        return received if (received > 7200 or received > remaining) else min(remaining, 7200)
+        return received if (received > 7_200_000 or received > remaining) else min(remaining, 7_200_000)
 
-    grid = [0, 1, 100, 3599, 3600, 7199, 7200, 7201, 9000, 10000, 86400]
+    grid = [
+        0, 1_000, 100_000, 3_599_000, 3_600_000,
+        7_199_000, 7_199_999, 7_200_000, 7_200_001, 7_201_000,
+        9_000_000, 10_000_000, 86_400_000,
+    ]
     for remaining in grid:
         for received in grid:
             assert apply_two_hour_rule(remaining, received) == oracle(remaining, received)

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import attrs, load, queued_deliveries, records, run_scenario, SCENARIO_DIR
+from conftest import attrs, eui64_host, load, queued_deliveries, records, run_scenario, SCENARIO_DIR
 
 import slaacsim.scenario
 
@@ -87,12 +87,13 @@ def spoofable_ra() -> RouterAdvertisement:
 
 
 def three_node_link(guard_attacker: bool) -> Engine:
-    engine = Engine()
+    engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=False)
     engine.switch_id = "SW1"
     host_port = PortClass.HOST_FACING
-    engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")), SwitchPort("p1", host_port))
-    engine.add_node(Host("H2", MacAddress.parse("00:1a:2b:3c:4d:5f")), SwitchPort("p2", host_port))
-    engine.add_node(Attacker("A1"), SwitchPort("p3", host_port, ra_guard=guard_attacker))
+    h1, h2 = MacAddress.parse("00:1a:2b:3c:4d:5e"), MacAddress.parse("00:1a:2b:3c:4d:5f")
+    engine.add_node(eui64_host("H1", h1), SwitchPort("p1", host_port, False, None))
+    engine.add_node(eui64_host("H2", h2), SwitchPort("p2", host_port, False, None))
+    engine.add_node(Attacker("A1"), SwitchPort("p3", host_port, guard_attacker, None))
     return engine
 
 
@@ -121,8 +122,8 @@ def test_broadcast_queues_one_entry_per_emission():
     engine.broadcast("A1", spoofable_ra(), 0)
     (entry,) = engine._queue
     assert entry[3].dsts == ("H1", "H2")
-    lone = Engine()
-    lone.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
+    lone = Engine(link_latency_ms=1, seed=0, two_hour_rule=False)
+    lone.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     lone.broadcast("H1", spoofable_ra(), 0)
     assert lone._queue == [] and lone.emitted == 0
 
@@ -466,9 +467,9 @@ def test_jitter_scenarios_depend_on_seed():
 
 
 def test_duplicate_node_id_rejected(engine):
-    engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
+    engine.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     with pytest.raises(ValueError):
-        engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5f")))
+        engine.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5f")))
 
 
 def test_disabled_host_emits_no_nd_messages():
@@ -567,7 +568,7 @@ def test_attacker_traffic_in_send_run_never_verifies():
 
 
 def test_begin_autoconf_keeps_single_link_local(engine):
-    host = Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
+    host = eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
     engine.add_node(host)
     host.begin_autoconf(engine, 0)
     host.begin_autoconf(engine, 5)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import attrs, queued_deliveries, queued_timers, records
+from conftest import attrs, eui64_host, queued_deliveries, queued_timers, records
 
-from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix
+from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix, derive_eui64
 from slaacsim.engine import Engine
 from slaacsim.host import (
     AddressEntry,
@@ -17,6 +17,7 @@ from slaacsim.host import (
     apply_two_hour_rule,
 )
 from slaacsim.messages import (
+    MS,
     AddressFamily,
     NeighborAdvertisement,
     NeighborSolicitation,
@@ -32,8 +33,8 @@ R1_IP = Ipv6Address.parse("fe80::1")
 PREFIX = Prefix.parse("2001:db8:1::/64")
 
 
-def make_host(**kw) -> Host:
-    return Host("H1", H1_MAC, **kw)
+def make_host(iid=derive_eui64(H1_MAC), ipv6_enabled=True, ipv4=None, send_only=False) -> Host:
+    return Host("H1", iid, ipv6_enabled, ipv4, send_only)
 
 
 def make_ra(lifetime=1800, preference=RouterPreference.HIGH, prefixes=None,
@@ -60,7 +61,7 @@ def test_begin_autoconf_emits_dad_probe(engine):
 
 def test_dad_probe_is_queued_once_for_each_other_node_in_node_order(engine):
     host = make_host()
-    for node in (host, Host("H3", R1_MAC), Host("H2", R1_MAC)):
+    for node in (host, eui64_host("H3", R1_MAC), eui64_host("H2", R1_MAC)):
         engine.add_node(node)
     host.begin_autoconf(engine, 0)
     rows = queued_deliveries(engine)
@@ -79,7 +80,7 @@ def test_begin_autoconf_disabled_host_is_silent(engine):
 
 
 def test_begin_autoconf_with_zero_iid(engine):
-    host = make_host(iid_override=0)
+    host = make_host(iid=0)
     engine.add_node(host)
     host.begin_autoconf(engine, 0)
     assert attrs(records(engine, "ns-sent")[0])["target"] == "fe80::"
@@ -289,7 +290,7 @@ def test_disabled_host_ignores_ra(engine):
 def rule_oracle(remaining: int, received: int) -> int:
     # Independent closed form: accept anything that raises the lifetime or
     # exceeds the floor; otherwise hold at min(remaining, floor).
-    return received if (received > 7200 or received > remaining) else min(remaining, 7200)
+    return received if (received > 7_200_000 or received > remaining) else min(remaining, 7_200_000)
 
 
 @pytest.mark.parametrize(
@@ -297,23 +298,29 @@ def rule_oracle(remaining: int, received: int) -> int:
     [(10000, 100, 7200), (5000, 100, 5000), (5000, 9000, 9000)],
 )
 def test_two_hour_rule_examples(remaining, received, expected):
+    # Vectors in seconds; the rule works in milliseconds.
+    remaining, received, expected = remaining * MS, received * MS, expected * MS
     assert apply_two_hour_rule(remaining, received) == expected
     assert rule_oracle(remaining, received) == expected
 
 
 def test_two_hour_rule_exhaustive_regions():
-    grid = [0, 1, 100, 5000, 7199, 7200, 7201, 9000, 10000, 100000]
+    grid = [
+        0, 1_000, 100_000, 5_000_000,
+        7_199_000, 7_199_999, 7_200_000, 7_200_001, 7_201_000,
+        9_000_000, 10_000_000, 100_000_000,
+    ]
     for remaining in grid:
         for received in grid:
             assert apply_two_hour_rule(remaining, received) == rule_oracle(remaining, received)
 
 
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=7200))
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=7_200_000))
 def test_two_hour_rule_floor(remaining, received):
     # An unauthenticated short lifetime can never push the address below
     # min(remaining, two hours).
     if received <= remaining:
-        assert apply_two_hour_rule(remaining, received) >= min(remaining, 7200)
+        assert apply_two_hour_rule(remaining, received) >= min(remaining, 7_200_000)
 
 
 def test_refresh_without_policy_takes_received_lifetime(engine):
@@ -325,7 +332,7 @@ def test_refresh_without_policy_takes_received_lifetime(engine):
 
 
 def test_refresh_with_policy_applies_floor():
-    engine = Engine(two_hour_rule=True)
+    engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=True)
     host = make_host()
     engine.add_node(host)
     host.process_ra(engine, make_ra(valid=10000, preferred=10000), 0)

@@ -4,13 +4,13 @@ import dataclasses
 
 import pytest
 
-from conftest import SCENARIO_DIR, attrs, records
+from conftest import SCENARIO_DIR, attrs, eui64_host, records
 
 import slaacsim.router
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.defense import key_secret, verify_ra
 from slaacsim.engine import Deliver
-from slaacsim.host import AddressEntry, AddressState, DefaultRouterEntry, Host
+from slaacsim.host import AddressEntry, AddressState, DefaultRouterEntry
 from slaacsim.messages import (
     AddressFamily,
     PrefixInfo,
@@ -43,7 +43,7 @@ def test_periodic_ra_carries_config_fields(engine):
     router = make_router()
     engine.add_node(router)
     engine.add_node(make_router(node_id="R2", src_ip=Ipv6Address.parse("fe80::2")))
-    engine.add_node(Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
+    engine.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     router.emit_periodic_ra(engine, 0)
     (ra,) = emitted_ras(engine)
     assert ra.src_mac == R1_MAC and ra.src_ip == R1_IP
@@ -141,7 +141,7 @@ def probe_through(engine, router):
     """Measure once with H1 holding a global address and ``router`` as its
     default router, so the engine sends one probe through it."""
     engine.add_node(router)
-    host = Host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
+    host = eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
     host.addresses.append(
         AddressEntry(Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, PREFIX_INFO.prefix)
     )

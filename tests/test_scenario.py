@@ -1,12 +1,18 @@
 """Scenario parsing, validation, canonical round trip, and the CLI."""
 
+import inspect
+
 import pytest
 
 from conftest import SCENARIO_DIR, attrs, records, scenario_path
 
-from slaacsim.addressing import MacAddress
+from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
 from slaacsim.cli import run_command
-from slaacsim.defense import PortClass, SwitchPort
+from slaacsim.defense import PortClass, SwitchPort, cga_generate
+from slaacsim.engine import Engine
+from slaacsim.host import Host
+from slaacsim.messages import RouterAdvertisement
+from slaacsim.router import Router
 from slaacsim.scenario import (
     HOST_METRIC_FIELDS,
     MAX_PORTS,
@@ -40,6 +46,35 @@ def test_minimal_scenario_parses():
 def test_defaults_derive_router_ip_from_mac():
     sc = parse_scenario(MINIMAL)
     assert str(sc.nodes[0].options["ip"]) == "fe80::200:5eff:fe00:5301"
+
+
+H1_LINE = "node host H1 mac=00:1a:2b:3c:4d:5e"
+
+
+@pytest.mark.parametrize(
+    "options,iid",
+    [
+        (" iid=0123:4567:89ab:cdef", parse_iid("0123:4567:89ab:cdef")),
+        (" cga-key=k1 cga-modifier=7", cga_generate("k1", 7)),
+        ("", derive_eui64(MacAddress.parse("00:1a:2b:3c:4d:5e"))),
+    ],
+    ids=["iid", "cga", "eui64"],
+)
+def test_host_iid_is_the_given_one_else_cga_else_eui64(options, iid):
+    sc = parse_scenario(MINIMAL.replace(H1_LINE, H1_LINE + options))
+    assert build_engine(sc).nodes["H1"].iid == iid
+
+
+@pytest.mark.parametrize("model", [Host, Engine, Router, SwitchPort])
+def test_model_constructors_state_no_default(model):
+    # The scenario's option tables and Scenario fields state every default.
+    params = inspect.signature(model).parameters.values()
+    assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
+
+
+def test_advertisement_preference_has_no_default():
+    preference = inspect.signature(RouterAdvertisement).parameters["preference"]
+    assert preference.default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize(
@@ -198,7 +233,7 @@ def test_policy_lines_fold_into_each_port(acl_lines, r2_dropped):
     r1, last = MacAddress.parse(R1_MAC), MacAddress.parse(acl_lines[-1])
     assert engine.node_port["R1"] == SwitchPort("p1", PortClass.HOST_FACING, True, frozenset({r1}))
     assert engine.node_port["R2"] == SwitchPort("p2", PortClass.ROUTER_FACING, False, frozenset({last}))
-    assert engine.node_port["H1"] == SwitchPort("p3", PortClass.HOST_FACING)
+    assert engine.node_port["H1"] == SwitchPort("p3", PortClass.HOST_FACING, False, None)
     drops = {(attrs(r)["port"], attrs(r)["reason"]) for r in records(engine, "ra-dropped")}
     # RA Guard on a host-facing port drops even a source its ACL lists; an
     # ACL on a router-facing port drops every source it does not list.
@@ -318,15 +353,23 @@ def test_dump_normalized_round_trips(capsys):
 
 
 def test_dump_normalized_states_the_readme_defaults(tmp_path, capsys):
-    # Every default a router or persona takes is printed, as the README gives it.
+    # Every default a node, the link and the run take is printed, as the
+    # README gives it.
     text = MINIMAL.replace(" prefix=2001:db8:1::/64", "").replace(
         "node host H1 mac=00:1a:2b:3c:4d:5e",
-        "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64",
-    ).replace("attach H1 SW1.p2 class=host", "attach A1 SW1.p2 class=host")
+        "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64\n"
+        "node host H2 mac=00:1a:2b:3c:4d:5f",
+    ).replace(
+        "attach H1 SW1.p2 class=host",
+        "attach A1 SW1.p2 class=host\nattach H2 SW1.p3 class=host",
+    ).replace("ports=2", "ports=3")
     path = tmp_path / "defaults.txt"
     path.write_text(text)
     assert run_command(["run", str(path), "--dump-normalized"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "link-latency 0.001"  # one millisecond, printed in seconds
+    assert lines[4] == "node host H2 mac=00:1a:2b:3c:4d:5f ipv6=on send=off"
+    assert lines[-1] == "run 4 seed=0"
     assert lines[2:4] == [
         "node router R1 mac=00:00:5e:00:53:01 ip=fe80::200:5eff:fe00:5301"
         " lifetime=1800 preference=medium interval=10 valid=3600 preferred=3600"
@@ -448,13 +491,16 @@ def test_router_lifetime_range_checked_at_parse():
         ("run 4", "policy SW1.p2 ra-guard bogus tokens\nrun 4"),
         ("run 4", "policy global two-hour-rule bogus\nrun 4"),
         ("run 4", "key R1 k1\nkey R1 k2\nrun 4"),
+        ("run 4", "run 5 seed=3\nrun 9"),
+        ("switch SW1", "link-latency 1\nlink-latency 2\nswitch SW1"),
     ],
 )
 def test_out_of_range_values_rejected_at_parse(old, new):
     # Each of these once escaped as a traceback (OverflowError, a ValueError
     # at build time), exhausted memory building the port set, or was
-    # accepted with its trailing policy tokens silently dropped, or with a
-    # router's first signing key silently replaced by its second.
+    # accepted with its trailing policy tokens silently dropped, with a
+    # router's first signing key silently replaced by its second, or with a
+    # second run or link-latency line silently merged into the first.
     with pytest.raises(ScenarioParseError, match=r"^line \d+: "):
         parse_scenario(MINIMAL.replace(old, new, 1))
 
@@ -474,6 +520,8 @@ def test_value_bounds_are_inclusive():
         ("run 4", "policy SW1.p2 ra-guard bogus tokens\nrun 4", 6),
         ("run 4", "policy global two-hour-rule bogus\nrun 4", 6),
         ("run 4", "key R1 k1\nkey R1 k2\nrun 4", 7),
+        ("run 4", "run 5 seed=3\nrun 9", 7),
+        ("switch SW1", "link-latency 1\nlink-latency 2\nswitch SW1", 2),
     ],
 )
 def test_run_command_reports_bad_values_by_line(tmp_path, capsys, old, new, line):

@@ -42,7 +42,7 @@ FORGING_MODES = frozenset(AttackMode) - {AttackMode.PASSIVE, AttackMode.KILL_ROU
 class Attacker(object):
     """Adversary node; passive until a scenario directive arms a playbook."""
 
-    def __init__(self, node_id: str, persona: Optional[Router] = None):
+    def __init__(self, node_id: str, persona: Optional[Router]):
         self.node_id = node_id
         # The router it poses as. Scenarios give it the attacker's own node
         # id and addresses and no signing key: the attacker holds none.

@@ -111,7 +111,6 @@ class AdvertisedPrefixes(tuple):
 class Deliver(NamedTuple):
     msg: NdMessage
     src: str
-    port: Optional[SwitchPort]  # ingress port (the sender's attach point)
     dsts: tuple[str, ...]  # every other node, delivered to in node order
 
 
@@ -196,14 +195,14 @@ class Engine(object):
     """Single-link simulation engine. Owns all node state; strictly
     single-threaded during a run."""
 
-    def __init__(self, link_latency_ms: int, seed: int, two_hour_rule: bool):
+    def __init__(self, link_latency_ms: int, seed: int, two_hour_rule: bool, switch_id: str):
         self.link_latency_ms = link_latency_ms
         self.rng = random.Random(seed)
         self.two_hour_rule = two_hour_rule
         self.now = 0
         self.nodes: dict[str, Node] = {}
-        self.switch_id: Optional[str] = None  # labels ra-dropped records
-        self.node_port: dict[str, SwitchPort] = {}
+        self.switch_id = switch_id  # labels ra-dropped records
+        self.node_port: dict[str, SwitchPort] = {}  # each node's ingress port
         self.trusted_keys: dict[str, bytes] = {}  # key id -> secret, from trust lines
         self.attack_armed = False  # set by the first non-passive attack directive
         # Bare (time, node, kind, values) tuples; TraceRecord names the fields.
@@ -223,12 +222,11 @@ class Engine(object):
 
     # -- topology -------------------------------------------------------------
 
-    def add_node(self, node: Node, port: Optional[SwitchPort] = None) -> None:
+    def add_node(self, node: Node, port: SwitchPort) -> None:
         if node.node_id in self.nodes or node.node_id == SINK:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes[node.node_id] = node
-        if port is not None:
-            self.node_port[node.node_id] = port
+        self.node_port[node.node_id] = port
         # Only a router's or a persona's RAs put an address in a router list.
         if isinstance(node, Router):
             self._ip_owner[node.ra.src_ip] = node.node_id
@@ -284,8 +282,7 @@ class Engine(object):
         dsts = tuple([node_id for node_id in self.nodes if node_id != src_id])
         if dsts:
             self.emitted += len(dsts)
-            port = self.node_port.get(src_id)
-            self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, port, dsts))
+            self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, dsts))
 
     def _trace_emission(self, src_id: str, msg: NdMessage) -> None:
         if isinstance(msg, RouterAdvertisement):
@@ -303,9 +300,10 @@ class Engine(object):
         self._claims.setdefault(address, set()).add(node_id)
 
     def _handle_deliver(self, event: Deliver, now: int) -> None:
-        msg, src, port, dsts = event
+        msg, src, dsts = event
+        port = self.node_port[src]
         # Port and message are frozen, so one verdict holds for every receiver.
-        reason = None if port is None else filter_ingress(port, msg)
+        reason = filter_ingress(port, msg)
         if reason is not None:
             self.dropped += len(dsts)
             for dst in dsts:

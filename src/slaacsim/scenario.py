@@ -493,6 +493,9 @@ def _validate(sc: Scenario) -> None:
     if sc.switch is None:
         raise ScenarioValidationError("scenario needs a switch")
     switch_id, port_count = sc.switch
+    if switch_id in declared:
+        # The switch's id labels its ra-dropped records.
+        raise ScenarioValidationError(f"node id {switch_id!r} is the switch's id")
 
     def on_switch(switch: str, port: str) -> bool:
         match = _PORT_RE.fullmatch(port)
@@ -618,8 +621,8 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
         link_latency_ms=sc.link_latency_ms,
         seed=sc.seed if seed is None else seed,
         two_hour_rule=sc.two_hour_rule,
+        switch_id=sc.switch[0],
     )
-    engine.switch_id = sc.switch[0]
     attach_for = {a.node: a for a in sc.attaches}
     guarded = {pol.port for pol in sc.policies if pol.kind == RA_GUARD}
     # A port's last acl line is the one that holds.

@@ -3,8 +3,10 @@ from pathlib import Path
 import pytest
 
 from slaacsim.addressing import MacAddress, derive_eui64
+from slaacsim.defense import PortClass, SwitchPort
 from slaacsim.engine import Deliver, Engine, TraceRecord
 from slaacsim.host import Host
+from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -32,6 +34,14 @@ def eui64_host(node_id: str, mac: MacAddress) -> Host:
     """An IPv6-only host without SEND whose identifier is the EUI-64 of ``mac``,
     as a bare host line builds it."""
     return Host(node_id, derive_eui64(mac), ipv6_enabled=True, ipv4=None, send_only=False)
+
+
+def attach(engine: Engine, node) -> None:
+    """Put a hand-built node on the link at the next free port ``p<n>``: a
+    router-class port for a Router, a host-class one for any other node,
+    with neither RA Guard nor an ACL."""
+    port_class = PortClass.ROUTER_FACING if isinstance(node, Router) else PortClass.HOST_FACING
+    engine.add_node(node, SwitchPort(f"p{len(engine.nodes) + 1}", port_class, False, None))
 
 
 def queued_deliveries(engine: Engine):
@@ -65,4 +75,4 @@ def attrs(record) -> dict:
 
 @pytest.fixture
 def engine():
-    return Engine(link_latency_ms=1, seed=0, two_hour_rule=False)
+    return Engine(link_latency_ms=1, seed=0, two_hour_rule=False, switch_id="SW1")

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import queued_timers, records
+from conftest import attach, queued_timers, records
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import FORGING_MODES, AttackMode, Attacker, NoCapturedRa, PersonaMissing
@@ -44,7 +44,7 @@ def legit_ra(lifetime=1800) -> RouterAdvertisement:
 
 def test_capture_keeps_latest_ra_per_sender(engine):
     attacker = make_attacker()
-    engine.add_node(attacker)
+    attach(engine, attacker)
     r2_ra = RouterAdvertisement(R2_MAC, R2_IP, 600, RouterPreference.LOW)
     attacker.on_message(engine, legit_ra(1800), "R1", 0)
     attacker.on_message(engine, r2_ra, "R2", 5)
@@ -63,7 +63,7 @@ def test_capture_keeps_latest_ra_per_sender(engine):
 
 def test_non_ra_messages_are_not_captured(engine):
     attacker = make_attacker()
-    engine.add_node(attacker)
+    attach(engine, attacker)
     ns = NeighborSolicitation(Ipv6Address.parse("fe80::5"))
     attacker.on_message(engine, ns, "R1", 0)
     assert attacker.captured_ras == {}
@@ -71,7 +71,7 @@ def test_non_ra_messages_are_not_captured(engine):
 
 def test_spoof_zeroes_lifetime_and_keeps_source(engine):
     attacker = make_attacker()
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.capture_ra(engine, legit_ra(), "R1", 0)
     spoof = attacker.spoof_kill_ra("R1")
     assert spoof.router_lifetime == 0
@@ -86,7 +86,7 @@ def test_spoof_without_capture_raises():
 
 def test_spoof_strips_auth_token(engine):
     attacker = make_attacker()
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.capture_ra(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
     assert attacker.spoof_kill_ra("R1").auth is None
 
@@ -102,7 +102,7 @@ def test_forge_uses_attacker_source(engine):
 
 def test_forge_without_persona_raises(engine):
     attacker = make_attacker()
-    engine.add_node(attacker)
+    attach(engine, attacker)
     for mode in FORGING_MODES:
         with pytest.raises(PersonaMissing):
             attacker.run_playbook(engine, mode, None, 0)
@@ -111,7 +111,7 @@ def test_forge_without_persona_raises(engine):
 
 def test_kill_playbook_emits_exactly_one_spoof(engine):
     attacker = make_attacker()
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.capture_ra(engine, legit_ra(), "R1", 0)
     attacker.run_playbook(engine, AttackMode.KILL_ROUTER, "R1", 5_000)
     assert len(records(engine, "ra-sent")) == 1
@@ -120,14 +120,14 @@ def test_kill_playbook_emits_exactly_one_spoof(engine):
 
 def test_passive_playbook_emits_nothing(engine):
     attacker = make_attacker(make_persona())
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.run_playbook(engine, AttackMode.PASSIVE, None, 0)
     assert records(engine, "ra-sent") == []
 
 
 def test_mitm_playbook_kills_then_forges_periodically(engine):
     attacker = make_attacker(make_persona())
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.capture_ra(engine, legit_ra(), "R1", 0)
     attacker.run_playbook(engine, AttackMode.FAKE_ROUTER_MITM, None, 5_000)
     sent = records(engine, "ra-sent")
@@ -175,14 +175,14 @@ def test_rearming_restarts_the_one_forging_schedule(extra, forged_s):
 
 def test_blackhole_playbook_never_routes(engine):
     attacker = make_attacker(make_persona(can_route=True))
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.run_playbook(engine, AttackMode.BLACKHOLE_GATEWAY, None, 0)
     assert not attacker.routes()
 
 
 def test_dualstack_playbook_routes_per_persona(engine):
     attacker = make_attacker(make_persona(can_route=True))
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.run_playbook(engine, AttackMode.DUAL_STACK_ROGUE, None, 0)
     assert attacker.routes()
     assert records(engine, "ra-sent")
@@ -198,7 +198,7 @@ def test_attacker_never_emits_valid_auth(engine):
 
     engine.trusted_keys["k1"] = key_secret("k1")
     attacker = make_attacker(make_persona())
-    engine.add_node(attacker)
+    attach(engine, attacker)
     attacker.capture_ra(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
     emissions = [
         attacker.spoof_kill_ra("R1"),

@@ -10,12 +10,12 @@ from collections import Counter
 
 import pytest
 
-from conftest import attrs, eui64_host, load, queued_deliveries, records, run_scenario, SCENARIO_DIR
+from conftest import attach, attrs, eui64_host, load, queued_deliveries, records, run_scenario, SCENARIO_DIR
 
 import slaacsim.scenario
 
 from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix
-from slaacsim.attacker import Attacker
+from slaacsim.attacker import Attacker, AttackMode
 from slaacsim.defense import PortClass, SwitchPort, filter_ingress
 from slaacsim.engine import (
     TRACE_KEYS,
@@ -65,7 +65,7 @@ def test_same_time_events_run_in_schedule_order(engine):
             order.append(self.node_id)
 
     for name in ("N1", "N2", "N3"):
-        engine.add_node(Probe(name))
+        attach(engine, Probe(name))
     engine.set_timer("N2", Timer.RA, 5)
     engine.set_timer("N1", Timer.RA, 5)
     engine.set_timer("N3", Timer.RA, 5)
@@ -87,13 +87,12 @@ def spoofable_ra() -> RouterAdvertisement:
 
 
 def three_node_link(guard_attacker: bool) -> Engine:
-    engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=False)
-    engine.switch_id = "SW1"
+    engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=False, switch_id="SW1")
     host_port = PortClass.HOST_FACING
     h1, h2 = MacAddress.parse("00:1a:2b:3c:4d:5e"), MacAddress.parse("00:1a:2b:3c:4d:5f")
     engine.add_node(eui64_host("H1", h1), SwitchPort("p1", host_port, False, None))
     engine.add_node(eui64_host("H2", h2), SwitchPort("p2", host_port, False, None))
-    engine.add_node(Attacker("A1"), SwitchPort("p3", host_port, guard_attacker, None))
+    engine.add_node(Attacker("A1", None), SwitchPort("p3", host_port, guard_attacker, None))
     return engine
 
 
@@ -122,8 +121,8 @@ def test_broadcast_queues_one_entry_per_emission():
     engine.broadcast("A1", spoofable_ra(), 0)
     (entry,) = engine._queue
     assert entry[3].dsts == ("H1", "H2")
-    lone = Engine(link_latency_ms=1, seed=0, two_hour_rule=False)
-    lone.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
+    lone = Engine(link_latency_ms=1, seed=0, two_hour_rule=False, switch_id="SW1")
+    attach(lone, eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     lone.broadcast("H1", spoofable_ra(), 0)
     assert lone._queue == [] and lone.emitted == 0
 
@@ -134,11 +133,10 @@ class PerReceiverEngine(Engine):
 
     def broadcast(self, src_id, msg, now):
         self._trace_emission(src_id, msg)
-        port = self.node_port.get(src_id)
         for node_id in self.nodes:
             if node_id != src_id:
                 self.emitted += 1
-                self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, port, (node_id,)))
+                self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, (node_id,)))
 
 
 def run_output(sc, engine_class, monkeypatch) -> str:
@@ -189,8 +187,8 @@ class EveryReceiverEngine(Engine):
     called, whatever the message kind."""
 
     def _handle_deliver(self, event, now):
-        msg, port = event.msg, event.port
-        reason = None if port is None else filter_ingress(port, msg)
+        msg, port = event.msg, self.node_port[event.src]
+        reason = filter_ingress(port, msg)
         for dst in event.dsts:
             if reason is not None:
                 self.dropped += 1
@@ -467,9 +465,29 @@ def test_jitter_scenarios_depend_on_seed():
 
 
 def test_duplicate_node_id_rejected(engine):
-    engine.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
-    with pytest.raises(ValueError):
-        engine.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5f")))
+    attach(engine, eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
+    # A second H1, and the sink's id, which data-delivered records name.
+    for node_id in ("H1", "ext"):
+        with pytest.raises(ValueError, match=f"duplicate node id '{node_id}'"):
+            attach(engine, eui64_host(node_id, MacAddress.parse("00:1a:2b:3c:4d:5f")))
+    assert list(engine.nodes) == ["H1"]
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        (AttackDirective("H1", AttackMode.KILL_ROUTER), "H1 is not an attacker"),
+        (ToggleDirective("A1", False), "A1 is not a router"),
+    ],
+    ids=["attack-non-attacker", "toggle-non-router"],
+)
+def test_script_step_aimed_at_the_wrong_node_kind_raises(step, message):
+    # Validation rejects both in a scenario; the engine still refuses them.
+    engine = three_node_link(guard_attacker=False)
+    engine.schedule(0, step)
+    with pytest.raises(SimInvariantError, match=message):
+        engine.run_until(0)
+    assert engine.trace_records == []
 
 
 def test_disabled_host_emits_no_nd_messages():
@@ -569,7 +587,7 @@ def test_attacker_traffic_in_send_run_never_verifies():
 
 def test_begin_autoconf_keeps_single_link_local(engine):
     host = eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     host.begin_autoconf(engine, 5)
     assert len([e for e in host.addresses if e.prefix is None]) == 1

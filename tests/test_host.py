@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import attrs, eui64_host, queued_deliveries, queued_timers, records
+from conftest import attach, attrs, eui64_host, queued_deliveries, queued_timers, records
 
 from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix, derive_eui64
 from slaacsim.engine import Engine
@@ -48,7 +48,7 @@ def make_ra(lifetime=1800, preference=RouterPreference.HIGH, prefixes=None,
 
 def test_begin_autoconf_emits_dad_probe(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     probe = records(engine, "ns-sent")
     assert len(probe) == 1
@@ -62,7 +62,7 @@ def test_begin_autoconf_emits_dad_probe(engine):
 def test_dad_probe_is_queued_once_for_each_other_node_in_node_order(engine):
     host = make_host()
     for node in (host, eui64_host("H3", R1_MAC), eui64_host("H2", R1_MAC)):
-        engine.add_node(node)
+        attach(engine, node)
     host.begin_autoconf(engine, 0)
     rows = queued_deliveries(engine)
     assert [(at, dst) for at, dst, _ in rows] == [(1, "H3"), (1, "H2")]
@@ -73,7 +73,7 @@ def test_dad_probe_is_queued_once_for_each_other_node_in_node_order(engine):
 
 def test_begin_autoconf_disabled_host_is_silent(engine):
     host = make_host(ipv6_enabled=False)
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     assert host.addresses == []
     assert engine.trace_records == []
@@ -81,7 +81,7 @@ def test_begin_autoconf_disabled_host_is_silent(engine):
 
 def test_begin_autoconf_with_zero_iid(engine):
     host = make_host(iid=0)
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     assert attrs(records(engine, "ns-sent")[0])["target"] == "fe80::"
 
@@ -96,7 +96,7 @@ def assigned_entry(text: str) -> AddressEntry:
 def test_ns_for_assigned_address_is_defended(engine, sender):
     # An assigned holder defends whichever id solicits, smaller or larger.
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.addresses.append(assigned_entry("fe80::1"))
     ns = NeighborSolicitation(Ipv6Address.parse("fe80::1"))
     host.on_neighbor_solicitation(engine, ns, sender, 0)
@@ -107,7 +107,7 @@ def test_ns_for_assigned_address_is_defended(engine, sender):
 
 def test_ns_for_unknown_target_is_ignored(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.addresses.append(assigned_entry("fe80::1"))
     ns = NeighborSolicitation(Ipv6Address.parse("fe80::2"))
     host.on_neighbor_solicitation(engine, ns, "H9", 0)
@@ -116,7 +116,7 @@ def test_ns_for_unknown_target_is_ignored(engine):
 
 def test_simultaneous_dad_smaller_id_wins(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     target = host.addresses[0].address
     ns = NeighborSolicitation(target)
@@ -135,7 +135,7 @@ def test_simultaneous_dad_smaller_id_wins(engine):
 
 def test_na_abandons_pending_tentative(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     target = host.addresses[0].address
     host.on_neighbor_advertisement(engine, NeighborAdvertisement(target), 5)
@@ -148,7 +148,7 @@ def test_na_abandons_pending_tentative(engine):
 
 def test_na_for_foreign_target_is_noop(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     foreign = Ipv6Address.parse("fe80::dead")
     host.on_neighbor_advertisement(engine, NeighborAdvertisement(foreign), 5)
@@ -157,7 +157,7 @@ def test_na_for_foreign_target_is_noop(engine):
 
 def test_na_after_assignment_is_noop(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     target = host.addresses[0].address
     host.dad_deadline(engine, target, 1000)
@@ -170,7 +170,7 @@ def test_na_after_assignment_is_noop(engine):
 
 def test_link_local_assignment_solicits_routers(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     host.dad_deadline(engine, host.addresses[0].address, 1000)
     assert host.addresses[0].state is AddressState.ASSIGNED
@@ -181,7 +181,7 @@ def test_link_local_assignment_solicits_routers(engine):
 
 def test_global_assignment_sends_no_rs(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(), 0)
     entry = host.addresses[0]
     assert entry.prefix == PREFIX and entry.state is AddressState.TENTATIVE
@@ -194,7 +194,7 @@ def test_global_assignment_sends_no_rs(engine):
 
 def test_process_ra_installs_router_and_address(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(), 0)
     assert len(host.router_list) == 1
     assert host.router_list[0].expires_at == 1800 * 1000
@@ -206,7 +206,7 @@ def test_process_ra_installs_router_and_address(engine):
 
 def test_lifetime_zero_removes_default_router(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(), 0)
     host.process_ra(engine, make_ra(lifetime=0), 10)
     assert host.router_list == []
@@ -219,7 +219,7 @@ def test_lifetime_zero_removes_default_router(engine):
 
 def test_non_64_autonomous_prefix_is_ignored(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     ra = make_ra(prefixes=(PrefixInfo(Prefix.parse("2001:db8::/48"), 3600, 3600),))
     host.process_ra(engine, ra, 0)
     assert host.addresses == []
@@ -236,7 +236,7 @@ def test_link_local_prefix_forms_no_address(engine, text, forms):
     # holds the link-local assignment back past its deadline. fec0::/64 lies
     # just outside the range.
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.begin_autoconf(engine, 0)
     ra = make_ra(prefixes=(PrefixInfo(Prefix.parse(text), 3600, 3600),))
     host.process_ra(engine, ra, 1)
@@ -249,7 +249,7 @@ def test_link_local_prefix_forms_no_address(engine, text, forms):
 
 def test_abandoned_prefix_is_never_recreated(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(), 0)
     entry = host.addresses[0]
     host.on_neighbor_advertisement(
@@ -262,7 +262,7 @@ def test_abandoned_prefix_is_never_recreated(engine):
 
 def test_send_only_host_drops_unauthenticated_ra(engine):
     host = make_host(send_only=True)
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(), 0)
     assert host.router_list == [] and host.addresses == []
     assert records(engine, "ra-rejected-send")
@@ -273,14 +273,14 @@ def test_send_only_host_accepts_signed_ra(engine):
 
     engine.trusted_keys["k1"] = key_secret("k1")
     host = make_host(send_only=True)
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, sign_ra(make_ra(), "k1"), 0)
     assert len(host.router_list) == 1
 
 
 def test_disabled_host_ignores_ra(engine):
     host = make_host(ipv6_enabled=False)
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(), 0)
     assert host.router_list == [] and host.addresses == []
 
@@ -325,16 +325,16 @@ def test_two_hour_rule_floor(remaining, received):
 
 def test_refresh_without_policy_takes_received_lifetime(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(valid=10000, preferred=10000), 0)
     host.process_ra(engine, make_ra(valid=100, preferred=50), 1000)
     assert host.addresses[0].valid_until == 1000 + 100 * 1000
 
 
 def test_refresh_with_policy_applies_floor():
-    engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=True)
+    engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=True, switch_id="SW1")
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(valid=10000, preferred=10000), 0)
     host.process_ra(engine, make_ra(valid=100, preferred=50), 1000)
     entry = host.addresses[0]
@@ -498,7 +498,7 @@ run 5
 
 def test_tick_removes_expired_router(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.router_list = [router_entry("fe80::1", RouterPreference.HIGH, expires=100_000)]
     host.tick_lifetimes(engine, 101_000)
     assert host.router_list == []
@@ -507,7 +507,7 @@ def test_tick_removes_expired_router(engine):
 
 def test_tick_abandons_expired_address(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.process_ra(engine, make_ra(valid=10, preferred=10), 0)
     host.tick_lifetimes(engine, 10_000)
     assert host.addresses[0].state is AddressState.ABANDONED
@@ -516,7 +516,7 @@ def test_tick_abandons_expired_address(engine):
 
 def test_tick_noop_when_nothing_expired(engine):
     host = make_host()
-    engine.add_node(host)
+    attach(engine, host)
     host.router_list = [router_entry("fe80::1", RouterPreference.HIGH, expires=100_000)]
     host.tick_lifetimes(engine, 50_000)
     assert len(host.router_list) == 1

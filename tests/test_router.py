@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from conftest import SCENARIO_DIR, attrs, eui64_host, records
+from conftest import SCENARIO_DIR, attach, attrs, eui64_host, records
 
 import slaacsim.router
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
@@ -41,9 +41,9 @@ def emitted_ras(engine):
 
 def test_periodic_ra_carries_config_fields(engine):
     router = make_router()
-    engine.add_node(router)
-    engine.add_node(make_router(node_id="R2", src_ip=Ipv6Address.parse("fe80::2")))
-    engine.add_node(eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
+    attach(engine, router)
+    attach(engine, make_router(node_id="R2", src_ip=Ipv6Address.parse("fe80::2")))
+    attach(engine, eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     router.emit_periodic_ra(engine, 0)
     (ra,) = emitted_ras(engine)
     assert ra.src_mac == R1_MAC and ra.src_ip == R1_IP
@@ -56,7 +56,7 @@ def test_periodic_ra_carries_config_fields(engine):
 
 def test_ra_without_prefixes_is_default_router_only(engine):
     router = make_router(prefixes=())
-    engine.add_node(router)
+    attach(engine, router)
     router.emit_periodic_ra(engine, 0)
     assert attrs(records(engine, "ra-sent")[0])["prefixes"] == "-"
 
@@ -64,7 +64,7 @@ def test_ra_without_prefixes_is_default_router_only(engine):
 def test_signed_ra_verifies_against_anchor(engine):
     engine.trusted_keys["k1"] = key_secret("k1")
     router = make_router(send_key="k1")
-    engine.add_node(router)
+    attach(engine, router)
     ra = router.ra
     assert ra.auth is not None
     assert verify_ra(ra, engine.trusted_keys)
@@ -111,7 +111,7 @@ def test_router_interval_must_be_positive():
 
 def test_solicitation_gets_immediate_response(engine):
     router = make_router()
-    engine.add_node(router)
+    attach(engine, router)
     rs = RouterSolicitation(Ipv6Address.parse("fe80::9"))
     router.on_message(engine, rs, "H1", 0)
     router.on_message(engine, rs, "H1", 0)  # no rate limiting
@@ -121,7 +121,7 @@ def test_solicitation_gets_immediate_response(engine):
 def test_disabled_router_stays_silent(engine):
     router = make_router()
     router.enabled = False
-    engine.add_node(router)
+    attach(engine, router)
     rs = RouterSolicitation(Ipv6Address.parse("fe80::9"))
     router.on_message(engine, rs, "H1", 0)
     router.emit_periodic_ra(engine, 0)
@@ -131,7 +131,7 @@ def test_disabled_router_stays_silent(engine):
 def test_periodic_emission_count(engine):
     # A lone router over a 25 s run at a 10 s interval emits at 0, 10, 20.
     router = make_router()
-    engine.add_node(router)
+    attach(engine, router)
     engine.bootstrap()
     engine.run_until(25_000)
     assert len(records(engine, "ra-sent")) == 3
@@ -140,13 +140,13 @@ def test_periodic_emission_count(engine):
 def probe_through(engine, router):
     """Measure once with H1 holding a global address and ``router`` as its
     default router, so the engine sends one probe through it."""
-    engine.add_node(router)
+    attach(engine, router)
     host = eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
     host.addresses.append(
         AddressEntry(Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, PREFIX_INFO.prefix)
     )
     host.router_list.append(DefaultRouterEntry(R1_IP, 1_800_000, RouterPreference.HIGH, 0))
-    engine.add_node(host)
+    attach(engine, host)
     return engine.measure(0).hosts["H1"]
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import SCENARIO_DIR, attrs, records, scenario_path
 
 from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
+from slaacsim.attacker import Attacker
 from slaacsim.cli import run_command
 from slaacsim.defense import PortClass, SwitchPort, cga_generate
 from slaacsim.engine import Engine
@@ -65,11 +66,14 @@ def test_host_iid_is_the_given_one_else_cga_else_eui64(options, iid):
     assert build_engine(sc).nodes["H1"].iid == iid
 
 
-@pytest.mark.parametrize("model", [Host, Engine, Router, SwitchPort])
+@pytest.mark.parametrize("model", [Host, Engine, Router, SwitchPort, Attacker])
 def test_model_constructors_state_no_default(model):
     # The scenario's option tables and Scenario fields state every default.
     params = inspect.signature(model).parameters.values()
     assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
+    # Every node joins the link at a switch port.
+    port = inspect.signature(Engine.add_node).parameters["port"]
+    assert port.default is inspect.Parameter.empty
 
 
 def test_advertisement_preference_has_no_default():
@@ -157,6 +161,18 @@ def test_duplicate_node_id_rejected():
     )
     with pytest.raises(ScenarioValidationError, match="duplicate node id"):
         parse_scenario(text)
+
+
+def test_node_id_equal_to_the_switch_id_rejected(tmp_path, capsys):
+    # The switch's id labels its ra-dropped records, which would then read
+    # as the host's own.
+    text = MINIMAL.replace("switch SW1", "switch H1").replace("SW1.", "H1.")
+    with pytest.raises(ScenarioValidationError, match="node id 'H1' is the switch's id"):
+        parse_scenario(text)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run_command(["run", str(bad)]) == 1
+    assert "node id 'H1' is the switch's id" in capsys.readouterr().err
 
 
 def test_duplicate_mac_needs_opt_in():

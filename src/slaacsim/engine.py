@@ -262,15 +262,19 @@ class Engine(object):
 
     def trace_text(self) -> str:
         # An RA's values recur once per receiving host, so each kind renders
-        # each distinct (hashable, immutable) values tuple once.
+        # each distinct (hashable, immutable) values tuple once. Consecutive
+        # records mostly share a time, whose text is made once per run of them.
         tails: dict[str, dict[tuple[object, ...], str]] = {kind: {} for kind in _TAIL_FORMATS}
         lines = []
+        last_t = head = None
         for t, node, kind, values in self.trace_records:
+            if t != last_t:
+                last_t, head = t, f"t={t} node="
             memo = tails[kind]
             tail = memo.get(values)
             if tail is None:
                 tail = memo[values] = _TAIL_FORMATS[kind] % values
-            lines.append(f"t={t} node={node} kind={kind}{tail}")
+            lines.append(f"{head}{node} kind={kind}{tail}")
         return "".join(lines)
 
     # -- delivery ----------------------------------------------------------------

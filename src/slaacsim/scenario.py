@@ -552,6 +552,11 @@ def _validate(sc: Scenario) -> None:
         elif isinstance(step, ToggleDirective):
             if step.node not in routers:
                 raise ScenarioValidationError(f"enable/disable references non-router {step.node!r}")
+    for time_ms, _step in sc.directives:
+        if time_ms > sc.run_ms:
+            raise ScenarioValidationError(
+                f"at {_fmt_time(time_ms)} is after the run ends at {_fmt_time(sc.run_ms)}"
+            )
     for key, _value in sc.expects:
         if key in FLAGS:
             continue

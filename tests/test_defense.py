@@ -16,6 +16,7 @@ from slaacsim.defense import (
     verify_ra,
 )
 from slaacsim.messages import (
+    AuthToken,
     NeighborSolicitation,
     PrefixInfo,
     RouterAdvertisement,
@@ -149,8 +150,31 @@ def test_unknown_key_fails_verification(trusted):
     assert not verify_ra(signed, {})
 
 
+def test_tag_made_with_another_secret_fails_verification(trusted):
+    # The forgery an attacker can make: a trusted key id over a tag made
+    # with a secret it holds.
+    forged = sign_ra(make_ra(), "k2")
+    forged = replace(forged, auth=AuthToken("k1", forged.auth.tag))
+    assert not verify_ra(forged, trusted)
+
+
+@pytest.mark.parametrize("index", [0, 7, 15])
+def test_tag_with_one_byte_flipped_fails_verification(trusted, index):
+    signed = sign_ra(make_ra(), "k1")
+    tag = bytearray(signed.auth.tag)
+    tag[index] ^= 0x01
+    flipped = replace(signed, auth=AuthToken("k1", bytes(tag)))
+    assert not verify_ra(flipped, trusted)
+
+
 def test_tag_is_128_bits(trusted):
     assert len(sign_ra(make_ra(), "k1").auth.tag) == 16
+
+
+def test_tag_known_answer():
+    # Keyed BLAKE2b-128 over the advertisement's signed fields; a change of
+    # MAC must change this literal on purpose.
+    assert sign_ra(make_ra(), "k1").auth.tag.hex() == "78d906e78046df90977813f57335ce10"
 
 
 # -- digest-bound identifiers ----------------------------------------------------------

@@ -139,7 +139,7 @@ def test_kill_router_target_must_send_a_capturable_ra(tmp_path, capsys, target):
     # A host, the attacker itself and an ra=off router never send an RA the
     # attacker can capture: the input is invalid (exit 1), not a run that
     # fails (exit 2).
-    text = KILL_TARGETS.replace("run 4", f"at 5 attack A1 kill-router target={target}\nrun 4")
+    text = KILL_TARGETS.replace("run 4", f"at 3 attack A1 kill-router target={target}\nrun 4")
     message = f"attack target '{target}' sends no RA 'A1' can capture"
     with pytest.raises(ScenarioValidationError, match=message):
         parse_scenario(text)
@@ -151,7 +151,26 @@ def test_kill_router_target_must_send_a_capturable_ra(tmp_path, capsys, target):
 
 @pytest.mark.parametrize("target", ["R1", "A2"])
 def test_kill_router_may_target_an_advertising_router_or_another_attacker(target):
-    parse_scenario(KILL_TARGETS.replace("run 4", f"at 5 attack A1 kill-router target={target}\nrun 4"))
+    parse_scenario(KILL_TARGETS.replace("run 4", f"at 3 attack A1 kill-router target={target}\nrun 4"))
+
+
+def test_step_after_the_run_ends_rejected(tmp_path, capsys):
+    # A step timed after the run ends would never run, and the run would
+    # still report its flags as if it had.
+    text = MINIMAL.replace("run 4", "at 5 measure\nrun 4")
+    message = "at 5 is after the run ends at 4"
+    with pytest.raises(ScenarioValidationError, match=message):
+        parse_scenario(text)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run_command(["run", str(bad)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_step_at_the_run_end_is_valid():
+    # The run serves every event at or before its end time.
+    sc = parse_scenario(MINIMAL.replace("run 4", "at 4 measure\nrun 4"))
+    assert [time_ms for time_ms, _step in sc.directives] == [4000]
 
 
 def test_duplicate_node_id_rejected():

@@ -111,8 +111,11 @@ def scenario_texts(draw):
             lines.append(f"key {router} k{router}")
             if draw(st.booleans()):
                 lines.append(f"trust k{router}")
+    # A step may come at any time up to the end of the run, never after it.
+    run_ms = draw(st.integers(0, 10**6))
+    step_times = st.integers(0, run_ms).map(_seconds_text)
     for _ in range(draw(st.integers(0, 3))):
-        at = f"at {draw(times)}"
+        at = f"at {draw(step_times)}"
         if routers and draw(st.booleans()):
             verb = draw(st.sampled_from(["enable", "disable"]))
             lines.append(f"{at} {verb} {draw(st.sampled_from(routers))}")
@@ -128,11 +131,11 @@ def scenario_texts(draw):
                 modes += ["fake-router", "blackhole", "dual-stack"]
             mode = draw(st.sampled_from(modes))
             target = f" target={draw(st.sampled_from(targets))}" if mode == "kill-router" else ""
-            lines.append(f"at {draw(times)} attack {attacker} {mode}{target}")
+            lines.append(f"at {draw(step_times)} attack {attacker} {mode}{target}")
     if draw(st.booleans()):
         lines.append("expect dos_success=false")
     seed = f" seed={draw(st.integers(-5, 2**32))}" if draw(st.booleans()) else ""
-    lines.append(f"run {draw(times)}{seed}")
+    lines.append(f"run {_seconds_text(run_ms)}{seed}")
     return "\n".join(lines) + "\n"
 
 

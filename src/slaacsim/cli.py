@@ -2,9 +2,10 @@
 scripted expectations.
 
 Exit status: 0 clean run (and all expectations met under --check), 1 on
-parse/validation/expectation failure, on a scenario file that cannot be read
-or is not UTF-8, or on a --trace/--metrics file that cannot be written, 2 on
-an internal invariant violation.
+parse/validation/expectation failure, on an attack step that replays an
+advertisement its attacker has not captured yet, on a scenario file that
+cannot be read or is not UTF-8, or on a --trace/--metrics file that cannot be
+written, 2 on an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import SimInvariantError
+from .engine import ScenarioError, SimInvariantError
 from .scenario import (
-    ScenarioError,
     build_engine,
     evaluate_expects,
     parse_scenario,
@@ -52,6 +52,9 @@ def run_command(argv: list[str]) -> int:
     engine = build_engine(scenario, seed=args.seed)
     try:
         metrics = engine.execute(scenario.run_ms)
+    except ScenarioError as exc:
+        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return 1
     except SimInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .addressing import Ipv6Address, iid_text
-from .attacker import Attacker, AttackMode
+from .attacker import Attacker, AttackMode, NoCapturedRa
 from .defense import SwitchPort, filter_ingress
 from .host import AddressState, Host
 from .messages import (
@@ -41,6 +42,12 @@ Node = Union[Host, Router, Attacker]
 
 class SimInvariantError(AssertionError):
     """An internal consistency check failed; maps to CLI exit status 2."""
+
+
+class ScenarioError(ValueError):
+    """A scenario that cannot be run as written; maps to CLI exit status 1.
+    Parsing and validation find most; the run finds an attack step that
+    replays an advertisement its attacker has not captured yet."""
 
 
 # Each trace kind's keys in line order; Engine.trace takes values in this order.
@@ -213,6 +220,9 @@ class Engine(object):
         self._queue: list[tuple[int, int, Optional[str], Union[TimerKey, Action]]] = []
         self._queued = 0  # receivers of the queued Deliver entries
         self._seq = itertools.count()
+        # The end of the run, once execute() states it: no timer due later is
+        # queued, and run_until() may not pass it.
+        self._horizon = math.inf
         self._ip_owner: dict[Ipv6Address, str] = {}
         self._claims: dict[Ipv6Address, set[str]] = {}  # DAD target -> hosts
         self._payload_ids = itertools.count(1)
@@ -245,7 +255,10 @@ class Engine(object):
     def set_timer(self, node_id: str, timer: TimerKey, at_ms: int) -> None:
         if at_ms < self.now:
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
-        heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
+        # A timer due after the horizon could never be served. Leaving it out,
+        # seq too, keeps every other entry's (time, seq) order.
+        if at_ms <= self._horizon:
+            heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
 
     def bootstrap(self) -> None:
         """Book each node's startup work at t=0, in declaration order."""
@@ -340,6 +353,8 @@ class Engine(object):
 
     def run_until(self, t_end_ms: int) -> None:
         """Process all events with time <= t_end in (time, seq) order."""
+        if t_end_ms > self._horizon:
+            raise SimInvariantError(f"cannot run past the run's end ({t_end_ms} > {self._horizon})")
         queue, nodes = self._queue, self.nodes
         while queue and queue[0][0] <= t_end_ms:
             at, _seq, node_id, action = heapq.heappop(queue)
@@ -361,6 +376,8 @@ class Engine(object):
             self.trace(step.attacker, "attack-mode", step.mode, step.target or "-")
             try:
                 node.run_playbook(self, step.mode, step.target, now)
+            except NoCapturedRa as exc:
+                raise ScenarioError(f"attack {step.attacker} {step.mode} at t={now} ms: {exc}") from exc
             except RuntimeError as exc:
                 raise SimInvariantError(f"playbook failed: {exc}") from exc
             if step.mode is not AttackMode.PASSIVE:
@@ -377,8 +394,10 @@ class Engine(object):
     def execute(self, t_end_ms: int) -> RunMetrics:
         """Run to t_end, measuring at the end if the script never did, then
         add the message counters to the run's metrics and verify message
-        conservation. Expects bootstrap() to have been called (the scenario
-        builder does so)."""
+        conservation. t_end is the run's end from then on: no timer due
+        later is queued, and the engine cannot be run past it. Expects
+        bootstrap() to have been called (the scenario builder does so)."""
+        self._horizon = t_end_ms
         self.run_until(t_end_ms)
         if self.metrics is None:
             self.measure(t_end_ms)

@@ -58,6 +58,7 @@ from .engine import (
     Engine,
     MeasureDirective,
     RunMetrics,
+    ScenarioError,
     ScriptStep,
     ToggleDirective,
 )
@@ -78,10 +79,6 @@ _PORT_RE = re.compile(r"p([1-9][0-9]*)")
 
 ATTACK_MODES = {m.value: m for m in AttackMode}
 HOST_METRIC_FIELDS = ("default_router", "family_in_use", "iid")
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 class ScenarioParseError(ScenarioError):

@@ -1,10 +1,14 @@
+import heapq
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import slaacsim.scenario
+
 from slaacsim.addressing import MacAddress, derive_eui64
 from slaacsim.defense import PortClass, SwitchPort
-from slaacsim.engine import Deliver, Engine, TraceRecord
+from slaacsim.engine import Deliver, Engine, SimInvariantError, TraceRecord
 from slaacsim.host import Host
 from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
@@ -28,6 +32,30 @@ def run_scenario(name: str, seed=None):
     engine = build_engine(sc, seed=seed)
     metrics = engine.execute(sc.run_ms)
     return sc, engine, metrics
+
+
+class EveryTimerEngine(Engine):
+    """The queue without a horizon: every timer is booked, however long
+    after the end of the run it is due."""
+
+    def set_timer(self, node_id, timer, at_ms):
+        if at_ms < self.now:
+            raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
+        heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
+
+
+def build_on(sc, engine_class) -> Engine:
+    """``sc`` built on an ``engine_class`` in place of Engine."""
+    with mock.patch.object(slaacsim.scenario, "Engine", engine_class):
+        return build_engine(sc)
+
+
+def run_output(sc, engine_class, t_end_ms=None) -> str:
+    """The trace and metrics text of ``sc`` built on an ``engine_class`` and
+    executed to ``t_end_ms``, by default its run time."""
+    engine = build_on(sc, engine_class)
+    metrics = engine.execute(sc.run_ms if t_end_ms is None else t_end_ms)
+    return engine.trace_text() + "\n".join(metrics.to_lines())
 
 
 def eui64_host(node_id: str, mac: MacAddress) -> Host:

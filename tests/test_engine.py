@@ -10,7 +10,20 @@ from collections import Counter
 
 import pytest
 
-from conftest import attach, attrs, eui64_host, load, queued_deliveries, records, run_scenario, SCENARIO_DIR
+from conftest import (
+    EveryTimerEngine,
+    SCENARIO_DIR,
+    attach,
+    attrs,
+    build_on,
+    eui64_host,
+    load,
+    queued_deliveries,
+    queued_timers,
+    records,
+    run_output,
+    run_scenario,
+)
 
 import slaacsim.scenario
 
@@ -139,13 +152,6 @@ class PerReceiverEngine(Engine):
                 self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, (node_id,)))
 
 
-def run_output(sc, engine_class, monkeypatch) -> str:
-    monkeypatch.setattr(slaacsim.scenario, "Engine", engine_class)
-    engine = slaacsim.scenario.build_engine(sc)
-    metrics = engine.execute(sc.run_ms)
-    return engine.trace_text() + "\n".join(metrics.to_lines())
-
-
 # Each host's solicitation reaches both routers, which answer at once; at
 # latency 0 an answer handled inside the batch would land before the second
 # router has seen the solicitation.
@@ -164,22 +170,22 @@ run 4
 """
 
 
-def assert_same_output(name, reference, monkeypatch):
+def assert_same_output(name, reference):
     """``reference`` gives Engine's trace and metrics on ``name`` at its own
     link latency and at 0 and 2 ms."""
     sc = slaacsim.scenario.parse_scenario(TWO_ROUTERS) if name == "two-routers" else load(name)
     for latency in sorted({sc.link_latency_ms, 0, 2}):
         sc.link_latency_ms = latency
-        expected = run_output(sc, Engine, monkeypatch)
-        assert run_output(sc, reference, monkeypatch) == expected, f"latency {latency}"
+        expected = run_output(sc, Engine)
+        assert run_output(sc, reference) == expected, f"latency {latency}"
 
 
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
-def test_batched_delivery_matches_per_receiver_entries(name, monkeypatch):
+def test_batched_delivery_matches_per_receiver_entries(name):
     # One entry per emission is exact only if no event can run between its
     # receivers and they are served in node order; latency 0 books replies
     # at the very time of the batch.
-    assert_same_output(name, PerReceiverEngine, monkeypatch)
+    assert_same_output(name, PerReceiverEngine)
 
 
 class EveryReceiverEngine(Engine):
@@ -202,9 +208,70 @@ class EveryReceiverEngine(Engine):
 
 
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
-def test_dispatch_by_kind_matches_calling_every_receiver(name, monkeypatch):
+def test_dispatch_by_kind_matches_calling_every_receiver(name):
     # Exact only if every call the engine skips was a no-op.
-    assert_same_output(name, EveryReceiverEngine, monkeypatch)
+    assert_same_output(name, EveryReceiverEngine)
+
+
+@pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
+def test_horizon_matches_queueing_every_timer(name):
+    # Exact only if no timer left out could ever have been served.
+    assert_same_output(name, EveryTimerEngine)
+
+
+# Short lifetimes put H1's timers inside the run: its DAD deadlines (1000 and
+# 1001 ms), then the router and address expiries that R1's first RA books
+# (3001, 5001) and those its answer to H1's RS books (4002, 6002), which
+# remove R1 and abandon the global address.
+SHORT_LIFETIMES = """\
+switch SW1 ports=2
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 lifetime=3 valid=5 preferred=4 interval=600
+node host H1 mac=00:1a:2b:3c:4d:5e
+attach R1 SW1.p1 class=router
+attach H1 SW1.p2 class=host
+run 10
+"""
+DUE_MS = (1000, 1001, 3001, 4002, 5001, 6002)
+
+
+def test_horizon_matches_queueing_every_timer_at_each_end_near_a_due_time():
+    # A timer due at the very end must still fire; one due a millisecond
+    # later must not be served.
+    sc = slaacsim.scenario.parse_scenario(SHORT_LIFETIMES)
+    full = run_output(sc, Engine)
+    assert "t=4002 node=H1 kind=router-removed" in full
+    assert "t=6002 node=H1 kind=addr-abandoned" in full
+    for t_end in sorted({due + d for due in DUE_MS for d in range(-2, 3)}):
+        assert run_output(sc, Engine, t_end) == run_output(sc, EveryTimerEngine, t_end), t_end
+
+
+def test_execute_queues_no_timer_due_after_the_end():
+    sc = slaacsim.scenario.parse_scenario(SHORT_LIFETIMES)
+    reference, engine = build_on(sc, EveryTimerEngine), slaacsim.scenario.build_engine(sc)
+    reference.execute(3000)
+    engine.execute(3000)
+    assert [at for at, *_ in queued_timers(reference)] == [3001, 4002, 5001, 6002, 600_000]
+    assert queued_timers(engine) == []
+
+
+def test_timer_due_at_the_end_fires():
+    engine = slaacsim.scenario.build_engine(slaacsim.scenario.parse_scenario(SHORT_LIFETIMES))
+    engine.execute(4002)
+    assert [r.time for r in records(engine, "router-removed")] == [4002]
+
+
+def test_run_until_cannot_pass_the_end_of_an_executed_run(engine):
+    engine.execute(100)
+    engine.run_until(100)
+    with pytest.raises(SimInvariantError, match="cannot run past the run's end"):
+        engine.run_until(101)
+
+
+def test_run_until_alone_queues_every_timer(engine):
+    # Only execute() states where the run ends.
+    engine.run_until(5)
+    engine.set_timer("N1", Timer.RA, 10**12)
+    assert queued_timers(engine) == [(10**12, "N1", Timer.RA)]
 
 
 def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):

@@ -10,7 +10,7 @@ from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
 from slaacsim.attacker import Attacker
 from slaacsim.cli import run_command
 from slaacsim.defense import PortClass, SwitchPort, cga_generate
-from slaacsim.engine import Engine
+from slaacsim.engine import Engine, SimInvariantError
 from slaacsim.host import Host
 from slaacsim.messages import RouterAdvertisement
 from slaacsim.router import Router
@@ -476,16 +476,38 @@ def test_check_compares_against_the_printed_text(path, tmp_path, capsys):
     ]
 
 
-def test_playbook_precondition_failure_exits_2(tmp_path, capsys):
+def test_kill_router_before_any_capture_exits_1(tmp_path, capsys):
+    # Validation cannot tell whether R1's RA reaches A1 before the step
+    # replays it. A replay with nothing captured is a fault of the input
+    # (exit 1), not an invariant violation (exit 2).
     text = MINIMAL.replace(
         "node host H1 mac=00:1a:2b:3c:4d:5e",
         "node attacker A1 mac=00:00:5e:00:53:66",
     ).replace("attach H1 SW1.p2 class=host", "attach A1 SW1.p2 class=host")
-    text = text.replace("run 4", "at 0 attack A1 kill-router target=R1\nrun 4")
-    broken = tmp_path / "broken.txt"
-    broken.write_text(text)
-    assert run_command(["run", str(broken)]) == 2
-    assert "invariant" in capsys.readouterr().err
+    early = text.replace("run 4", "at 0 attack A1 kill-router target=R1\nrun 4")
+    # R1's first RA is still on the wire at 5 s.
+    slow = "link-latency 6\n" + text.replace("run 4", "at 5 attack A1 kill-router target=R1\nrun 9")
+    for scenario_text, at_ms in ((early, 0), (slow, 5000)):
+        broken = tmp_path / "broken.txt"
+        broken.write_text(scenario_text)
+        assert run_command(["run", str(broken)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {broken}: attack A1 kill-router at t={at_ms} ms:"
+            " A1 holds no captured RA from R1\n"
+        )
+
+
+def test_missing_persona_at_run_time_is_an_invariant_violation():
+    # Validation rejects a forging attack without a persona, so a run that
+    # meets one has broken an invariant.
+    text = MINIMAL.replace(
+        "node host H1 mac=00:1a:2b:3c:4d:5e",
+        "node attacker A1 mac=00:00:5e:00:53:66 persona-routes=yes",
+    ).replace("attach H1 SW1.p2 class=host", "attach A1 SW1.p2 class=host")
+    engine = build_engine(parse_scenario(text.replace("run 4", "at 1 attack A1 fake-router\nrun 4")))
+    engine.nodes["A1"].persona = None
+    with pytest.raises(SimInvariantError, match="playbook failed: A1 has no fake-router persona"):
+        engine.execute(4000)
 
 
 def test_link_latency_directive():

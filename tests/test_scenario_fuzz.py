@@ -1,15 +1,16 @@
 """Generated scenarios: the canonical writer round-trips any valid scenario,
-and no malformed scenario ends in an exception other than a scenario or
-invariant error."""
+every valid one runs alike with and without the queue's horizon, and no
+malformed scenario ends in an exception other than a scenario or invariant
+error."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, EveryTimerEngine, run_output
 
-from slaacsim.engine import SimInvariantError
+from slaacsim.engine import Engine, SimInvariantError
 from slaacsim.scenario import (
     MAX_PORTS,
     MAX_TIME_S,
@@ -147,6 +148,27 @@ def test_canonical_text_round_trips(text):
     assert parse_scenario(canonical) == sc
     assert print_scenario(parse_scenario(canonical)) == canonical
     build_engine(sc)
+
+
+# Generated runs stop here: past it a periodic router only repeats itself.
+GENERATED_RUN_MS = 20_000
+
+
+def _output(sc, engine_class) -> str:
+    """The run's text, or the scenario error that ends it: an attack step
+    that replays an RA its attacker has not captured yet. A SimInvariantError
+    is never caught, so it fails the test."""
+    try:
+        return run_output(sc, engine_class, min(sc.run_ms, GENERATED_RUN_MS))
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenario_texts())
+def test_generated_scenarios_run_alike_with_every_timer_queued(text):
+    sc = parse_scenario(text)
+    assert _output(sc, Engine) == _output(sc, EveryTimerEngine)
 
 
 # Values at and past the edges of what the grammar accepts.

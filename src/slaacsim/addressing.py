@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import functools
 import ipaddress
+import re
 from dataclasses import dataclass
 
 IID_BITS = 64
 IID_MASK = (1 << IID_BITS) - 1
 LINK_LOCAL_PREFIX = 0xFE80 << 112
+# ASCII hex only: \d, str.isdigit and int() also take other scripts' digits.
+_HEX_PAIR_RE = re.compile("[0-9a-fA-F]{2}")
+_MAC_RE = re.compile("[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2}){5}")
 # Distinct IPv6 texts kept by _ipv6_text; a bound, so a process that runs many
 # scenarios never grows the cache without limit.
 IPV6_TEXT_CACHE_SIZE = 1 << 16
@@ -43,20 +47,17 @@ class MacAddress:
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
+        if _MAC_RE.fullmatch(text):
+            return cls(bytes.fromhex(text.replace(":", "")))
+        # Malformed: find the first bad pair for the error's offset.
         parts = text.split(":")
         if len(parts) != 6:
             raise AddressParseError(text, 0, "MAC needs six colon-separated pairs")
-        octets = bytearray()
-        offset = 0
-        for part in parts:
-            if len(part) != 2 or any(c not in "0123456789abcdefABCDEF" for c in part):
-                raise AddressParseError(text, offset, "bad hex pair")
-            octets.append(int(part, 16))
-            offset += 3
-        return cls(bytes(octets))
+        bad = next(i for i, part in enumerate(parts) if not _HEX_PAIR_RE.fullmatch(part))
+        raise AddressParseError(text, 3 * bad, "bad hex pair")
 
     def __str__(self) -> str:
-        return ":".join(f"{b:02x}" for b in self.octets)
+        return self.octets.hex(":")
 
 
 class Ipv6Address(int):
@@ -71,10 +72,13 @@ class Ipv6Address(int):
 
     @classmethod
     def parse(cls, text: str) -> "Ipv6Address":
-        try:
-            return cls(int(ipaddress.IPv6Address(text)))
-        except (ipaddress.AddressValueError, ValueError):
-            raise AddressParseError(text, _fault_offset(text), "invalid IPv6 address") from None
+        # A link has no zones: the stdlib takes "fe80::1%eth0" and int() drops "%eth0".
+        if "%" not in text:
+            try:
+                return cls(int(ipaddress.IPv6Address(text)))
+            except (ipaddress.AddressValueError, ValueError):
+                pass
+        raise AddressParseError(text, _fault_offset(text), "invalid IPv6 address")
 
     def __str__(self) -> str:
         return _ipv6_text(self)

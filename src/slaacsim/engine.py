@@ -77,10 +77,11 @@ TRACE_KEYS: dict[str, tuple[str, ...]] = {
     "ra-captured": ("src", "lifetime"),
 }
 
-# Each kind's newline-terminated text after ``kind=<kind>``. %s, not format():
+# Each kind's newline-terminated text after ``node=<id>``. %s, not format():
 # format() on an IntEnum such as RouterPreference gives its number, not name.
 _TAIL_FORMATS = {
-    kind: "".join([f" {key}=%s" for key in keys]) + "\n" for kind, keys in TRACE_KEYS.items()
+    kind: "".join([f" kind={kind}", *[f" {key}=%s" for key in keys], "\n"])
+    for kind, keys in TRACE_KEYS.items()
 }
 
 
@@ -103,7 +104,7 @@ class TraceRecord(NamedTuple):
     def line(self) -> str:
         """The record's trace line, without its newline."""
         tail = _TAIL_FORMATS[self.kind] % self.values
-        return f"t={self.time} node={self.node} kind={self.kind}{tail}"[:-1]
+        return f"t={self.time} node={self.node}{tail}"[:-1]
 
 
 class AdvertisedPrefixes(tuple):
@@ -204,7 +205,8 @@ class Engine(object):
 
     def __init__(self, link_latency_ms: int, seed: int, two_hour_rule: bool, switch_id: str):
         self.link_latency_ms = link_latency_ms
-        self.rng = random.Random(seed)
+        self.seed = seed
+        self.rng: Optional[random.Random] = None  # seeded when a router that jitters joins
         self.two_hour_rule = two_hour_rule
         self.now = 0
         self.nodes: dict[str, Node] = {}
@@ -240,6 +242,8 @@ class Engine(object):
         # Only a router's or a persona's RAs put an address in a router list.
         if isinstance(node, Router):
             self._ip_owner[node.ra.src_ip] = node.node_id
+            if node.jitter_ms and self.rng is None:  # most runs draw nothing
+                self.rng = random.Random(self.seed)
         elif isinstance(node, Attacker) and node.persona is not None:
             self._ip_owner[node.persona.ra.src_ip] = node.node_id
 
@@ -274,20 +278,22 @@ class Engine(object):
         self.trace_records.append((self.now, node, kind, values))
 
     def trace_text(self) -> str:
-        # An RA's values recur once per receiving host, so each kind renders
-        # each distinct (hashable, immutable) values tuple once. Consecutive
-        # records mostly share a time, whose text is made once per run of them.
-        tails: dict[str, dict[tuple[object, ...], str]] = {kind: {} for kind in _TAIL_FORMATS}
+        # An RA's values recur once per receiving host, so the text from ` kind=`
+        # on is made once per kind and distinct (hashable, immutable) values tuple,
+        # in a memo made at the kind's first record. Records with one time share a head.
+        tails: dict[str, dict[tuple[object, ...], str]] = {}
         lines = []
         last_t = head = None
         for t, node, kind, values in self.trace_records:
             if t != last_t:
                 last_t, head = t, f"t={t} node="
-            memo = tails[kind]
+            memo = tails.get(kind)
+            if memo is None:
+                memo = tails[kind] = {}
             tail = memo.get(values)
             if tail is None:
                 tail = memo[values] = _TAIL_FORMATS[kind] % values
-            lines.append(f"{head}{node} kind={kind}{tail}")
+            lines.append(f"{head}{node}{tail}")
         return "".join(lines)
 
     # -- delivery ----------------------------------------------------------------
@@ -353,6 +359,8 @@ class Engine(object):
 
     def run_until(self, t_end_ms: int) -> None:
         """Process all events with time <= t_end in (time, seq) order."""
+        if t_end_ms < self.now:
+            raise SimInvariantError(f"cannot run back in time ({t_end_ms} < {self.now})")
         if t_end_ms > self._horizon:
             raise SimInvariantError(f"cannot run past the run's end ({t_end_ms} > {self._horizon})")
         queue, nodes = self._queue, self.nodes

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -78,6 +77,7 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 _PORT_RE = re.compile(r"p([1-9][0-9]*)")
 
 ATTACK_MODES = {m.value: m for m in AttackMode}
+PORT_CLASSES = {c.value: c for c in PortClass}
 HOST_METRIC_FIELDS = ("default_router", "family_in_use", "iid")
 
 
@@ -230,6 +230,14 @@ NODE_OPTIONS: dict[str, dict[str, Option]] = {
     )
 }
 
+# The value every absent key with a default takes, by kind and by whether the
+# line gives a persona key: a persona key takes its default only then.
+_DEFAULTS = {
+    (kind, persona): {k: o.default for k, o in options.items()
+                      if o.default is not None and (persona or k not in _PERSONA_KEYS)}
+    for kind, options in NODE_OPTIONS.items() for persona in (False, True)
+}
+
 # Rules across the options of one node line.
 _TOGETHER = (("ipv4", "gw4"), ("cga-key", "cga-modifier"))
 _EXCLUSIVE = (("iid", "cga-key"),)
@@ -283,9 +291,6 @@ class Scenario:
     run_ms: int = 0
     seed: int = 0
 
-    def node_ids(self) -> list[str]:
-        return [n.node_id for n in self.nodes]
-
 
 # -- parsing -------------------------------------------------------------------
 
@@ -324,10 +329,9 @@ def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
     seen: set[str] = set()  # the directives read so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
         try:
             if head in ("link-latency", "run") and head in seen:
@@ -349,10 +353,9 @@ def parse_scenario(text: str) -> Scenario:
                 _need(tokens, 4)
                 switch, port = _port_ref(tokens[2])
                 class_text = _kv(tokens[3:], ("class",))["class"]
-                try:
-                    port_class = PortClass(class_text)
-                except ValueError:
-                    raise ValueError(f"bad port class {class_text!r}") from None
+                port_class = PORT_CLASSES.get(class_text)
+                if port_class is None:
+                    raise ValueError(f"bad port class {class_text!r}")
                 sc.attaches.append(AttachDecl(tokens[1], switch, port, port_class))
             elif head == "policy":
                 _parse_policy(sc, tokens)
@@ -406,20 +409,16 @@ def _parse_node(tokens: list[str]) -> NodeDecl:
     for a, b in _EXCLUSIVE:
         if a in given and b in given:
             raise ValueError(f"{a} and {b} are mutually exclusive")
-    with_persona = not _PERSONA_KEYS.isdisjoint(given)
-    values: dict[str, Any] = {}
+    values = dict(_DEFAULTS[kind, not _PERSONA_KEYS.isdisjoint(given)])
+    # In table order, so that of two bad options the first in the table is reported.
     for key, option in options.items():
         if key in given:
             try:
                 value = option.parse(given[key])
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-        elif with_persona or key not in _PERSONA_KEYS:
-            value = option.default
-        else:
-            continue
-        if value is not None:
-            values[key] = value
+            if value is not None:  # an empty prefix list leaves prefix unset
+                values[key] = value
     if "ip" in options and "ip" not in values:
         values["ip"] = link_local_from(derive_eui64(values["mac"]))
     for lower, upper in _NOT_ABOVE:
@@ -472,21 +471,36 @@ def _parse_step(tokens: list[str]) -> tuple[int, ScriptStep]:
 # -- validation ------------------------------------------------------------------
 
 def _validate(sc: Scenario) -> None:
-    ids = sc.node_ids()
-    dup = _repeated(ids)
-    if dup:
-        raise ScenarioValidationError(f"duplicate node id(s): {sorted(dup)}")
-    declared = set(ids)
-    if not sc.allow_dup_mac:
-        dup_macs = sorted(map(str, _repeated(n.mac for n in sc.nodes)))
-        if dup_macs:
-            raise ScenarioValidationError(
-                f"duplicate MAC(s) {dup_macs}; add allow-dup-mac to permit"
-            )
-    # The engine maps the address a router or a persona advertises from to its node.
-    dup_ips = sorted(map(str, _repeated(n.options["ip"] for n in sc.nodes if "ip" in n.options)))
+    # One pass over the nodes gathers what the checks below read; they then
+    # run in a fixed order, so a file with several faults gets one message.
+    declared, macs, ips, dup_ids, dup_macs, dup_ips = set(), set(), set(), set(), set(), set()
+    of_kind: dict[str, set[str]] = {kind: set() for kind in NODE_OPTIONS}
+    # ra_senders: the nodes whose advertisements an attacker can capture.
+    personas, ra_senders, gateways = set(), set(), []  # gateways: (host, its gw4)
+    for n in sc.nodes:
+        values = n.options
+        (dup_ids if n.node_id in declared else declared).add(n.node_id)
+        (dup_macs if values["mac"] in macs else macs).add(values["mac"])
+        # The engine maps the address a router or a persona advertises from to its node.
+        if "ip" in values:
+            (dup_ips if values["ip"] in ips else ips).add(values["ip"])
+        of_kind[n.kind].add(n.node_id)
+        if not _PERSONA_KEYS.isdisjoint(values):
+            personas.add(n.node_id)
+        if n.kind == "attacker" or (n.kind == "router" and values["ra"]):
+            ra_senders.add(n.node_id)
+        if "gw4" in values:
+            gateways.append((n.node_id, values["gw4"]))
+    if dup_ids:
+        raise ScenarioValidationError(f"duplicate node id(s): {sorted(dup_ids)}")
+    if dup_macs and not sc.allow_dup_mac:
+        raise ScenarioValidationError(
+            f"duplicate MAC(s) {sorted(map(str, dup_macs))}; add allow-dup-mac to permit"
+        )
     if dup_ips:
-        raise ScenarioValidationError(f"routers or attackers share address(es) {dup_ips}")
+        raise ScenarioValidationError(
+            f"routers or attackers share address(es) {sorted(map(str, dup_ips))}"
+        )
     if sc.switch is None:
         raise ScenarioValidationError("scenario needs a switch")
     switch_id, port_count = sc.switch
@@ -517,22 +531,17 @@ def _validate(sc: Scenario) -> None:
     for pol in sc.policies:
         if not on_switch(pol.switch, pol.port):
             raise ScenarioValidationError(f"policy references unknown port {pol.switch}.{pol.port}")
-    of_kind = {kind: {n.node_id for n in sc.nodes if n.kind == kind} for kind in NODE_OPTIONS}
     routers, hosts, attackers = of_kind["router"], of_kind["host"], of_kind["attacker"]
-    personas = {n.node_id for n in sc.nodes if not _PERSONA_KEYS.isdisjoint(n.options)}
-    # The nodes whose advertisements an attacker can capture: routers with RA on and attackers.
-    ra_senders = attackers | {n.node_id for n in sc.nodes if n.kind == "router" and n.options["ra"]}
     for node in sc.keys:
         if node not in routers:
             raise ScenarioValidationError(f"key holder {node!r} is not a declared router")
     for key_id in sc.trusts:
         if key_id not in sc.keys.values():
             raise ScenarioValidationError(f"trust references unknown key {key_id!r}")
-    for n in sc.nodes:
-        gw4 = n.options.get("gw4")
-        if gw4 is not None and gw4 not in routers and gw4 not in attackers:
+    for host_id, gw4 in gateways:
+        if gw4 not in routers and gw4 not in attackers:
             raise ScenarioValidationError(
-                f"gw4 {gw4!r} of {n.node_id!r} is not a declared router or attacker"
+                f"gw4 {gw4!r} of {host_id!r} is not a declared router or attacker"
             )
     for _time, step in sc.directives:
         if isinstance(step, AttackDirective):
@@ -562,20 +571,15 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioValidationError(f"unknown expectation metric {key!r}")
 
 
-def _repeated(items) -> set:
-    return {item for item, count in Counter(items).items() if count > 1}
-
-
 # -- canonical writer ---------------------------------------------------------------
 
 def print_scenario(sc: Scenario) -> str:
     lines = [f"link-latency {_fmt_time(sc.link_latency_ms)}"]
     switch_id, ports = sc.switch
     lines.append(f"switch {switch_id} ports={ports}")
-    for n in sc.nodes:
-        lines.append(_print_node(n))
+    lines.extend(map(_print_node, sc.nodes))
     for att in sc.attaches:
-        lines.append(f"attach {att.node} {att.switch}.{att.port} class={att.port_class}")
+        lines.append(f"attach {att.node} {att.switch}.{att.port} class={att.port_class!s}")
     for pol in sc.policies:
         if pol.kind == RA_GUARD:
             lines.append(f"policy {pol.switch}.{pol.port} {RA_GUARD}")
@@ -594,16 +598,13 @@ def print_scenario(sc: Scenario) -> str:
     for key, value in sc.expects:
         lines.append(f"expect {key}={value}")
     lines.append(f"run {_fmt_time(sc.run_ms)} seed={sc.seed}")
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n"
 
 
 def _print_node(n: NodeDecl) -> str:
     values = n.options
-    parts = [f"node {n.kind} {n.node_id}"]
-    for key, option in NODE_OPTIONS[n.kind].items():
-        if key in values:
-            parts.append(f"{key}={option.show(values[key])}")
-    return " ".join(parts)
+    shown = [f" {k}={o.show(values[k])}" for k, o in NODE_OPTIONS[n.kind].items() if k in values]
+    return f"node {n.kind} {n.node_id}" + "".join(shown)
 
 
 def _print_step(time_ms: int, step: ScriptStep) -> str:
@@ -613,7 +614,7 @@ def _print_step(time_ms: int, step: ScriptStep) -> str:
     if isinstance(step, ToggleDirective):
         return f"{at} {'enable' if step.enabled else 'disable'} {step.node}"
     target = f" target={step.target}" if step.target is not None else ""
-    return f"{at} attack {step.attacker} {step.mode}{target}"
+    return f"{at} attack {step.attacker} {step.mode!s}{target}"
 
 
 # -- engine wiring --------------------------------------------------------------------
@@ -644,7 +645,7 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
 def _build_node(decl: NodeDecl, key_for: dict[str, str]):
     values = decl.options
     if decl.kind == "router":
-        return _router(decl, "", key_for.get(decl.node_id), values["ra"], values["jitter"])
+        return _router(decl, _AD_KEYS, key_for.get(decl.node_id), values["ra"], values["jitter"])
     if decl.kind == "host":
         if "iid" in values:
             iid = values["iid"]
@@ -663,28 +664,30 @@ def _build_node(decl: NodeDecl, key_for: dict[str, str]):
     # when armed, and keeps to its interval.
     persona = None
     if not _PERSONA_KEYS.isdisjoint(values):
-        persona = _router(decl, PERSONA, send_key=None, ra_enabled=True, jitter_ms=0)
+        persona = _router(decl, _PERSONA_AD_KEYS, send_key=None, ra_enabled=True, jitter_ms=0)
     return Attacker(decl.node_id, persona)
 
 
+# The keys _router reads, in its order: a router's, and an attacker's persona's.
+_AD_KEYS = ("lifetime", "preference", "prefix", "valid", "preferred", "interval", "routes")
+_PERSONA_AD_KEYS = tuple(PERSONA + key for key in _AD_KEYS)
+
+
 def _router(
-    decl: NodeDecl, key_prefix: str, send_key: Optional[str], ra_enabled: bool, jitter_ms: int
+    decl: NodeDecl, keys: tuple[str, ...], send_key: Optional[str], ra_enabled: bool, jitter_ms: int
 ) -> Router:
-    """The router a router line declares, or with ``key_prefix`` set to
-    ``persona-`` an attacker's persona: the one advertisement it sends, from
-    the node's own addresses, and when it sends it."""
+    """The router a router line declares, or with the persona's ``keys`` an
+    attacker's persona: the one advertisement it sends, from the node's own
+    addresses, and when it sends it."""
     values = decl.options
-    valid, preferred = values[key_prefix + "valid"], values[key_prefix + "preferred"]
+    lifetime, preference, prefixes, valid, preferred, interval_ms, can_route = map(values.get, keys)
     ra = RouterAdvertisement(
         src_mac=decl.mac,
         src_ip=values["ip"],
-        router_lifetime=values[key_prefix + "lifetime"],
-        preference=values[key_prefix + "preference"],
-        prefixes=tuple(
-            PrefixInfo(p, valid, preferred) for p in values.get(key_prefix + "prefix", ())
-        ),
+        router_lifetime=lifetime,
+        preference=preference,
+        prefixes=tuple(PrefixInfo(p, valid, preferred) for p in prefixes or ()),
     )
-    interval_ms, can_route = values[key_prefix + "interval"], values[key_prefix + "routes"]
     return Router(decl.node_id, ra, interval_ms, can_route, send_key, ra_enabled, jitter_ms)
 
 

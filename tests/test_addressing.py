@@ -153,6 +153,13 @@ def test_parse_error_offset():
         Ipv6Address.parse("1:2:3:4:5:6:7:8:9")
 
 
+@pytest.mark.parametrize("text", ["fe80::1%eth0", "fe80::1%1", "2001:db8::%", "%"])
+def test_scoped_literal_rejected_at_its_zone(text):
+    with pytest.raises(AddressParseError) as exc:
+        Ipv6Address.parse(text)
+    assert exc.value.offset == text.index("%")
+
+
 # --- the address type ----------------------------------------------------------
 
 def test_ipv6_address_is_an_int_with_its_hash():
@@ -200,6 +207,46 @@ def test_mac_text_round_trip():
     assert MacAddress.parse(str(mac)) == mac
     with pytest.raises(AddressParseError):
         MacAddress.parse("00:1a:2b:3c:4d")
+
+
+GOOD_MAC = "00:1a:2b:3c:4d:5e"
+
+
+def _with_pair(index: int, pair: str) -> str:
+    pairs = GOOD_MAC.split(":")
+    pairs[index] = pair
+    return ":".join(pairs)
+
+
+# (text, offset, reason) for malformed MACs: the offset is the first byte of
+# the first bad pair, or 0 when the pair count is wrong.
+MAC_ERRORS = [
+    *((_with_pair(i, "g0"), 3 * i, "bad hex pair") for i in range(6)),
+    ("00:1a:2b:3c:4d", 0, "MAC needs six colon-separated pairs"),
+    ("00:1a:2b:3c:4d:5e:6f", 0, "MAC needs six colon-separated pairs"),
+    ("00:1a:2bc:3c:4d:5e", 6, "bad hex pair"),
+    ("00:1a:2:3c:4d:5e", 6, "bad hex pair"),
+    (_with_pair(3, "\uff10a"), 9, "bad hex pair"),  # fullwidth digit zero
+    (_with_pair(5, "\u0660\u0661"), 15, "bad hex pair"),  # Arabic-Indic digits
+    ("00:1a:2b:3c:4d: 5", 15, "bad hex pair"),
+    ("00:1a:2b:3c:4d:5e\n", 15, "bad hex pair"),
+    ("", 0, "MAC needs six colon-separated pairs"),
+]
+
+
+@pytest.mark.parametrize("text, offset, reason", MAC_ERRORS)
+def test_mac_parse_error_offset_and_reason(text, offset, reason):
+    with pytest.raises(AddressParseError) as exc:
+        MacAddress.parse(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"{reason} at offset {offset}: {text!r}"
+
+
+@given(st.binary(min_size=6, max_size=6))
+def test_mac_text_is_six_lower_case_pairs(octets):
+    text = str(MacAddress(octets))
+    assert text == ":".join(f"{b:02x}" for b in octets)
+    assert MacAddress.parse(text) == MacAddress.parse(text.upper()) == MacAddress(octets)
 
 
 def test_prefix_host_bits_must_be_zero():

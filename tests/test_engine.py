@@ -267,6 +267,16 @@ def test_run_until_cannot_pass_the_end_of_an_executed_run(engine):
         engine.run_until(101)
 
 
+def test_run_until_cannot_move_the_clock_back(engine):
+    engine.run_until(100)
+    engine.run_until(100)  # the present is a legal end
+    with pytest.raises(SimInvariantError, match=r"cannot run back in time \(50 < 100\)"):
+        engine.run_until(50)
+    assert engine.now == 100
+    with pytest.raises(SimInvariantError, match="cannot schedule into the past"):
+        engine.set_timer("N1", Timer.RA, 60)
+
+
 def test_run_until_alone_queues_every_timer(engine):
     # Only execute() states where the run ends.
     engine.run_until(5)

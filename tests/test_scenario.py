@@ -38,7 +38,7 @@ run 4
 
 def test_minimal_scenario_parses():
     sc = parse_scenario(MINIMAL)
-    assert sc.node_ids() == ["R1", "H1"]
+    assert [n.node_id for n in sc.nodes] == ["R1", "H1"]
     assert [n.kind for n in sc.nodes] == ["router", "host"]
     assert sc.run_ms == 4000 and sc.seed == 0
     assert sc.nodes[0].options["lifetime"] == 1800  # default filled
@@ -239,6 +239,50 @@ def test_parse_errors_carry_line_numbers():
         parse_scenario(MINIMAL.replace("class=router", "class=switch"))
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        # Reported in option-table order, whatever order the line gives them in.
+        ("interval=0 lifetime=x", "line 2: lifetime: invalid literal for int() with base 10: 'x'"),
+        ("lifetime=x interval=0", "line 2: lifetime: invalid literal for int() with base 10: 'x'"),
+        ("jitter=-1 mac=00:00:5e:00:53:zz", "line 2: mac: bad hex pair at offset 15: '00:00:5e:00:53:zz'"),
+        ("routes=maybe valid=1 preferred=2", "line 2: routes: bad value 'maybe' (want on/off or yes/no)"),
+        ("valid=1 preferred=2", "line 2: preferred lifetime exceeds valid lifetime"),
+        # Line-level faults come before any value is read.
+        ("lifetime=x lifetime=1", "line 2: duplicate key 'lifetime'"),
+        ("lifetime=x color=red", "line 2: unknown key 'color'"),
+    ],
+)
+def test_node_line_with_several_faults_reports_the_first(options, message):
+    given = options if "mac=" in options else f"mac=00:00:5e:00:53:01 {options}"
+    text = MINIMAL.replace("node router R1 mac=00:00:5e:00:53:01", f"node router R1 {given}")
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        # The same id, MAC and address twice: the id is reported first.
+        ("node router R1 mac=00:00:5e:00:53:01 ip=fe80::200:5eff:fe00:5301",
+         "duplicate node id(s): ['R1']"),
+        ("node router R2 mac=00:00:5e:00:53:01 ip=fe80::200:5eff:fe00:5301",
+         "duplicate MAC(s) ['00:00:5e:00:53:01']; add allow-dup-mac to permit"),
+        ("node router R2 mac=00:00:5e:00:53:02 ip=fe80::200:5eff:fe00:5301",
+         "routers or attackers share address(es) ['fe80::200:5eff:fe00:5301']"),
+        # Unattached and gw4 to a host: the attachment is reported first.
+        ("node host H2 mac=00:1a:2b:3c:4d:5f ipv4=10.0.0.2 gw4=H1",
+         "node(s) not attached to the switch: ['H2']"),
+    ],
+)
+def test_scenario_with_several_faults_reports_the_first(extra, message):
+    text = MINIMAL.replace("node host H1", f"{extra}\nnode host H1")
+    with pytest.raises(ScenarioValidationError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == message
+
+
 R1_MAC, R2_MAC = "00:00:5e:00:53:01", "00:00:5e:00:53:02"
 POLICED = f"""\
 switch SW1 ports=3
@@ -332,6 +376,32 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert trace.read_text().endswith("\n")
     body = metrics.read_text()
     assert "host=H1" in body and "dos_success=true" in body and "counters emitted=" in body
+
+
+# A scoped literal names an interface zone, which a one-link scenario has none
+# of; the stdlib parser accepts it, so it was taken with its zone dropped.
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("mac=00:00:5e:00:53:01", "mac=00:00:5e:00:53:01 ip=fe80::1%eth0",
+         "line 2: ip: invalid IPv6 address at offset 7: 'fe80::1%eth0'"),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::%z/64",
+         "line 2: prefix: invalid IPv6 address at offset 12: '2001:db8:1::%z'"),
+        ("node host H1 mac=00:1a:2b:3c:4d:5e",
+         "node attacker H1 mac=00:1a:2b:3c:4d:5e persona-prefix=2001:db8:bad::%1/64",
+         "line 3: persona-prefix: invalid IPv6 address at offset 14: '2001:db8:bad::%1'"),
+    ],
+    ids=["ip", "prefix", "persona-prefix"],
+)
+def test_scoped_ipv6_literal_rejected(tmp_path, capsys, old, new, message):
+    bad = tmp_path / "scoped.txt"
+    bad.write_text(MINIMAL.replace(old, new))
+    with pytest.raises(ScenarioParseError, match=message.replace("(", r"\(")):
+        parse_scenario(bad.read_text())
+    assert run_command(["run", str(bad), "--dump-normalized"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
 
 
 def test_run_command_rejects_malformed_scenario(tmp_path, capsys):

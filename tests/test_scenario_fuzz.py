@@ -3,22 +3,14 @@ every valid one runs alike with and without the queue's horizon, and no
 malformed scenario ends in an exception other than a scenario or invariant
 error."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SCENARIO_DIR, EveryTimerEngine, run_output
+from conftest import EveryTimerEngine, run_output
+from mutants import OUTCOMES, corpus_mutants, parse_outcome
 
 from slaacsim.engine import Engine, SimInvariantError
-from slaacsim.scenario import (
-    MAX_PORTS,
-    MAX_TIME_S,
-    ScenarioError,
-    build_engine,
-    parse_scenario,
-    print_scenario,
-)
+from slaacsim.scenario import ScenarioError, build_engine, parse_scenario, print_scenario
 
 ON_OFF = st.sampled_from(["on", "off", "yes", "no"])
 
@@ -171,47 +163,15 @@ def test_generated_scenarios_run_alike_with_every_timer_queued(text):
     assert _output(sc, Engine) == _output(sc, EveryTimerEngine)
 
 
-# Values at and past the edges of what the grammar accepts.
-EDGE_VALUES = (
-    "inf", "-inf", "nan", "1e400", "-1", "0", "0.0001", "65536", "99999999",
-    str(MAX_TIME_S + 1), str(MAX_PORTS + 1), "", "x", "=", "p0", "SW1.p0",
-)
-MUTATIONS = 2000
 # Mutants run at most this long: a mutated `run 65536` is valid, and the
 # extra simulated hours only repeat the periodic handlers at a cost of
 # seconds each.
 MAX_RUN_MS = 600_000
 
 
-def _mutate(rng: random.Random, text: str, pool: list[str]) -> str:
-    """Change one token of one directive line: swap in an edge value or
-    another corpus token, keep a key but change its value, or drop it."""
-    lines = text.splitlines()
-    candidates = [i for i, line in enumerate(lines) if line.split("#", 1)[0].split()]
-    i = rng.choice(candidates)
-    tokens = lines[i].split("#", 1)[0].split()
-    j = rng.randrange(len(tokens))
-    roll = rng.random()
-    if roll < 0.1:
-        del tokens[j]
-    elif "=" in tokens[j] and roll < 0.6:
-        key = tokens[j].partition("=")[0]
-        tokens[j] = f"{key}={rng.choice(EDGE_VALUES + tuple(pool))}"
-    elif roll < 0.8:
-        tokens[j] = rng.choice(EDGE_VALUES)
-    else:
-        tokens[j] = rng.choice(pool)
-    lines[i] = " ".join(tokens)
-    return "\n".join(lines) + "\n"
-
-
 def test_corpus_mutations_fail_only_as_scenario_or_invariant_errors():
-    texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.txt"))]
-    pool = sorted({t for text in texts for line in text.splitlines() for t in line.split("#")[0].split()})
-    rng = random.Random(2014)
     escaped = []
-    for _ in range(MUTATIONS):
-        mutant = _mutate(rng, rng.choice(texts), pool)
+    for mutant in corpus_mutants():
         try:
             sc = parse_scenario(mutant)
             build_engine(sc).execute(min(sc.run_ms, MAX_RUN_MS))
@@ -220,3 +180,14 @@ def test_corpus_mutations_fail_only_as_scenario_or_invariant_errors():
         except Exception as exc:  # collected, so one failure shows every escape
             escaped.append(f"{type(exc).__name__}: {exc}\n{mutant}")
     assert not escaped, escaped[:3]
+
+
+def test_corpus_mutants_parse_as_recorded():
+    # The recorded outcomes pin each mutant's error text, or its canonical
+    # text when it is valid; `python tests/mutants.py` rewrites them.
+    recorded = OUTCOMES.read_text().splitlines()
+    mutants = corpus_mutants()
+    assert len(recorded) == len(mutants)
+    for i, (mutant, want) in enumerate(zip(mutants, recorded)):
+        got = parse_outcome(mutant)
+        assert got == want, f"mutant {i} (line {i + 1} of {OUTCOMES.name}):\n{mutant}"

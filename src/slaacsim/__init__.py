@@ -2,7 +2,6 @@
 rogue-router-advertisement attacks, and the first-hop defenses against them."""
 
 from .addressing import (
-    Ipv4Address,
     Ipv6Address,
     MacAddress,
     Prefix,
@@ -34,7 +33,6 @@ __all__ = [
     "Attacker",
     "Engine",
     "Host",
-    "Ipv4Address",
     "Ipv6Address",
     "MacAddress",
     "NeighborAdvertisement",

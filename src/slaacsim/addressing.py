@@ -1,5 +1,5 @@
-"""Value types for link and IP addressing: MACs, IPv6/IPv4 addresses,
-prefixes, and 64-bit interface identifiers.
+"""Value types for link and IP addressing: MACs, IPv6 addresses, prefixes,
+and 64-bit interface identifiers, and the parser of IPv4 addresses.
 
 All text forms are canonical (lowercase, compressed for IPv6) and are used
 verbatim in scenario files, traces, and metrics.
@@ -91,25 +91,13 @@ def _ipv6_text(value: int) -> str:
     return str(ipaddress.IPv6Address(value))
 
 
-@dataclass(frozen=True, order=True)
-class Ipv4Address:
-    """32-bit address, dotted-quad text form."""
-
-    octets: bytes
-
-    def __post_init__(self):
-        if len(self.octets) != 4:
-            raise ValueError(f"IPv4 must be 4 octets, got {len(self.octets)}")
-
-    @classmethod
-    def parse(cls, text: str) -> "Ipv4Address":
-        try:
-            return cls(ipaddress.IPv4Address(text).packed)
-        except (ipaddress.AddressValueError, ValueError):
-            raise AddressParseError(text, 0, "invalid IPv4 address") from None
-
-    def __str__(self) -> str:
-        return ".".join(str(b) for b in self.octets)
+def parse_ipv4(text: str) -> ipaddress.IPv4Address:
+    """The stdlib address, whose text is the dotted quad; it is not an int,
+    so it never equals an ``Ipv6Address``."""
+    try:
+        return ipaddress.IPv4Address(text)
+    except ValueError:
+        raise AddressParseError(text, 0, "invalid IPv4 address") from None
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,8 @@ class Prefix:
     @classmethod
     def parse(cls, text: str) -> "Prefix":
         body, sep, len_part = text.partition("/")
-        if not sep or not len_part.isdigit():
+        # ASCII digits only: str.isdigit and int() also take other scripts' digits.
+        if not sep or not (len_part.isascii() and len_part.isdigit()):
             raise AddressParseError(text, len(body), "prefix needs /<length>")
         return cls(Ipv6Address.parse(body), int(len_part))
 

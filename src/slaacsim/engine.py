@@ -144,22 +144,14 @@ ScriptStep = Union[AttackDirective, MeasureDirective, ToggleDirective]
 Action = Union[Deliver, ScriptStep]
 
 
-@dataclass
-class HostMetrics:
-    default_router: Optional[str]
-    family_in_use: Optional[AddressFamily]
-    iid: int
-    addresses: list[str]
+class HostMetrics(NamedTuple):
+    """One host's measured values, each as the text `--metrics` shows and
+    `expect` lines compare against, in `--metrics` order."""
 
-    def field_texts(self) -> dict[str, str]:
-        """Each field's text, in `--metrics` order; `expect` lines compare
-        against the same text."""
-        return {
-            "default_router": self.default_router or "none",
-            "family_in_use": str(self.family_in_use) if self.family_in_use else "none",
-            "iid": iid_text(self.iid),
-            "addresses": ",".join(self.addresses) or "-",
-        }
+    default_router: str  # "none" when the host has none
+    family_in_use: str  # "none" when no path resolves
+    iid: str
+    addresses: str  # the assigned addresses, comma-separated; "-" when none
 
 
 @dataclass
@@ -171,7 +163,7 @@ class RunMetrics:
     emitted: int = 0
     delivered: int = 0
     dropped: int = 0
-    in_flight: int = 0
+    in_flight: int = 0  # receivers of the queued Deliver entries
 
     def texts(self) -> dict[str, str]:
         """The text of each flag and of each ``<host>.<field>``, keyed as
@@ -179,7 +171,7 @@ class RunMetrics:
         show this text."""
         texts = {flag: "true" if getattr(self, flag) else "false" for flag in FLAGS}
         for host_id, hm in self.hosts.items():
-            texts.update((f"{host_id}.{k}", v) for k, v in hm.field_texts().items())
+            texts.update((f"{host_id}.{k}", v) for k, v in zip(hm._fields, hm))
         return texts
 
     def flag_lines(self) -> list[str]:
@@ -189,7 +181,7 @@ class RunMetrics:
     def to_lines(self) -> list[str]:
         lines = []
         for host_id, hm in self.hosts.items():
-            fields = "".join(f" {k}={v}" for k, v in hm.field_texts().items())
+            fields = "".join(f" {k}={v}" for k, v in zip(hm._fields, hm))
             lines.append(f"host={host_id}{fields}")
         lines.extend(self.flag_lines())
         lines.append(
@@ -216,11 +208,12 @@ class Engine(object):
         self.attack_armed = False  # set by the first non-passive attack directive
         # Bare (time, node, kind, values) tuples; TraceRecord names the fields.
         self.trace_records: list[tuple[int, str, str, tuple[object, ...]]] = []
-        self.metrics: Optional[RunMetrics] = None  # made by the first measure
+        # The run's one record: the message counters count into it as the run
+        # goes, and each measure replaces its hosts.
+        self.metrics = RunMetrics()
         # (time, seq, node id, timer) for a timer, (time, seq, None, action)
         # for anything else.
         self._queue: list[tuple[int, int, Optional[str], Union[TimerKey, Action]]] = []
-        self._queued = 0  # receivers of the queued Deliver entries
         self._seq = itertools.count()
         # The end of the run, once execute() states it: no timer due later is
         # queued, and run_until() may not pass it.
@@ -228,9 +221,6 @@ class Engine(object):
         self._ip_owner: dict[Ipv6Address, str] = {}
         self._claims: dict[Ipv6Address, set[str]] = {}  # DAD target -> hosts
         self._payload_ids = itertools.count(1)
-        self.emitted = 0
-        self.delivered = 0
-        self.dropped = 0
 
     # -- topology -------------------------------------------------------------
 
@@ -253,7 +243,7 @@ class Engine(object):
         if at_ms < self.now:
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
         if isinstance(action, Deliver):
-            self._queued += len(action.dsts)
+            self.metrics.in_flight += len(action.dsts)
         heapq.heappush(self._queue, (at_ms, next(self._seq), None, action))
 
     def set_timer(self, node_id: str, timer: TimerKey, at_ms: int) -> None:
@@ -304,7 +294,7 @@ class Engine(object):
         self._trace_emission(src_id, msg)
         dsts = tuple([node_id for node_id in self.nodes if node_id != src_id])
         if dsts:
-            self.emitted += len(dsts)
+            self.metrics.emitted += len(dsts)
             self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, dsts))
 
     def _trace_emission(self, src_id: str, msg: NdMessage) -> None:
@@ -328,13 +318,13 @@ class Engine(object):
         # Port and message are frozen, so one verdict holds for every receiver.
         reason = filter_ingress(port, msg)
         if reason is not None:
-            self.dropped += len(dsts)
+            self.metrics.dropped += len(dsts)
             for dst in dsts:
                 self.trace(self.switch_id, "ra-dropped", port.port_id, reason, msg.src_ip, dst)
             return
         # Every receiver counts as delivered; only those that act on the
         # message kind are called, in node order.
-        self.delivered += len(dsts)
+        self.metrics.delivered += len(dsts)
         nodes = self.nodes
         if isinstance(msg, RouterAdvertisement):
             for dst in dsts:
@@ -363,14 +353,14 @@ class Engine(object):
             raise SimInvariantError(f"cannot run back in time ({t_end_ms} < {self.now})")
         if t_end_ms > self._horizon:
             raise SimInvariantError(f"cannot run past the run's end ({t_end_ms} > {self._horizon})")
-        queue, nodes = self._queue, self.nodes
+        queue, nodes, metrics = self._queue, self.nodes, self.metrics
         while queue and queue[0][0] <= t_end_ms:
             at, _seq, node_id, action = heapq.heappop(queue)
             self.now = at
             if node_id is not None:
                 nodes[node_id].on_timer(self, action, at)
             elif isinstance(action, Deliver):
-                self._queued -= len(action.dsts)
+                metrics.in_flight -= len(action.dsts)
                 self._handle_deliver(action, at)
             else:
                 self._handle_script(action, at)
@@ -400,20 +390,17 @@ class Engine(object):
             self.trace(step.node, "router-toggled", "on" if step.enabled else "off")
 
     def execute(self, t_end_ms: int) -> RunMetrics:
-        """Run to t_end, measuring at the end if the script never did, then
-        add the message counters to the run's metrics and verify message
-        conservation. t_end is the run's end from then on: no timer due
-        later is queued, and the engine cannot be run past it. Expects
-        bootstrap() to have been called (the scenario builder does so)."""
+        """Run to t_end, measuring at the end if no measure has recorded a
+        host, then verify message conservation. A measure over no hosts
+        records and traces nothing, so measuring again then changes no
+        output. t_end is the run's end from then on: no timer due later is
+        queued, and the engine cannot be run past it. Expects bootstrap() to
+        have been called (the scenario builder does so)."""
         self._horizon = t_end_ms
         self.run_until(t_end_ms)
-        if self.metrics is None:
-            self.measure(t_end_ms)
         metrics = self.metrics
-        metrics.emitted = self.emitted
-        metrics.delivered = self.delivered
-        metrics.dropped = self.dropped
-        metrics.in_flight = self._queued
+        if not metrics.hosts:
+            self.measure(t_end_ms)
         if metrics.emitted != metrics.delivered + metrics.dropped + metrics.in_flight:
             raise SimInvariantError(
                 f"message conservation broken: emitted={metrics.emitted}"
@@ -440,13 +427,13 @@ class Engine(object):
         if hop.family is AddressFamily.IPV6:
             self._assert_source_assigned(host, hop.src_addr)
         payload = next(self._payload_ids)
-        self.emitted += 1
+        self.metrics.emitted += 1
         self.trace(host.node_id, "data-sent", SINK, hop.family, hop.src_addr, payload)
         if not self.nodes[gateway].routes():
-            self.dropped += 1
+            self.metrics.dropped += 1
             self.trace(gateway, "blackhole-drop", host.node_id, payload)
             return hop.family, gateway, False
-        self.delivered += 1
+        self.metrics.delivered += 1
         self.trace(
             SINK, "data-delivered",
             host.node_id, gateway, hop.family, payload, f"{host.node_id}>{gateway}>{SINK}",
@@ -465,24 +452,21 @@ class Engine(object):
         A flag, once set, stays set; only measures after a non-passive attack
         has been armed set one."""
         metrics = self.metrics
-        if metrics is None:
-            metrics = self.metrics = RunMetrics()
         hosts = {}
         for node in self.nodes.values():
             if not isinstance(node, Host):
                 continue
             family, gateway, delivered = self._probe(node, now)
             selected = node.select_default_router(now)
-            default_router = None
+            default_router = "none"
             if selected is not None:
                 default_router = self._ip_owner.get(selected.router_ip, str(selected.router_ip))
+            assigned = [str(e.address) for e in node.addresses if e.state is AddressState.ASSIGNED]
             hosts[node.node_id] = HostMetrics(
                 default_router=default_router,
-                family_in_use=family,
-                iid=node.iid,
-                addresses=[
-                    str(e.address) for e in node.addresses if e.state is AddressState.ASSIGNED
-                ],
+                family_in_use=str(family) if family else "none",
+                iid=iid_text(node.iid),
+                addresses=",".join(assigned) or "-",
             )
             if not self.attack_armed:
                 continue

@@ -9,11 +9,11 @@ converted at the point of use.
 from __future__ import annotations
 
 import enum
+import ipaddress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from .addressing import (
-    Ipv4Address,
     Ipv6Address,
     Prefix,
     global_from,
@@ -76,7 +76,7 @@ class NextHop:
     family: AddressFamily
     router_ip: Optional[Ipv6Address]  # IPv6 route
     gateway_node: Optional[str]  # IPv4 route
-    src_addr: Union[Ipv6Address, Ipv4Address]
+    src_addr: Union[Ipv6Address, ipaddress.IPv4Address]
 
 
 def apply_two_hour_rule(remaining_ms: int, received_ms: int) -> int:
@@ -97,7 +97,7 @@ class Host(object):
         node_id: str,
         iid: int,
         ipv6_enabled: bool,
-        ipv4: Optional[tuple[Ipv4Address, str]],
+        ipv4: Optional[tuple[ipaddress.IPv4Address, str]],  # address, gateway node
         send_only: bool,
     ):
         self.node_id = node_id

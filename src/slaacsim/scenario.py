@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from .addressing import (
-    Ipv4Address,
     Ipv6Address,
     MacAddress,
     Prefix,
@@ -47,6 +46,7 @@ from .addressing import (
     iid_text,
     link_local_from,
     parse_iid,
+    parse_ipv4,
 )
 from .attacker import FORGING_MODES, Attacker, AttackMode
 from .defense import ACL, RA_GUARD, PortClass, SwitchPort, cga_generate, key_secret
@@ -66,8 +66,9 @@ from .messages import MAX_ROUTER_LIFETIME, MS, PrefixInfo, RouterAdvertisement, 
 from .router import Router
 
 # Bounds on input values. Both sit far above any run the simulator is meant
-# for (the longest shipped workload is two simulated hours on 11 ports) and
-# keep a malformed file from asking for unbounded time or memory.
+# for (the longest shipped workload is two simulated hours on 11 ports). They
+# bound each value a file gives, not the work a run does: a valid file with a
+# short interval and a long run still makes records for every advertisement.
 MAX_TIME_S = 10**7
 MAX_PORTS = 4096
 
@@ -94,9 +95,23 @@ class ScenarioValidationError(ScenarioError):
 # -- option values ---------------------------------------------------------------
 # Parsers raise ValueError; parse_scenario prefixes the line number.
 
+def _ascii_number(convert: Callable[[str], Any], text: str) -> Any:
+    """``convert(text)`` for a number written in ASCII: int() and float()
+    also read other scripts' digits and ``_`` separators, which the
+    canonical text would then print rewritten."""
+    value = convert(text)
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad number {text!r}")
+    return value
+
+
+def _int(text: str) -> int:
+    return _ascii_number(int, text)
+
+
 def _time_ms(text: str) -> int:
     try:
-        value = float(text)
+        value = _ascii_number(float, text)
     except ValueError:
         raise ValueError(f"bad time {text!r}") from None
     if not 0 <= value <= MAX_TIME_S:  # also false for nan
@@ -119,7 +134,7 @@ def _interval_ms(text: str) -> int:
 
 def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        value = int(text)
+        value = _int(text)
         if not low <= value <= high:
             raise ValueError(f"{value} out of range {low}..{high}")
         return value
@@ -152,7 +167,8 @@ def _show_prefixes(prefixes: tuple[Prefix, ...]) -> str:
 
 
 def _node_id(text: str) -> str:
-    if not _ID_RE.match(text) or text in (SINK, "global"):
+    # "none" is the metrics' text for no default router or no path.
+    if not _ID_RE.match(text) or text in (SINK, "global", "none"):
         raise ValueError(f"bad identifier {text!r}")
     return text
 
@@ -196,12 +212,12 @@ ROUTER_OPTIONS = (
 HOST_OPTIONS = (
     _MAC,
     Option("ipv6", _on_off, _show_on_off, True),
-    Option("ipv4", Ipv4Address.parse),
+    Option("ipv4", parse_ipv4),
     Option("gw4", str),
     Option("send", _on_off, _show_on_off, False),
     Option("iid", parse_iid, iid_text),
     Option("cga-key", str),
-    Option("cga-modifier", int),
+    Option("cga-modifier", _int),
 )
 
 # The persona is the router the attacker impersonates: the router's options
@@ -383,7 +399,7 @@ def parse_scenario(text: str) -> Scenario:
                 sc.run_ms = _time_ms(tokens[1])
                 kv = _kv(tokens[2:], ("seed",))
                 if "seed" in kv:
-                    sc.seed = int(kv["seed"])
+                    sc.seed = _int(kv["seed"])
             else:
                 raise ValueError(f"unknown directive {head!r}")
         except ValueError as exc:

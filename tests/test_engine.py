@@ -4,6 +4,7 @@ import ast
 import enum
 import hashlib
 import heapq
+import ipaddress
 import json
 import re
 from collections import Counter
@@ -27,7 +28,7 @@ from conftest import (
 
 import slaacsim.scenario
 
-from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix
+from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker, AttackMode
 from slaacsim.defense import PortClass, SwitchPort, filter_ingress
 from slaacsim.engine import (
@@ -113,7 +114,8 @@ def test_broadcast_reaches_every_other_node():
     engine = three_node_link(guard_attacker=False)
     engine.broadcast("A1", spoofable_ra(), 0)
     engine.run_until(10)
-    assert engine.emitted == 2 and engine.delivered == 2 and engine.dropped == 0
+    m = engine.metrics
+    assert m.emitted == 2 and m.delivered == 2 and m.dropped == 0
     assert len(records(engine, "ra-received")) == 2
 
 
@@ -122,7 +124,7 @@ def test_guarded_broadcast_yields_drop_records_per_recipient():
     engine.broadcast("A1", spoofable_ra(), 0)
     engine.run_until(10)
     drops = records(engine, "ra-dropped")
-    assert engine.delivered == 0 and engine.dropped == 2
+    assert engine.metrics.delivered == 0 and engine.metrics.dropped == 2
     assert len(drops) == 2
     assert {attrs(d)["dst"] for d in drops} == {"H1", "H2"}
     assert all(attrs(d)["reason"] == "ra-guard" and attrs(d)["port"] == "p3" for d in drops)
@@ -137,7 +139,7 @@ def test_broadcast_queues_one_entry_per_emission():
     lone = Engine(link_latency_ms=1, seed=0, two_hour_rule=False, switch_id="SW1")
     attach(lone, eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     lone.broadcast("H1", spoofable_ra(), 0)
-    assert lone._queue == [] and lone.emitted == 0
+    assert lone._queue == [] and lone.metrics.emitted == 0
 
 
 class PerReceiverEngine(Engine):
@@ -148,7 +150,7 @@ class PerReceiverEngine(Engine):
         self._trace_emission(src_id, msg)
         for node_id in self.nodes:
             if node_id != src_id:
-                self.emitted += 1
+                self.metrics.emitted += 1
                 self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, (node_id,)))
 
 
@@ -197,10 +199,10 @@ class EveryReceiverEngine(Engine):
         reason = filter_ingress(port, msg)
         for dst in event.dsts:
             if reason is not None:
-                self.dropped += 1
+                self.metrics.dropped += 1
                 self.trace(self.switch_id, "ra-dropped", port.port_id, reason, msg.src_ip, dst)
                 continue
-            self.delivered += 1
+            self.metrics.delivered += 1
             node = self.nodes[dst]
             if isinstance(node, Host) and isinstance(msg, RouterAdvertisement):
                 self.trace(dst, "ra-received", msg.src_ip, msg.router_lifetime, msg.preference)
@@ -351,13 +353,17 @@ run 0.5
 
 @pytest.mark.parametrize("name", all_scenarios())
 def test_queued_receivers_match_a_queue_walk(name):
+    # The counters are live in Engine.metrics, so conservation holds at every
+    # stop, not only once execute() ends the run.
     sc = load(name)
     for latency in (0, 2):
         sc.link_latency_ms = latency
         engine = slaacsim.scenario.build_engine(sc)
+        m = engine.metrics
         for stop in sorted({0, 1, 2, 500, 1000, 2003, sc.run_ms // 2, sc.run_ms}):
             engine.run_until(stop)
-            assert engine._queued == len(queued_deliveries(engine)), f"latency {latency} t={stop}"
+            assert m.in_flight == len(queued_deliveries(engine)), f"latency {latency} t={stop}"
+            assert m.emitted == m.delivered + m.dropped + m.in_flight, f"latency {latency} t={stop}"
 
 
 @pytest.mark.parametrize("name", all_scenarios())
@@ -457,7 +463,7 @@ def _is_immutable_trace_value(value) -> bool:
     if isinstance(value, AdvertisedPrefixes):
         # PrefixInfo must stay a frozen dataclass of immutable fields.
         return all(isinstance(p, PrefixInfo) and p.__dataclass_params__.frozen for p in value)
-    return isinstance(value, (int, str, enum.Enum, Ipv6Address, Ipv4Address, Prefix))
+    return isinstance(value, (int, str, enum.Enum, Ipv6Address, ipaddress.IPv4Address, Prefix))
 
 
 def test_trace_values_are_immutable_and_render_stably():
@@ -696,9 +702,9 @@ def test_acl_soundness_every_delivered_ra_is_allow_listed():
     original = engine._handle_deliver
 
     def recording(event, now):
-        before = engine.delivered
+        before = engine.metrics.delivered
         original(event, now)
-        if engine.delivered > before and isinstance(event.msg, RouterAdvertisement):
+        if engine.metrics.delivered > before and isinstance(event.msg, RouterAdvertisement):
             delivered_src_macs.append(event.msg.src_mac)
 
     engine._handle_deliver = recording
@@ -762,3 +768,42 @@ def test_flags_hold_from_any_measure_and_hosts_from_the_last():
     texts = metrics.texts()
     assert (texts["dos_success"], texts["mitm_success"]) == ("true", "false")
     assert texts["H1.default_router"] == "R1"
+
+
+def test_hostless_run_measures_nothing():
+    # execute() measures again at the end when no measure recorded a host;
+    # with no host that measure, like the scripted one, records and traces
+    # nothing, even after an attack is armed.
+    from slaacsim.scenario import build_engine, parse_scenario
+
+    text = """\
+switch SW1 ports=2
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64
+node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64
+attach R1 SW1.p1 class=router
+attach A1 SW1.p2 class=host
+at 0.5 attack A1 blackhole
+at 1 measure
+run 2
+"""
+    sc = parse_scenario(text)
+    engine = build_engine(sc)
+    metrics = engine.metrics  # the run's one record, made with the engine
+    assert engine.execute(sc.run_ms) is metrics
+    for kind in ("path-resolved", "data-sent", "data-delivered", "blackhole-drop"):
+        assert records(engine, kind) == [], kind
+    assert metrics.hosts == {}
+    assert (metrics.dos_success, metrics.mitm_success, metrics.dualstack_success) == (
+        False, False, False,
+    )
+    assert not any(line.startswith("host=") for line in metrics.to_lines())
+
+
+def test_measure_at_the_run_end_is_the_only_one():
+    from slaacsim.scenario import build_engine, parse_scenario
+
+    sc = parse_scenario(TWO_ROUTERS.replace("at 3 measure", "at 4 measure"))
+    engine = build_engine(sc)
+    engine.execute(sc.run_ms)
+    resolved = records(engine, "path-resolved")
+    assert [(r.time, r.node) for r in resolved] == [(4000, "H1"), (4000, "H2")]

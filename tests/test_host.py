@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import attach, attrs, eui64_host, queued_deliveries, queued_timers, records
 
-from slaacsim.addressing import Ipv4Address, Ipv6Address, MacAddress, Prefix, derive_eui64
+from slaacsim.addressing import Ipv6Address, MacAddress, Prefix, derive_eui64, parse_ipv4
 from slaacsim.engine import Engine
 from slaacsim.host import (
     AddressEntry,
@@ -68,7 +68,7 @@ def test_dad_probe_is_queued_once_for_each_other_node_in_node_order(engine):
     assert [(at, dst) for at, dst, _ in rows] == [(1, "H3"), (1, "H2")]
     target = host.addresses[0].address
     assert all(isinstance(msg, NeighborSolicitation) and msg.target == target for *_, msg in rows)
-    assert engine.emitted == 2
+    assert engine.metrics.emitted == 2
 
 
 def test_begin_autoconf_disabled_host_is_silent(engine):
@@ -410,7 +410,7 @@ def test_selection_argmax_invariance(entries):
 # -- next-hop resolution ----------------------------------------------------------------
 
 def dual_stack_host() -> Host:
-    host = make_host(ipv4=(Ipv4Address.parse("10.0.0.2"), "GW1"))
+    host = make_host(ipv4=(parse_ipv4("10.0.0.2"), "GW1"))
     host.addresses.append(
         AddressEntry(
             Ipv6Address.parse("2001:db8:1:0:21a:2bff:fe3c:4d5e"),
@@ -433,7 +433,7 @@ def test_resolution_falls_back_to_ipv4():
     host = dual_stack_host()
     hop = host.resolve_next_hop(0)  # no v6 router
     assert hop.family is AddressFamily.IPV4 and hop.gateway_node == "GW1"
-    disabled = make_host(ipv6_enabled=False, ipv4=(Ipv4Address.parse("10.0.0.2"), "GW1"))
+    disabled = make_host(ipv6_enabled=False, ipv4=(parse_ipv4("10.0.0.2"), "GW1"))
     hop = disabled.resolve_next_hop(0)
     assert hop.family is AddressFamily.IPV4
 

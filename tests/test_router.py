@@ -12,7 +12,6 @@ from slaacsim.defense import key_secret, verify_ra
 from slaacsim.engine import Deliver
 from slaacsim.host import AddressEntry, AddressState, DefaultRouterEntry
 from slaacsim.messages import (
-    AddressFamily,
     PrefixInfo,
     RouterAdvertisement,
     RouterPreference,
@@ -152,11 +151,12 @@ def probe_through(engine, router):
 
 def test_forward_delivers_to_sink(engine):
     metrics = probe_through(engine, make_router())
-    assert metrics.family_in_use is AddressFamily.IPV6
+    assert metrics.family_in_use == "ipv6"
     (delivered,) = records(engine, "data-delivered")
     assert attrs(delivered)["path"] == "H1>R1>ext" and attrs(delivered)["via"] == "R1"
     assert records(engine, "blackhole-drop") == []
-    assert (engine.emitted, engine.delivered, engine.dropped) == (1, 1, 0)
+    m = engine.metrics
+    assert (m.emitted, m.delivered, m.dropped) == (1, 1, 0)
 
 
 def test_forward_blackholes_without_routing(engine):
@@ -166,4 +166,5 @@ def test_forward_blackholes_without_routing(engine):
     (drop,) = records(engine, "blackhole-drop")
     assert drop.node == "R1" and attrs(drop)["origin"] == "H1"
     assert records(engine, "data-delivered") == []
-    assert (engine.emitted, engine.delivered, engine.dropped) == (1, 0, 1)
+    m = engine.metrics
+    assert (m.emitted, m.delivered, m.dropped) == (1, 0, 1)

@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from conftest import SCENARIO_DIR, attrs, records, scenario_path
+from conftest import GOLDEN_DIR, SCENARIO_DIR, attrs, records, scenario_path
 
 from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
 from slaacsim.attacker import Attacker
@@ -376,6 +376,59 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert trace.read_text().endswith("\n")
     body = metrics.read_text()
     assert "host=H1" in body and "dos_success=true" in body and "counters emitted=" in body
+
+
+def test_run_command_metrics_match_the_golden_file(tmp_path):
+    metrics = tmp_path / "out.metrics"
+    assert run_command(["run", str(scenario_path("attack_kill")), "--metrics", str(metrics)]) == 0
+    assert metrics.read_bytes() == (GOLDEN_DIR / "attack_kill.metrics").read_bytes()
+
+
+# int() and float() also read other scripts' digits and "_" separators, and
+# the canonical text then printed such a number rewritten in ASCII digits.
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/٦٤",
+         "line 2: prefix: prefix needs /<length> at offset 12: '2001:db8:1::/٦٤'"),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 lifetime=１８００",
+         "line 2: lifetime: bad number '１８００'"),
+        ("prefix=2001:db8:1::/64", "prefix=2001:db8:1::/64 interval=1_0",
+         "line 2: interval: bad time '1_0'"),
+        ("ports=2", "ports=٢", "line 1: bad number '٢'"),
+        ("run 4", "at ٢ measure\nrun 4", "line 6: bad time '٢'"),
+        ("run 4", "run 2_0", "line 6: bad time '2_0'"),
+        ("run 4", "run 4 seed=٧", "line 6: bad number '٧'"),
+        ("node host H1 mac=00:1a:2b:3c:4d:5e",
+         "node host H1 mac=00:1a:2b:3c:4d:5e cga-key=k1 cga-modifier=٧",
+         "line 3: cga-modifier: bad number '٧'"),
+    ],
+    ids=["prefix-length", "lifetime", "interval", "ports", "at", "run", "seed", "cga-modifier"],
+)
+def test_numbers_take_ascii_digits_only(tmp_path, capsys, old, new, message):
+    bad = tmp_path / "digits.txt"
+    bad.write_text(MINIMAL.replace(old, new, 1))
+    assert run_command(["run", str(bad), "--dump-normalized"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("R1", "none"),
+        ("node host H1", "node host none"),
+        ("SW1", "none"),
+    ],
+    ids=["router", "host", "switch"],
+)
+def test_none_is_not_an_id(old, new):
+    # A router called none that a host used would print default_router=none,
+    # the text for a host with no default router.
+    text = MINIMAL.replace(old, new)
+    with pytest.raises(ScenarioParseError, match=r"^line \d+: bad identifier 'none'$"):
+        parse_scenario(text)
 
 
 # A scoped literal names an interface zone, which a one-link scenario has none

@@ -1,11 +1,11 @@
 """Command-line front end: run a scenario, write trace/metrics, check
 scripted expectations.
 
-Exit status: 0 clean run (and all expectations met under --check), 1 on
-parse/validation/expectation failure, on an attack step that replays an
-advertisement its attacker has not captured yet, on a scenario file that
-cannot be read or is not UTF-8, or on a --trace/--metrics file that cannot be
-written, 2 on an internal invariant violation.
+Exit status: 0 clean run (and all expectations met under --check), 1 on a
+usage error, on parse/validation/expectation failure, on an attack step that
+replays an advertisement its attacker has not captured yet, on a scenario
+file that cannot be read or is not UTF-8, or on a --trace/--metrics file that
+cannot be written, 2 on an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -15,16 +15,23 @@ import sys
 from pathlib import Path
 
 from .engine import ScenarioError, SimInvariantError
-from .scenario import (
-    build_engine,
-    evaluate_expects,
-    parse_scenario,
-    print_scenario,
-)
+from .scenario import _int, build_engine, evaluate_expects, parse_scenario, print_scenario
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2, the invariant-violation status
+        raise argparse.ArgumentError(None, message)
+
+
+def _seed(text: str) -> int:
+    try:
+        return _int(text)  # ASCII digits only, as seed= in a scenario file
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
 
 
 def run_command(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="slaacsim")
+    parser = _Parser(prog="slaacsim")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a scenario file")
     run.add_argument("scenario", type=Path)
@@ -33,40 +40,32 @@ def run_command(argv: list[str]) -> int:
     run.add_argument("--check", action="store_true", help="verify the scenario's expect lines")
     run.add_argument("--dump-normalized", action="store_true",
                      help="print the canonical scenario text and exit")
-    run.add_argument("--seed", type=int, help="override the scenario seed")
-    args = parser.parse_args(argv)
-
+    run.add_argument("--seed", type=_seed, help="override the scenario seed")
     try:
-        scenario = parse_scenario(args.scenario.read_text())
-    except OSError as exc:
+        args = parser.parse_args(argv)
+        return _run(args)
+    except (argparse.ArgumentError, OSError) as exc:  # OSError: reading or writing a file
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ScenarioError, UnicodeDecodeError) as exc:
-        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
-        return 1
-
-    if args.dump_normalized:
-        sys.stdout.write(print_scenario(scenario))
-        return 0
-
-    engine = build_engine(scenario, seed=args.seed)
-    try:
-        metrics = engine.execute(scenario.run_ms)
-    except ScenarioError as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return 1
     except SimInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        if args.trace is not None:
-            args.trace.write_text(engine.trace_text())
-        if args.metrics is not None:
-            args.metrics.write_text("".join(line + "\n" for line in metrics.to_lines()))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
+def _run(args: argparse.Namespace) -> int:
+    scenario = parse_scenario(args.scenario.read_text())
+    if args.dump_normalized:
+        sys.stdout.write(print_scenario(scenario))
+        return 0
+    engine = build_engine(scenario, seed=args.seed)
+    metrics = engine.execute(scenario.run_ms)
+    if args.trace is not None:
+        args.trace.write_text(engine.trace_text())
+    if args.metrics is not None:
+        args.metrics.write_text("".join(line + "\n" for line in metrics.to_lines()))
     for line in metrics.flag_lines():
         print(line)
 

@@ -204,6 +204,7 @@ class Engine(object):
         self.nodes: dict[str, Node] = {}
         self.switch_id = switch_id  # labels ra-dropped records
         self.node_port: dict[str, SwitchPort] = {}  # each node's ingress port
+        self._receivers: dict[str, tuple[str, ...]] = {}  # sender -> every other node
         self.trusted_keys: dict[str, bytes] = {}  # key id -> secret, from trust lines
         self.attack_armed = False  # set by the first non-passive attack directive
         # Bare (time, node, kind, values) tuples; TraceRecord names the fields.
@@ -229,6 +230,7 @@ class Engine(object):
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self.nodes[node.node_id] = node
         self.node_port[node.node_id] = port
+        self._receivers.clear()
         # Only a router's or a persona's RAs put an address in a router list.
         if isinstance(node, Router):
             self._ip_owner[node.ra.src_ip] = node.node_id
@@ -292,7 +294,9 @@ class Engine(object):
         """Enqueue one entry delivering to every other node after link latency,
         subject to filtering at the sender's ingress port on arrival."""
         self._trace_emission(src_id, msg)
-        dsts = tuple([node_id for node_id in self.nodes if node_id != src_id])
+        dsts = self._receivers.get(src_id)
+        if dsts is None:
+            dsts = self._receivers[src_id] = tuple([n for n in self.nodes if n != src_id])
         if dsts:
             self.metrics.emitted += len(dsts)
             self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, dsts))

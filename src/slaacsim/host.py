@@ -164,76 +164,72 @@ class Host(object):
     # -- phase 2 -------------------------------------------------------------
 
     def process_ra(self, ctx: "Engine", ra: RouterAdvertisement, now: int) -> None:
+        """Handle one received RA in one pass: the router list entry of its
+        sender, then each prefix option in order."""
         if not self.ipv6_enabled:
             return
+        node_id = self.node_id
         if self.send_only and not verify_ra(ra, ctx.trusted_keys):
-            ctx.trace(self.node_id, "ra-rejected-send", ra.src_ip)
+            ctx.trace(node_id, "ra-rejected-send", ra.src_ip)
             return
-        self._update_router_list(ctx, ra, now)
-        for info in ra.prefixes:
-            if is_link_local(info.prefix.address):  # RFC 4862 §5.5.3(b)
-                ctx.trace(self.node_id, "prefix-ignored", info.prefix, "link-local")
-                continue
-            if info.prefix.length != 64:
-                ctx.trace(self.node_id, "prefix-ignored", info.prefix, "length")
-                continue
-            self._apply_prefix(ctx, ra, info, now)
-
-    def _update_router_list(self, ctx: "Engine", ra: RouterAdvertisement, now: int) -> None:
-        for entry in self.router_list:
-            if entry.router_ip == ra.src_ip:
+        src_ip = ra.src_ip
+        for router in self.router_list:
+            if router.router_ip == src_ip:
                 break
         else:
-            entry = None
+            router = None
         if ra.router_lifetime > 0:
             expires = now + ra.router_lifetime * MS
-            if entry is None:
-                self.router_list.append(DefaultRouterEntry(ra.src_ip, expires, ra.preference, now))
+            if router is None:
+                self.router_list.append(DefaultRouterEntry(src_ip, expires, ra.preference, now))
                 kind = "router-added"
             else:
-                entry.expires_at = expires
-                entry.preference = ra.preference
-                entry.refreshed_at = now
+                router.expires_at = expires
+                router.preference = ra.preference
+                router.refreshed_at = now
                 kind = "router-refreshed"
-            ctx.trace(self.node_id, kind, ra.src_ip, ra.preference, expires)
-            ctx.set_timer(self.node_id, Timer.EXPIRY, expires)
-        elif entry is not None:
-            self.router_list.remove(entry)
-            ctx.trace(self.node_id, "router-removed", ra.src_ip, "lifetime-zero")
-
-    def _apply_prefix(self, ctx: "Engine", ra: RouterAdvertisement, info, now: int) -> None:
-        for existing in self.addresses:
-            if existing.prefix is not None and existing.prefix == info.prefix:
-                break
-        else:
-            existing = None
-        if existing is None:
-            entry = AddressEntry(
-                global_from(info.prefix, self.iid),
-                AddressState.TENTATIVE,
-                prefix=info.prefix,
-                valid_until=now + info.valid_lifetime * MS,
-                preferred_until=now + info.preferred_lifetime * MS,
-            )
-            self.addresses.append(entry)
-            ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
-            self._start_dad(ctx, entry, now)
-        elif existing.state is not AddressState.ABANDONED:
-            self._refresh_lifetimes(ctx, existing, info, now)
-        # An abandoned entry for the prefix means autoconfiguration stopped;
-        # never re-create it.
-
-    def _refresh_lifetimes(self, ctx: "Engine", entry: AddressEntry, info, now: int) -> None:
-        remaining_ms = max(0, (entry.valid_until or now) - now)
-        received_ms = info.valid_lifetime * MS
-        if ctx.two_hour_rule:
-            new_valid_ms = apply_two_hour_rule(remaining_ms, received_ms)
-        else:
-            new_valid_ms = received_ms
-        entry.valid_until = now + new_valid_ms
-        entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
-        ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
-        ctx.trace(self.node_id, "addr-lifetime", entry.address, new_valid_ms)
+            ctx.trace(node_id, kind, src_ip, ra.preference, expires)
+            ctx.set_timer(node_id, Timer.EXPIRY, expires)
+        elif router is not None:
+            self.router_list.remove(router)
+            ctx.trace(node_id, "router-removed", src_ip, "lifetime-zero")
+        for info in ra.prefixes:
+            prefix = info.prefix
+            if is_link_local(prefix.address):  # RFC 4862 §5.5.3(b)
+                ctx.trace(node_id, "prefix-ignored", prefix, "link-local")
+                continue
+            if prefix.length != 64:
+                ctx.trace(node_id, "prefix-ignored", prefix, "length")
+                continue
+            # Only /64 prefixes ever form an entry, so an entry is this
+            # prefix's iff its prefix has the same network address.
+            network = prefix.address
+            for entry in self.addresses:
+                if entry.prefix is not None and entry.prefix.address == network:
+                    break
+            else:
+                entry = None
+            if entry is None:
+                entry = AddressEntry(
+                    global_from(prefix, self.iid),
+                    AddressState.TENTATIVE,
+                    prefix=prefix,
+                    valid_until=now + info.valid_lifetime * MS,
+                    preferred_until=now + info.preferred_lifetime * MS,
+                )
+                self.addresses.append(entry)
+                ctx.set_timer(node_id, Timer.EXPIRY, entry.valid_until)
+                self._start_dad(ctx, entry, now)
+            elif entry.state is not AddressState.ABANDONED:
+                valid_ms = info.valid_lifetime * MS
+                if ctx.two_hour_rule:
+                    valid_ms = apply_two_hour_rule(max(0, entry.valid_until - now), valid_ms)
+                entry.valid_until = now + valid_ms
+                entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
+                ctx.set_timer(node_id, Timer.EXPIRY, entry.valid_until)
+                ctx.trace(node_id, "addr-lifetime", entry.address, valid_ms)
+            # An abandoned entry for the prefix means autoconfiguration
+            # stopped; never re-create it.
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -55,6 +55,7 @@ from .engine import (
     SINK,
     AttackDirective,
     Engine,
+    HostMetrics,
     MeasureDirective,
     RunMetrics,
     ScenarioError,
@@ -79,7 +80,6 @@ _PORT_RE = re.compile(r"p([1-9][0-9]*)")
 
 ATTACK_MODES = {m.value: m for m in AttackMode}
 PORT_CLASSES = {c.value: c for c in PortClass}
-HOST_METRIC_FIELDS = ("default_router", "family_in_use", "iid")
 
 
 class ScenarioParseError(ScenarioError):
@@ -583,7 +583,7 @@ def _validate(sc: Scenario) -> None:
         if key in FLAGS:
             continue
         host_id, sep, fld = key.partition(".")
-        if not sep or host_id not in hosts or fld not in HOST_METRIC_FIELDS:
+        if not sep or host_id not in hosts or fld not in HostMetrics._fields:
             raise ScenarioValidationError(f"unknown expectation metric {key!r}")
 
 

@@ -6,10 +6,17 @@ import pytest
 
 import slaacsim.scenario
 
-from slaacsim.addressing import MacAddress, derive_eui64
-from slaacsim.defense import PortClass, SwitchPort
+from slaacsim.addressing import MacAddress, derive_eui64, global_from, is_link_local
+from slaacsim.defense import PortClass, SwitchPort, verify_ra
 from slaacsim.engine import Deliver, Engine, SimInvariantError, TraceRecord
-from slaacsim.host import Host
+from slaacsim.host import (
+    AddressEntry,
+    AddressState,
+    DefaultRouterEntry,
+    Host,
+    apply_two_hour_rule,
+)
+from slaacsim.messages import MS, Timer
 from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
 
@@ -44,16 +51,93 @@ class EveryTimerEngine(Engine):
         heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
 
 
-def build_on(sc, engine_class) -> Engine:
-    """``sc`` built on an ``engine_class`` in place of Engine."""
-    with mock.patch.object(slaacsim.scenario, "Engine", engine_class):
+class ReferenceHost(Host):
+    """The RA handling that Host.process_ra replaced: four methods, and a
+    SLAAC entry found by comparing whole prefixes."""
+
+    def process_ra(self, ctx, ra, now):
+        if not self.ipv6_enabled:
+            return
+        if self.send_only and not verify_ra(ra, ctx.trusted_keys):
+            ctx.trace(self.node_id, "ra-rejected-send", ra.src_ip)
+            return
+        self._update_router_list(ctx, ra, now)
+        for info in ra.prefixes:
+            if is_link_local(info.prefix.address):
+                ctx.trace(self.node_id, "prefix-ignored", info.prefix, "link-local")
+                continue
+            if info.prefix.length != 64:
+                ctx.trace(self.node_id, "prefix-ignored", info.prefix, "length")
+                continue
+            self._apply_prefix(ctx, ra, info, now)
+
+    def _update_router_list(self, ctx, ra, now):
+        for entry in self.router_list:
+            if entry.router_ip == ra.src_ip:
+                break
+        else:
+            entry = None
+        if ra.router_lifetime > 0:
+            expires = now + ra.router_lifetime * MS
+            if entry is None:
+                self.router_list.append(DefaultRouterEntry(ra.src_ip, expires, ra.preference, now))
+                kind = "router-added"
+            else:
+                entry.expires_at = expires
+                entry.preference = ra.preference
+                entry.refreshed_at = now
+                kind = "router-refreshed"
+            ctx.trace(self.node_id, kind, ra.src_ip, ra.preference, expires)
+            ctx.set_timer(self.node_id, Timer.EXPIRY, expires)
+        elif entry is not None:
+            self.router_list.remove(entry)
+            ctx.trace(self.node_id, "router-removed", ra.src_ip, "lifetime-zero")
+
+    def _apply_prefix(self, ctx, ra, info, now):
+        for existing in self.addresses:
+            if existing.prefix is not None and existing.prefix == info.prefix:
+                break
+        else:
+            existing = None
+        if existing is None:
+            entry = AddressEntry(
+                global_from(info.prefix, self.iid),
+                AddressState.TENTATIVE,
+                prefix=info.prefix,
+                valid_until=now + info.valid_lifetime * MS,
+                preferred_until=now + info.preferred_lifetime * MS,
+            )
+            self.addresses.append(entry)
+            ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
+            self._start_dad(ctx, entry, now)
+        elif existing.state is not AddressState.ABANDONED:
+            self._refresh_lifetimes(ctx, existing, info, now)
+
+    def _refresh_lifetimes(self, ctx, entry, info, now):
+        remaining_ms = max(0, (entry.valid_until or now) - now)
+        received_ms = info.valid_lifetime * MS
+        if ctx.two_hour_rule:
+            new_valid_ms = apply_two_hour_rule(remaining_ms, received_ms)
+        else:
+            new_valid_ms = received_ms
+        entry.valid_until = now + new_valid_ms
+        entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
+        ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
+        ctx.trace(self.node_id, "addr-lifetime", entry.address, new_valid_ms)
+
+
+def build_on(sc, engine_class, host_class=Host) -> Engine:
+    """``sc`` built on an ``engine_class`` in place of Engine, with each host
+    a ``host_class`` in place of Host."""
+    with mock.patch.object(slaacsim.scenario, "Engine", engine_class), \
+            mock.patch.object(slaacsim.scenario, "Host", host_class):
         return build_engine(sc)
 
 
-def run_output(sc, engine_class, t_end_ms=None) -> str:
-    """The trace and metrics text of ``sc`` built on an ``engine_class`` and
-    executed to ``t_end_ms``, by default its run time."""
-    engine = build_on(sc, engine_class)
+def run_output(sc, engine_class, t_end_ms=None, host_class=Host) -> str:
+    """The trace and metrics text of ``sc`` built on an ``engine_class`` (and
+    ``host_class``) and executed to ``t_end_ms``, by default its run time."""
+    engine = build_on(sc, engine_class, host_class)
     metrics = engine.execute(sc.run_ms if t_end_ms is None else t_end_ms)
     return engine.trace_text() + "\n".join(metrics.to_lines())
 

@@ -142,6 +142,18 @@ def test_broadcast_queues_one_entry_per_emission():
     assert lone._queue == [] and lone.metrics.emitted == 0
 
 
+def test_node_added_after_a_broadcast_receives_the_next():
+    # Each sender's receivers are kept between broadcasts; a node that joins
+    # is among them from its sender's next broadcast on.
+    engine = three_node_link(guard_attacker=False)
+    engine.broadcast("A1", spoofable_ra(), 0)
+    attach(engine, eui64_host("H3", MacAddress.parse("00:1a:2b:3c:4d:60")))
+    engine.broadcast("A1", spoofable_ra(), 0)
+    first, second = (entry[3].dsts for entry in sorted(engine._queue))
+    assert first == ("H1", "H2") and second == ("H1", "H2", "H3")
+    assert engine.metrics.emitted == engine.metrics.in_flight == 5
+
+
 class PerReceiverEngine(Engine):
     """The schedule batching replaced: one single-receiver entry per
     receiver, each with its own seq."""
@@ -419,7 +431,8 @@ def test_trace_key_order_is_fixed_per_kind():
 
 
 SOURCE_DIR = SCENARIO_DIR.parent / "src" / "slaacsim"
-# The one trace call whose kind is a variable: Host._update_router_list.
+# The one trace call whose kind is a variable: the router list update in
+# Host.process_ra.
 VARIABLE_KINDS = ("router-added", "router-refreshed")
 
 

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import attach, attrs, eui64_host, queued_deliveries, queued_timers, records
+from conftest import (
+    SCENARIO_DIR,
+    ReferenceHost,
+    attach,
+    attrs,
+    eui64_host,
+    queued_deliveries,
+    queued_timers,
+    records,
+    run_output,
+)
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix, derive_eui64, parse_ipv4
 from slaacsim.engine import Engine
@@ -340,6 +350,84 @@ def test_refresh_with_policy_applies_floor():
     entry = host.addresses[0]
     assert entry.valid_until == 1000 + 7200 * 1000
     assert entry.preferred_until <= entry.valid_until
+
+
+# -- one-pass RA handling against the four-method reference ------------------------
+
+def link(*node_lines: str, tail: str = "run 25") -> str:
+    """A one-switch scenario: each node line's node attached in order, a
+    router at a router-class port, any other node at a host-class one."""
+    lines = [f"switch SW1 ports={len(node_lines)}", *node_lines]
+    for i, line in enumerate(node_lines, start=1):
+        kind, node_id = line.split()[1:3]
+        lines.append(f"attach {node_id} SW1.p{i} class={'router' if kind == 'router' else 'host'}")
+    return "\n".join([*lines, tail, ""])
+
+
+HOST_LINE = "node host H1 mac=00:1a:2b:3c:4d:5e"
+R1_LINE = "node router R1 mac=00:00:5e:00:53:01"
+
+# Branches of Host.process_ra that no corpus scenario reaches, each with a
+# record that shows the branch was taken.
+RA_BRANCHES = {
+    # Both prefix-ignored reasons, then a /64 that forms an address.
+    "ignored-prefixes": (
+        link(f"{R1_LINE} prefix=fe80::/64,2001:db8:2::/48,2001:db8:1::/64", HOST_LINE),
+        ("reason=link-local", "reason=length", "origin=slaac"),
+    ),
+    # No default router, and an address whose valid lifetime ends at once.
+    "zero-lifetimes": (
+        link(f"{R1_LINE} prefix=2001:db8:1::/64 lifetime=0 valid=0 preferred=0", HOST_LINE),
+        ("kind=addr-abandoned",),
+    ),
+    # Each router's RAs refresh the one address both advertise.
+    "two-routers-one-prefix": (
+        link(
+            f"{R1_LINE} prefix=2001:db8:1::/64 valid=600 preferred=300",
+            "node router R2 mac=00:00:5e:00:53:02 prefix=2001:db8:1::/64 interval=7",
+            HOST_LINE,
+        ),
+        ("valid_ms=600000", "valid_ms=3600000"),
+    ),
+    # The rule keeps the remaining lifetime against a forged short one, and
+    # takes the router's longer one.
+    "two-hour-rule-forged": (
+        link(
+            f"{R1_LINE} prefix=2001:db8:1::/64",
+            HOST_LINE,
+            "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:1::/64"
+            " persona-valid=100 persona-preferred=50",
+            tail="policy global two-hour-rule\nat 5 attack A1 fake-router\nrun 25",
+        ),
+        ("node=A1 kind=ra-sent src=fe80::200:5eff:fe00:5366", "valid_ms=3595000"),
+    ),
+    # H2 loses DAD for the address the RA forms, so later RAs skip its entry.
+    "dad-failed-prefix": (
+        link(
+            f"{R1_LINE} prefix=2001:db8:1::/64",
+            HOST_LINE,
+            "node host H2 mac=00:1a:2b:3c:4d:5e",
+            tail="allow-dup-mac\nrun 25",
+        ),
+        ("node=H2 kind=dad-failed addr=2001:db8:1:0:21a:2bff:fe3c:4d5e",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.txt")))
+def test_one_pass_ra_matches_reference_on_corpus(name):
+    sc = parse_scenario((SCENARIO_DIR / f"{name}.txt").read_text())
+    assert run_output(sc, Engine) == run_output(sc, Engine, host_class=ReferenceHost)
+
+
+@pytest.mark.parametrize("name", sorted(RA_BRANCHES))
+def test_one_pass_ra_matches_reference_off_corpus(name):
+    text, shown = RA_BRANCHES[name]
+    sc = parse_scenario(text)
+    output = run_output(sc, Engine)
+    assert output == run_output(sc, Engine, host_class=ReferenceHost)
+    for part in shown:
+        assert part in output, part
 
 
 # -- router selection ----------------------------------------------------------------

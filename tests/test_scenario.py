@@ -10,12 +10,11 @@ from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
 from slaacsim.attacker import Attacker
 from slaacsim.cli import run_command
 from slaacsim.defense import PortClass, SwitchPort, cga_generate
-from slaacsim.engine import Engine, SimInvariantError
+from slaacsim.engine import Engine, HostMetrics, SimInvariantError
 from slaacsim.host import Host
 from slaacsim.messages import RouterAdvertisement
 from slaacsim.router import Router
 from slaacsim.scenario import (
-    HOST_METRIC_FIELDS,
     MAX_PORTS,
     MAX_TIME_S,
     ScenarioParseError,
@@ -171,6 +170,42 @@ def test_step_at_the_run_end_is_valid():
     # The run serves every event at or before its end time.
     sc = parse_scenario(MINIMAL.replace("run 4", "at 4 measure\nrun 4"))
     assert [time_ms for time_ms, _step in sc.directives] == [4000]
+
+
+H1_MAC_TEXT = "mac=00:1a:2b:3c:4d:5e"
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ([("run 4", "switch SW2 ports=2\nrun 4")], "line 6: only one switch is supported"),
+        ([(H1_MAC_TEXT, f"{H1_MAC_TEXT} ipv4=10.0.0.2")],
+         "line 3: ipv4 and gw4 must be given together"),
+        ([(H1_MAC_TEXT, f"{H1_MAC_TEXT} iid=0000:0000:0000:0001 cga-key=k1 cga-modifier=0")],
+         "line 3: iid and cga-key are mutually exclusive"),
+        ([("run 4", "at 1 attack A1 fake-router target=R1\nrun 4")],
+         "line 6: fake-router takes no target"),
+        ([("switch SW1 ports=2\n", "")], "scenario needs a switch"),
+        ([("ports=2", "ports=3"), ("run 4", "attach H1 SW1.p3 class=host\nrun 4")],
+         "node 'H1' attached twice"),
+        ([("run 4", "node host H2 mac=00:1a:2b:3c:4d:5f\nattach H2 SW1.p2 class=host\nrun 4")],
+         "port 'p2' attached twice"),
+        ([("run 4", "at 1 disable H1\nrun 4")], "enable/disable references non-router 'H1'"),
+    ],
+    ids=[
+        "second-switch", "together", "exclusive", "no-target", "no-switch",
+        "node-twice", "port-twice", "toggle-host",
+    ],
+)
+def test_each_scenario_fault_exits_1_with_its_message(tmp_path, capsys, edits, message):
+    text = MINIMAL
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert run_command(["run", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {bad}: {message}\n"
 
 
 def test_duplicate_node_id_rejected():
@@ -550,6 +585,36 @@ def test_seed_override_changes_jittered_run(tmp_path, capsys):
     assert traces[0] != traces[1]
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["run", "{jitter}", "--seed", "٧"], "argument --seed: bad number '٧'"),
+        (["run", "{jitter}", "--seed", "abc"], "argument --seed: bad number 'abc'"),
+        (["run", "{jitter}", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["seed-other-digits", "seed-not-a-number", "unknown-flag", "no-command"],
+)
+def test_usage_errors_exit_1_with_one_error_line(capsys, args, message):
+    # Exit 2 means an invariant violation, so a usage error exits 1, and
+    # --seed takes ASCII digits only, as seed= in a scenario file does.
+    args = [a.format(jitter=scenario_path("jitter_demo")) for a in args]
+    assert run_command(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_expect_takes_every_field_metrics_prints(tmp_path, capsys):
+    addresses = "fe80::21a:2bff:fe3c:4d5e,2001:db8:1:0:21a:2bff:fe3c:4d5e"
+    path = tmp_path / "addresses.txt"
+    path.write_text(MINIMAL.replace("run 4", f"expect H1.addresses={addresses}\nrun 4"))
+    assert run_command(["run", str(path), "--check"]) == 0
+    assert "check ok (1 expectation(s))" in capsys.readouterr().out
+    path.write_text(MINIMAL.replace("run 4", "expect H1.addresses=-\nrun 4"))
+    assert run_command(["run", str(path), "--check"]) == 1
+    assert capsys.readouterr().err == f"check failed: expect H1.addresses=-: got {addresses}\n"
+
+
 def test_module_entry_point_runs():
     import subprocess
     import sys
@@ -582,7 +647,7 @@ def test_check_compares_against_the_printed_text(path, tmp_path, capsys):
         if head.startswith("host="):
             host = head[len("host="):]
             for key, value in (f.split("=", 1) for f in fields):
-                if key in HOST_METRIC_FIELDS:
+                if key in HostMetrics._fields:
                     printed[f"{host}.{key}"] = value
         elif head != "counters":
             assert not fields and head in stdout.splitlines()
@@ -590,7 +655,7 @@ def test_check_compares_against_the_printed_text(path, tmp_path, capsys):
             printed[key] = value
     sc = parse_scenario(path.read_text() + "".join(f"expect {k}={v}\n" for k, v in printed.items()))
     hosts = [n for n in sc.nodes if n.kind == "host"]
-    assert len(printed) == 3 + len(HOST_METRIC_FIELDS) * len(hosts)
+    assert len(printed) == 3 + len(HostMetrics._fields) * len(hosts)
     metrics = build_engine(sc).execute(sc.run_ms)
     assert evaluate_expects(sc, metrics) == []
     sc.expects = [(key, "altered") for key in printed]

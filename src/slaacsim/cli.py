@@ -1,11 +1,12 @@
 """Command-line front end: run a scenario, write trace/metrics, check
 scripted expectations.
 
-Exit status: 0 clean run (and all expectations met under --check), 1 on a
-usage error, on parse/validation/expectation failure, on an attack step that
-replays an advertisement its attacker has not captured yet, on a scenario
-file that cannot be read or is not UTF-8, or on a --trace/--metrics file that
-cannot be written, 2 on an internal invariant violation.
+Exit status: 0 clean run (and all expectations met under --check) or
+--help, 1 on a usage error, on parse/validation/expectation failure, on an
+attack step that replays an advertisement its attacker has not captured yet,
+on a scenario file that cannot be read or is not UTF-8, or on a
+--trace/--metrics file that cannot be written, 2 on an internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -18,9 +19,16 @@ from .engine import ScenarioError, SimInvariantError
 from .scenario import _int, build_engine, evaluate_expects, parse_scenario, print_scenario
 
 
+class _Done(Exception):
+    """argparse has done the whole command (``--help``); args[0] is its status."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2, the invariant-violation status
         raise argparse.ArgumentError(None, message)
+
+    def exit(self, status=0, message=None):  # reached only after --help: error() raises
+        raise _Done(status)
 
 
 def _seed(text: str) -> int:
@@ -44,6 +52,8 @@ def run_command(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return _run(args)
+    except _Done as done:
+        return done.args[0]
     except (argparse.ArgumentError, OSError) as exc:  # OSError: reading or writing a file
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ with keys in TRACE_KEYS order, one record per line.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import math
@@ -323,18 +324,24 @@ class Engine(object):
         reason = filter_ingress(port, msg)
         if reason is not None:
             self.metrics.dropped += len(dsts)
-            for dst in dsts:
-                self.trace(self.switch_id, "ra-dropped", port.port_id, reason, msg.src_ip, dst)
+            switch_id, port_id, src_ip = self.switch_id, port.port_id, msg.src_ip
+            self.trace_records.extend([
+                (now, switch_id, "ra-dropped", (port_id, reason, src_ip, dst)) for dst in dsts
+            ])
             return
         # Every receiver counts as delivered; only those that act on the
         # message kind are called, in node order.
         self.metrics.delivered += len(dsts)
         nodes = self.nodes
         if isinstance(msg, RouterAdvertisement):
+            # Every receiving host's record holds the same values, so they
+            # share one tuple.
+            received = (msg.src_ip, msg.router_lifetime, msg.preference)
+            append = self.trace_records.append
             for dst in dsts:
                 node = nodes[dst]
                 if isinstance(node, Host):
-                    self.trace(dst, "ra-received", msg.src_ip, msg.router_lifetime, msg.preference)
+                    append((now, dst, "ra-received", received))
                 if not isinstance(node, Router):
                     node.on_message(self, msg, src, now)
         elif isinstance(msg, RouterSolicitation):
@@ -344,7 +351,9 @@ class Engine(object):
                     node.on_message(self, msg, src, now)
         else:  # NS or NA: only hosts that claimed the target act on it
             claimants = self._claims.get(msg.target)
-            if claimants:
+            # The sender is never among its receivers, so when it is the
+            # only claimant nobody acts.
+            if claimants and (len(claimants) > 1 or src not in claimants):
                 for dst in dsts:
                     if dst in claimants:
                         nodes[dst].on_message(self, msg, src, now)
@@ -401,7 +410,17 @@ class Engine(object):
         queued, and the engine cannot be run past it. Expects bootstrap() to
         have been called (the scenario builder does so)."""
         self._horizon = t_end_ms
-        self.run_until(t_end_ms)
+        # A run makes no reference cycles (a test holds that), so a cyclic
+        # collection during the loop would find nothing and only re-walk the
+        # trace records. The pause is process-wide, which is safe because the
+        # engine is single-threaded; the collector is restored as found.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.run_until(t_end_ms)
+        finally:
+            if collecting:
+                gc.enable()
         metrics = self.metrics
         if not metrics.hosts:
             self.measure(t_end_ms)

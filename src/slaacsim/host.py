@@ -172,6 +172,9 @@ class Host(object):
         if self.send_only and not verify_ra(ra, ctx.trusted_keys):
             ctx.trace(node_id, "ra-rejected-send", ra.src_ip)
             return
+        # The records an RA makes at every host go straight into the trace,
+        # stamped with the engine's time as Engine.trace stamps them.
+        records = ctx.trace_records
         src_ip = ra.src_ip
         for router in self.router_list:
             if router.router_ip == src_ip:
@@ -188,7 +191,7 @@ class Host(object):
                 router.preference = ra.preference
                 router.refreshed_at = now
                 kind = "router-refreshed"
-            ctx.trace(node_id, kind, src_ip, ra.preference, expires)
+            records.append((ctx.now, node_id, kind, (src_ip, ra.preference, expires)))
             ctx.set_timer(node_id, Timer.EXPIRY, expires)
         elif router is not None:
             self.router_list.remove(router)
@@ -210,6 +213,9 @@ class Host(object):
             else:
                 entry = None
             if entry is None:
+                if info.valid_lifetime == 0:  # RFC 4862 §5.5.3(d)
+                    ctx.trace(node_id, "prefix-ignored", prefix, "valid-zero")
+                    continue
                 entry = AddressEntry(
                     global_from(prefix, self.iid),
                     AddressState.TENTATIVE,
@@ -227,7 +233,7 @@ class Host(object):
                 entry.valid_until = now + valid_ms
                 entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
                 ctx.set_timer(node_id, Timer.EXPIRY, entry.valid_until)
-                ctx.trace(node_id, "addr-lifetime", entry.address, valid_ms)
+                records.append((ctx.now, node_id, "addr-lifetime", (entry.address, valid_ms)))
             # An abandoned entry for the prefix means autoconfiguration
             # stopped; never re-create it.
 

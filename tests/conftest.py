@@ -100,6 +100,9 @@ class ReferenceHost(Host):
         else:
             existing = None
         if existing is None:
+            if info.valid_lifetime == 0:
+                ctx.trace(self.node_id, "prefix-ignored", info.prefix, "valid-zero")
+                return
             entry = AddressEntry(
                 global_from(info.prefix, self.iid),
                 AddressState.TENTATIVE,

@@ -2,6 +2,7 @@
 
 import ast
 import enum
+import gc
 import hashlib
 import heapq
 import ipaddress
@@ -24,6 +25,7 @@ from conftest import (
     records,
     run_output,
     run_scenario,
+    scenario_path,
 )
 
 import slaacsim.scenario
@@ -38,11 +40,12 @@ from slaacsim.engine import (
     Deliver,
     Engine,
     MeasureDirective,
+    ScenarioError,
     SimInvariantError,
     ToggleDirective,
     TraceRecord,
 )
-from slaacsim.host import Host
+from slaacsim.host import AddressState, Host
 from slaacsim.messages import (
     NeighborAdvertisement,
     NeighborSolicitation,
@@ -53,6 +56,7 @@ from slaacsim.messages import (
     Timer,
 )
 from slaacsim.router import Router
+from slaacsim.scenario import build_engine, evaluate_expects, parse_scenario
 
 A1_MAC = MacAddress.parse("00:00:5e:00:53:66")
 A1_IP = Ipv6Address.parse("fe80::66")
@@ -326,6 +330,23 @@ def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
     }
 
 
+def test_ns_reaches_a_sole_claimant_that_did_not_send_it(engine):
+    # A DAD probe whose sender is the target's only claimant calls nobody;
+    # a probe from a node that claims nothing reaches the claimant.
+    h1, h2 = eui64_host("H1", A1_MAC), eui64_host("H2", MacAddress.parse("00:1a:2b:3c:4d:5e"))
+    attach(engine, h1)
+    attach(engine, h2)
+    h1.begin_autoconf(engine, 0)
+    engine.run_until(1000)
+    [entry] = h1.addresses
+    assert entry.state is AddressState.ASSIGNED and not records(engine, "na-sent")
+    engine.broadcast("H2", NeighborSolicitation(entry.address), 1000)
+    engine.run_until(1001)
+    assert [(r.node, attrs(r)["target"]) for r in records(engine, "na-sent")] == [
+        ("H1", str(entry.address))
+    ]
+
+
 @pytest.mark.parametrize("name", all_scenarios())
 def test_every_host_address_is_claimed_by_its_host(name):
     _, engine, _ = run_scenario(name)
@@ -408,6 +429,19 @@ def test_every_scenario_conserves_messages(name):
     assert metrics.in_flight == 0
 
 
+class LosingEngine(Engine):
+    """Serves each delivery without counting it as delivered or dropped."""
+
+    def _handle_deliver(self, event, now):
+        pass
+
+
+def test_execute_raises_when_a_message_goes_uncounted():
+    sc = load("baseline")
+    with pytest.raises(SimInvariantError, match="message conservation broken: emitted="):
+        build_on(sc, LosingEngine).execute(sc.run_ms)
+
+
 @pytest.mark.parametrize("name", all_scenarios())
 def test_trace_times_never_go_backwards(name):
     _, engine, _ = run_scenario(name)
@@ -431,29 +465,61 @@ def test_trace_key_order_is_fixed_per_kind():
 
 
 SOURCE_DIR = SCENARIO_DIR.parent / "src" / "slaacsim"
-# The one trace call whose kind is a variable: the router list update in
+# The one trace record whose kind is a variable: the router list update in
 # Host.process_ra.
 VARIABLE_KINDS = ("router-added", "router-refreshed")
 
 
+def _record_sites(path):
+    """(where, kind expression, value expressions) for each Engine.trace call
+    and each (time, node, kind, values) record literal in one source file. A
+    literal's values may be a local name bound to one tuple literal."""
+    tree = ast.parse(path.read_text())
+    tuples = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    tuples.setdefault(target.id, []).append(node.value)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "trace":
+                where = f"{path.name}:{node.lineno}"
+                assert not node.keywords and not any(
+                    isinstance(a, ast.Starred) for a in node.args
+                ), where
+                yield where, node.args[1], node.args[2:]
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 4:
+            where = f"{path.name}:{node.lineno}"
+            kind, values = node.elts[2:]
+            is_record = (
+                isinstance(kind, ast.Constant) and isinstance(kind.value, str)
+                and not isinstance(values, ast.Constant)
+            ) or (path.name, ast.unparse(kind)) == ("host.py", "kind")
+            if not is_record:
+                continue
+            if isinstance(values, ast.Name):
+                assert len(tuples.get(values.id, ())) == 1, where
+                values = tuples[values.id][0]
+            assert isinstance(values, ast.Tuple), where
+            yield where, kind, values.elts
+
+
 def test_every_trace_call_passes_its_kinds_values():
+    # Engine.trace calls make most records; the hot paths append record
+    # literals themselves. Each must give its kind one value per key.
     seen = set()
     for path in sorted(SOURCE_DIR.glob("*.py")):
-        for call in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)):
-                continue
-            if call.func.attr != "trace":
-                continue
-            where = f"{path.name}:{call.lineno}"
-            assert not call.keywords and not any(isinstance(a, ast.Starred) for a in call.args), where
-            if isinstance(call.args[1], ast.Constant):
-                kinds = (call.args[1].value,)
+        for where, kind, values in _record_sites(path):
+            assert not any(isinstance(v, ast.Starred) for v in values), where
+            if isinstance(kind, ast.Constant):
+                kinds = (kind.value,)
             else:
-                assert (path.name, ast.unparse(call.args[1])) == ("host.py", "kind"), where
+                assert (path.name, ast.unparse(kind)) == ("host.py", "kind"), where
                 kinds = VARIABLE_KINDS
             for kind in kinds:
                 assert kind in TRACE_KEYS, where
-                assert len(call.args) - 2 == len(TRACE_KEYS[kind]), where
+                assert len(values) == len(TRACE_KEYS[kind]), where
             seen.update(kinds)
     assert seen == set(TRACE_KEYS)
 
@@ -820,3 +886,76 @@ def test_measure_at_the_run_end_is_the_only_one():
     engine.execute(sc.run_ms)
     resolved = records(engine, "path-resolved")
     assert [(r.time, r.node) for r in resolved] == [(4000, "H1"), (4000, "H2")]
+
+
+# -- the cyclic collector -----------------------------------------------------------
+
+def link_text(hosts: int, guard: bool, run_s: int) -> str:
+    """A generated link like the benchmark's: R1 signing with trusted key k1,
+    ``hosts`` hosts and attacker A1 running fake-router from t=5 s. With
+    ``guard``, every host checks signatures, A1's port has RA Guard and the
+    two-hour rule is on; without it, only H1 checks signatures."""
+    lines = [
+        f"switch SW1 ports={hosts + 2}",
+        "node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 interval=10 jitter=1",
+        *(
+            f"node host H{i} mac=02:00:00:00:{i >> 8:02x}:{i & 0xff:02x}"
+            + (" send=on" if guard or i == 1 else "")
+            for i in range(1, hosts + 1)
+        ),
+        "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64"
+        " persona-lifetime=9000 persona-preference=high persona-interval=10 persona-routes=yes",
+        "attach R1 SW1.p1 class=router",
+        *(f"attach H{i} SW1.p{i + 1} class=host" for i in range(1, hosts + 1)),
+        f"attach A1 SW1.p{hosts + 2} class=host",
+        *([f"policy SW1.p{hosts + 2} ra-guard", "policy global two-hour-rule"] if guard else []),
+        "key R1 k1",
+        "trust k1",
+        "at 5 attack A1 fake-router",
+        f"run {run_s} seed=7",
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_a_run_makes_no_reference_cycles():
+    # Engine.execute pauses the cyclic collector for the event loop, which
+    # is free only while a run leaves nothing for it to find: every object a
+    # run makes must be freed by reference counting alone.
+    texts = [scenario_path(name).read_text() for name in all_scenarios()]
+    texts += [link_text(100, guard=False, run_s=60), link_text(10, guard=True, run_s=7200)]
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for text in texts:
+            sc = parse_scenario(text)
+            engine = build_engine(sc)
+            metrics = engine.execute(sc.run_ms)
+            engine.trace_text()
+            assert metrics.to_lines() and evaluate_expects(sc, metrics) == []
+            del sc, engine, metrics
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+KILL_BEFORE_CAPTURE = scenario_path("attack_kill").read_text().replace(
+    "at 5 attack", "at 0 attack"
+)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_execute_leaves_the_collector_as_it_found_it(collecting):
+    finishes = build_engine(load("attack_kill"))
+    raises = build_engine(parse_scenario(KILL_BEFORE_CAPTURE))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        finishes.execute(9000)
+        assert gc.isenabled() is collecting
+        with pytest.raises(ScenarioError, match="holds no captured RA"):
+            raises.execute(9000)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -18,7 +18,7 @@ from conftest import (
 )
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix, derive_eui64, parse_ipv4
-from slaacsim.engine import Engine
+from slaacsim.engine import Engine, TraceRecord
 from slaacsim.host import (
     AddressEntry,
     AddressState,
@@ -270,6 +270,40 @@ def test_abandoned_prefix_is_never_recreated(engine):
     assert len(host.addresses) == 1
 
 
+def test_valid_lifetime_zero_forms_no_address(engine):
+    # RFC 4862 §5.5.3(d): only a prefix with a nonzero valid lifetime forms an
+    # address, so a later RA for the prefix still can; §5.5.3(e) still
+    # updates an address the prefix already formed.
+    host = make_host()
+    attach(engine, host)
+    host.process_ra(engine, make_ra(valid=0, preferred=0), 0)
+    assert host.addresses == []
+    assert [attrs(r) for r in records(engine, "prefix-ignored")] == [
+        {"prefix": "2001:db8:1::/64", "reason": "valid-zero"}
+    ]
+    assert not records(engine, "dad-start")
+    host.process_ra(engine, make_ra(), 10)
+    [entry] = host.addresses
+    assert entry.state is AddressState.TENTATIVE
+    host.process_ra(engine, make_ra(valid=0, preferred=0), 20)
+    assert entry.valid_until == 20
+    assert attrs(records(engine, "addr-lifetime")[0])["valid_ms"] == "0"
+    assert len(records(engine, "prefix-ignored")) == 1
+
+
+def test_process_ra_stamps_its_records_with_the_engine_time(engine):
+    # Engine.trace stamps a record with the engine's time, not a handler's
+    # now; the records process_ra appends itself do the same.
+    host = make_host()
+    attach(engine, host)
+    engine.now = 7
+    host.process_ra(engine, make_ra(), 500)
+    host.process_ra(engine, make_ra(), 600)
+    kinds = [r.kind for r in map(TraceRecord._make, engine.trace_records)]
+    assert {"router-added", "router-refreshed", "addr-lifetime"} <= set(kinds)
+    assert {r[0] for r in engine.trace_records} == {7}
+
+
 def test_send_only_host_drops_unauthenticated_ra(engine):
     host = make_host(send_only=True)
     attach(engine, host)
@@ -375,10 +409,10 @@ RA_BRANCHES = {
         link(f"{R1_LINE} prefix=fe80::/64,2001:db8:2::/48,2001:db8:1::/64", HOST_LINE),
         ("reason=link-local", "reason=length", "origin=slaac"),
     ),
-    # No default router, and an address whose valid lifetime ends at once.
+    # No default router, and a prefix whose zero valid lifetime forms no address.
     "zero-lifetimes": (
         link(f"{R1_LINE} prefix=2001:db8:1::/64 lifetime=0 valid=0 preferred=0", HOST_LINE),
-        ("kind=addr-abandoned",),
+        ("reason=valid-zero",),
     ),
     # Each router's RAs refresh the one address both advertise.
     "two-routers-one-prefix": (

@@ -604,6 +604,16 @@ def test_usage_errors_exit_1_with_one_error_line(capsys, args, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args,usage", [(["--help"], "usage: slaacsim "), (["run", "--help"], "usage: slaacsim run ")]
+)
+def test_help_returns_0_with_the_usage_on_stdout(capsys, args, usage):
+    # Every outcome of run_command is a returned status, --help too.
+    assert run_command(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.err == ""
+
+
 def test_expect_takes_every_field_metrics_prints(tmp_path, capsys):
     addresses = "fe80::21a:2bff:fe3c:4d5e,2001:db8:1:0:21a:2bff:fe3c:4d5e"
     path = tmp_path / "addresses.txt"

@@ -44,7 +44,7 @@ TWO_HOURS_MS = 7200 * MS
 class AddressState(enum.Enum):
     TENTATIVE = "tentative"
     ASSIGNED = "assigned"
-    ABANDONED = "abandoned"
+    ABANDONED = "abandoned"  # after a DAD conflict; an expired entry is dropped instead
 
 
 @dataclass
@@ -87,6 +87,14 @@ def apply_two_hour_rule(remaining_ms: int, received_ms: int) -> int:
     if remaining_ms <= TWO_HOURS_MS:
         return remaining_ms
     return TWO_HOURS_MS
+
+
+def new_ra_delivery() -> list[object]:
+    """The work the receiving hosts of one RA delivery share, as
+    [verdict, router record values]: each is made by the first host that
+    needs it (Host.process_ra), and the next delivery starts from a fresh
+    list."""
+    return [None, None]
 
 
 class Host(object):
@@ -153,7 +161,7 @@ class Host(object):
         if still tentative (link-local prefixes never form a second entry)."""
         entry = self._entry_for(address)
         if entry is None or entry.state is not AddressState.TENTATIVE:
-            return  # abandoned after a conflict or on expiry
+            return  # abandoned after a conflict, or dropped on expiry
         entry.state = AddressState.ASSIGNED
         origin = "link-local" if entry.prefix is None else "slaac"
         ctx.trace(self.node_id, "addr-assigned", address, origin)
@@ -169,9 +177,15 @@ class Host(object):
         if not self.ipv6_enabled:
             return
         node_id = self.node_id
-        if self.send_only and not verify_ra(ra, ctx.trusted_keys):
-            ctx.trace(node_id, "ra-rejected-send", ra.src_ip)
-            return
+        # A call outside a delivery shares its work with nobody.
+        shared = ctx.ra_delivery or new_ra_delivery()
+        if self.send_only:
+            verdict = shared[0]
+            if verdict is None:
+                verdict = shared[0] = verify_ra(ra, ctx.trusted_keys)
+            if not verdict:
+                ctx.trace(node_id, "ra-rejected-send", ra.src_ip)
+                return
         # The records an RA makes at every host go straight into the trace,
         # stamped with the engine's time as Engine.trace stamps them.
         records = ctx.trace_records
@@ -182,7 +196,10 @@ class Host(object):
         else:
             router = None
         if ra.router_lifetime > 0:
-            expires = now + ra.router_lifetime * MS
+            values = shared[1]
+            if values is None:
+                values = shared[1] = (src_ip, ra.preference, now + ra.router_lifetime * MS)
+            expires = values[2]
             if router is None:
                 self.router_list.append(DefaultRouterEntry(src_ip, expires, ra.preference, now))
                 kind = "router-added"
@@ -191,7 +208,7 @@ class Host(object):
                 router.preference = ra.preference
                 router.refreshed_at = now
                 kind = "router-refreshed"
-            records.append((ctx.now, node_id, kind, (src_ip, ra.preference, expires)))
+            records.append((ctx.now, node_id, kind, values))
             ctx.set_timer(node_id, Timer.EXPIRY, expires)
         elif router is not None:
             self.router_list.remove(router)
@@ -234,22 +251,29 @@ class Host(object):
                 entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
                 ctx.set_timer(node_id, Timer.EXPIRY, entry.valid_until)
                 records.append((ctx.now, node_id, "addr-lifetime", (entry.address, valid_ms)))
-            # An abandoned entry for the prefix means autoconfiguration
-            # stopped; never re-create it.
+            # An abandoned entry for the prefix means DAD failed and
+            # autoconfiguration stopped (RFC 4862 §5.4.5); never re-create it.
 
     # -- bookkeeping -----------------------------------------------------------
 
     def tick_lifetimes(self, ctx: "Engine", now: int) -> None:
-        for entry in [e for e in self.router_list if e.expires_at <= now]:
-            self.router_list.remove(entry)
-            ctx.trace(self.node_id, "router-removed", entry.router_ip, "expired")
+        """Drop each expired default router and each expired address. An
+        expired address leaves the interface (RFC 4862 §5.5.4), so a later RA
+        for its prefix forms it again; a DAD-failed entry is never dropped and
+        keeps its prefix blocked."""
+        # Each loop walks its list as the tick found it, and a removal binds
+        # the attribute to a new list, so a tick that drops nothing builds none.
+        for router in self.router_list:
+            if router.expires_at <= now:
+                self.router_list = [r for r in self.router_list if r is not router]
+                ctx.trace(self.node_id, "router-removed", router.router_ip, "expired")
         for entry in self.addresses:
             if (
                 entry.state is not AddressState.ABANDONED
                 and entry.valid_until is not None
                 and entry.valid_until <= now
             ):
-                entry.state = AddressState.ABANDONED
+                self.addresses = [e for e in self.addresses if e is not entry]
                 ctx.trace(self.node_id, "addr-abandoned", entry.address, "expired")
 
     def select_default_router(self, now: int) -> Optional[DefaultRouterEntry]:

@@ -470,17 +470,38 @@ SOURCE_DIR = SCENARIO_DIR.parent / "src" / "slaacsim"
 VARIABLE_KINDS = ("router-added", "router-refreshed")
 
 
+def _literal_behind(expr, bindings, where):
+    """The one tuple literal that the name, subscript or attribute ``expr``
+    holds, found by following every assignment to it in the file: to a tuple
+    literal, or to another name, subscript or attribute that holds one."""
+    literals, todo, seen = set(), [ast.unparse(expr)], set()
+    while todo:
+        text = todo.pop()
+        if text in seen:
+            continue
+        seen.add(text)
+        assert text in bindings, where
+        for value in bindings[text]:
+            if isinstance(value, ast.Tuple):
+                literals.add(value)
+            else:
+                assert isinstance(value, (ast.Name, ast.Subscript, ast.Attribute)), where
+                todo.append(ast.unparse(value))
+    assert len(literals) == 1, where
+    return literals.pop()
+
+
 def _record_sites(path):
     """(where, kind expression, value expressions) for each Engine.trace call
     and each (time, node, kind, values) record literal in one source file. A
-    literal's values may be a local name bound to one tuple literal."""
+    literal's values may be a name, subscript or attribute that holds one
+    tuple literal, such as a tuple shared by every receiver of a delivery."""
     tree = ast.parse(path.read_text())
-    tuples = {}
+    bindings = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+        if isinstance(node, ast.Assign):
             for target in node.targets:
-                if isinstance(target, ast.Name):
-                    tuples.setdefault(target.id, []).append(node.value)
+                bindings.setdefault(ast.unparse(target), []).append(node.value)
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr == "trace":
@@ -498,9 +519,8 @@ def _record_sites(path):
             ) or (path.name, ast.unparse(kind)) == ("host.py", "kind")
             if not is_record:
                 continue
-            if isinstance(values, ast.Name):
-                assert len(tuples.get(values.id, ())) == 1, where
-                values = tuples[values.id][0]
+            if isinstance(values, (ast.Name, ast.Subscript, ast.Attribute)):
+                values = _literal_behind(values, bindings, where)
             assert isinstance(values, ast.Tuple), where
             yield where, kind, values.elts
 
@@ -522,6 +542,23 @@ def test_every_trace_call_passes_its_kinds_values():
                 assert len(values) == len(TRACE_KEYS[kind]), where
             seen.update(kinds)
     assert seen == set(TRACE_KEYS)
+
+
+def test_record_sites_follow_a_shared_tuple_to_its_one_literal(tmp_path):
+    source = tmp_path / "host.py"
+    record = "records.append((now, node, 'router-added', values))\n"
+    source.write_text(
+        "values = shared[1]\n"
+        "if values is None:\n"
+        "    values = shared[1] = (src, pref, expires)\n" + record
+    )
+    [(_, _, values)] = _record_sites(source)
+    assert [ast.unparse(v) for v in values] == ["src", "pref", "expires"]
+    # Unbound, bound to a call, or bound to two literals: no one literal to check.
+    for binding in ("", "values = shared()\n", "values = (a,)\nvalues = (a, b)\n"):
+        source.write_text(binding + record)
+        with pytest.raises(AssertionError):
+            list(_record_sites(source))
 
 
 def test_trace_line_names_each_key_of_its_kind():

@@ -1,6 +1,9 @@
 """Host state machine: DAD, RA processing, router selection, lifetimes, and
 next-hop resolution."""
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +20,10 @@ from conftest import (
     run_output,
 )
 
+import slaacsim.host as host_module
+from slaacsim import defense
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix, derive_eui64, parse_ipv4
+from slaacsim.defense import key_secret, verify_ra
 from slaacsim.engine import Engine, TraceRecord
 from slaacsim.host import (
     AddressEntry,
@@ -35,6 +41,7 @@ from slaacsim.messages import (
     RouterAdvertisement,
     RouterPreference,
 )
+from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
 
 H1_MAC = MacAddress.parse("00:1a:2b:3c:4d:5e")
@@ -628,12 +635,85 @@ def test_tick_removes_expired_router(engine):
 
 
 def test_tick_abandons_expired_address(engine):
+    # RFC 4862 §5.5.4: an expired address is invalid and leaves the interface.
     host = make_host()
     attach(engine, host)
     host.process_ra(engine, make_ra(valid=10, preferred=10), 0)
     host.tick_lifetimes(engine, 10_000)
-    assert host.addresses[0].state is AddressState.ABANDONED
-    assert records(engine, "addr-abandoned")
+    assert host.addresses == []
+    assert [attrs(r) for r in records(engine, "addr-abandoned")] == [
+        {"addr": "2001:db8:1:0:21a:2bff:fe3c:4d5e", "reason": "expired"}
+    ]
+
+
+def test_tick_drops_only_the_expired_entries_in_list_order(engine):
+    host = make_host()
+    attach(engine, host)
+    host.begin_autoconf(engine, 0)
+    prefixes = [Prefix.parse(f"2001:db8:{i}::/64") for i in (1, 2, 3)]
+    ra = make_ra(prefixes=[PrefixInfo(p, v, v) for p, v in zip(prefixes, (10, 100, 10))])
+    host.process_ra(engine, ra, 0)
+    host.router_list = [
+        router_entry("fe80::1", RouterPreference.HIGH, expires=5_000),
+        router_entry("fe80::2", RouterPreference.HIGH, expires=50_000),
+        router_entry("fe80::3", RouterPreference.HIGH, expires=10_000),
+    ]
+    host.tick_lifetimes(engine, 10_000)
+    assert [str(e.router_ip) for e in host.router_list] == ["fe80::2"]
+    assert [e.prefix for e in host.addresses] == [None, prefixes[1]]
+    assert [attrs(r)["router"] for r in records(engine, "router-removed")] == ["fe80::1", "fe80::3"]
+    assert [attrs(r)["addr"] for r in records(engine, "addr-abandoned")] == [
+        "2001:db8:1:0:21a:2bff:fe3c:4d5e", "2001:db8:3:0:21a:2bff:fe3c:4d5e"
+    ]
+
+
+# One forged RA cuts H1's address to 1 s; R1 re-advertises at 10 s.
+LIFETIME_CUT = """\
+switch SW1 ports=4
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 lifetime=1800 preference=medium interval=10 valid=10000 preferred=10000
+node host H1 mac=00:1a:2b:3c:4d:5e
+node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:1::/64 persona-lifetime=0 persona-valid=1 persona-preferred=1 persona-interval=1000
+attach R1 SW1.p1 class=router
+attach H1 SW1.p2 class=host
+attach A1 SW1.p3 class=host
+at 5 attack A1 blackhole
+at 12 measure
+run 13
+"""
+
+
+def test_address_cut_by_a_forged_lifetime_comes_back_after_the_next_ra():
+    # RFC 4862 §5.5.3(d): once the cut address has expired and left, R1's
+    # next RA forms it again, and it is back after DAD.
+    sc = parse_scenario(LIFETIME_CUT)
+    engine = build_engine(sc)
+    metrics = engine.execute(sc.run_ms)
+    address = "2001:db8:1:0:21a:2bff:fe3c:4d5e"
+    assert [(r.time, attrs(r)) for r in records(engine, "addr-abandoned")] == [
+        (6001, {"addr": address, "reason": "expired"})
+    ]
+    assert [r.time for r in records(engine, "dad-start") if attrs(r)["addr"] == address] == [1, 10001]
+    assert [r.time for r in records(engine, "addr-assigned") if attrs(r)["addr"] == address] == [
+        1001, 11001
+    ]
+    assert metrics.hosts["H1"].addresses == f"fe80::21a:2bff:fe3c:4d5e,{address}"
+    assert metrics.dos_success is False
+
+
+def test_dad_failed_address_never_comes_back_even_past_its_lifetime(engine):
+    # RFC 4862 §5.4.5: after a DAD failure autoconfiguration stops; the entry
+    # is not expired, so no tick drops it, and it keeps blocking its prefix.
+    host = make_host()
+    attach(engine, host)
+    host.process_ra(engine, make_ra(valid=10, preferred=10), 0)
+    [entry] = host.addresses
+    host.on_neighbor_advertisement(engine, NeighborAdvertisement(entry.address), 5)
+    host.tick_lifetimes(engine, 20_000)
+    assert host.addresses == [entry] and entry.state is AddressState.ABANDONED
+    assert not records(engine, "addr-abandoned")
+    host.process_ra(engine, make_ra(), 30_000)
+    assert host.addresses == [entry] and entry.state is AddressState.ABANDONED
+    assert len(records(engine, "dad-start")) == 1
 
 
 def test_tick_noop_when_nothing_expired(engine):
@@ -643,3 +723,77 @@ def test_tick_noop_when_nothing_expired(engine):
     host.tick_lifetimes(engine, 50_000)
     assert len(host.router_list) == 1
     assert engine.trace_records == []
+
+
+# -- work shared by the receivers of one RA delivery -------------------------------------
+
+def send_link(engine, hosts=10):
+    """R1 with a signed RA and ``hosts`` send=on hosts that trust its key;
+    returns R1."""
+    engine.trusted_keys["k1"] = key_secret("k1")
+    router = Router("R1", make_ra(), 10 * MS, True, "k1", True, 0)
+    attach(engine, router)
+    for i in range(hosts):
+        attach(engine, Host(f"H{i}", i + 1, True, None, True))
+    return router
+
+
+def deliver(engine, *ras, at):
+    """Broadcast each RA from R1 at ``at`` ms, then run to its delivery."""
+    for ra in ras:
+        engine.broadcast("R1", ra, at)
+    engine.run_until(at + engine.link_latency_ms)
+
+
+def test_one_delivery_computes_one_tag(engine):
+    ra = send_link(engine).ra
+    with mock.patch.object(defense, "_tag", wraps=defense._tag) as tag, \
+            mock.patch.object(host_module, "verify_ra", wraps=verify_ra) as verify:
+        deliver(engine, ra, at=0)
+    assert tag.call_count == 1 and verify.call_count == 1
+    assert len(records(engine, "router-added")) == 10
+    assert engine.ra_delivery is None
+
+
+def test_each_delivery_of_one_ra_is_verified_afresh(engine):
+    ra = send_link(engine).ra
+    with mock.patch.object(host_module, "verify_ra", wraps=verify_ra) as verify:
+        deliver(engine, ra, ra, at=0)  # two deliveries in one millisecond
+        assert verify.call_count == 2
+        deliver(engine, ra, at=5)
+        assert verify.call_count == 3
+    assert len(records(engine, "router-added")) == 10
+    assert len(records(engine, "router-refreshed")) == 20
+
+
+@pytest.mark.parametrize("tampered_first", [False, True])
+def test_tampered_copy_in_the_same_millisecond_is_rejected_by_every_host(engine, tampered_first):
+    ra = send_link(engine).ra
+    tampered = replace(ra, router_lifetime=0)  # keeps the genuine tag
+    deliver(engine, *((tampered, ra) if tampered_first else (ra, tampered)), at=0)
+    assert [r.node for r in records(engine, "ra-rejected-send")] == [f"H{i}" for i in range(10)]
+    assert [r.node for r in records(engine, "router-added")] == [f"H{i}" for i in range(10)]
+    assert not records(engine, "router-removed")
+
+
+def test_receivers_of_one_delivery_share_one_router_record_tuple(engine):
+    ra = send_link(engine).ra
+    deliver(engine, ra, at=0)
+    deliver(engine, ra, at=5)
+    for kind in ("router-added", "router-refreshed"):
+        values = [r.values for r in records(engine, kind)]
+        assert len(values) == 10 and all(v is values[0] for v in values), kind
+    added, refreshed = (records(engine, kind)[0].values for kind in ("router-added", "router-refreshed"))
+    assert added == refreshed[:2] + (1 + 1800 * MS,) and refreshed[2] == 6 + 1800 * MS
+
+
+def test_a_call_outside_a_delivery_verifies_against_the_trust_set_it_sees(engine):
+    # No verdict outlives its delivery: a direct call checks the RA itself,
+    # against the trust lines as they stand at that call.
+    ra = send_link(engine, hosts=1).ra
+    host = engine.nodes["H0"]
+    deliver(engine, ra, at=0)
+    engine.trusted_keys.clear()
+    host.process_ra(engine, ra, 5)
+    assert [r.node for r in records(engine, "ra-rejected-send")] == ["H0"]
+    assert len(records(engine, "router-added")) == 1 and not records(engine, "router-refreshed")

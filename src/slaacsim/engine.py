@@ -1,7 +1,7 @@
 """Deterministic discrete-event engine for one broadcast link behind one
-switch: fixed-point millisecond clock, (time, seq)-ordered queue, per-ingress
-RA filtering, append-only trace (formatted only when read), and metric
-extraction.
+switch: fixed-point millisecond clock, a calendar queue served one
+millisecond at a time in booking order, per-ingress RA filtering,
+append-only trace (formatted only when read), and metric extraction.
 
 Trace line format (bit-exact): ``t=<ms> node=<id> kind=<kind> <k>=<v> ...``
 with keys in TRACE_KEYS order, one record per line.
@@ -216,10 +216,13 @@ class Engine(object):
         # The run's one record: the message counters count into it as the run
         # goes, and each measure replaces its hosts.
         self.metrics = RunMetrics()
-        # (time, seq, node id, timer) for a timer, (time, seq, None, action)
-        # for anything else.
-        self._queue: list[tuple[int, int, Optional[str], Union[TimerKey, Action]]] = []
-        self._seq = itertools.count()
+        # The calendar queue: a heap of due times, one per distinct time, and
+        # each time's entries in booking order, (node id, timer) for a timer
+        # and (None, action) for anything else. Serving the times in order and
+        # each bucket in order is (time, booking) order. schedule and
+        # set_timer each book inline: every host an RA reaches books timers.
+        self._times: list[int] = []
+        self._buckets: dict[int, list[tuple[Optional[str], Union[TimerKey, Action]]]] = {}
         # The end of the run, once execute() states it: no timer due later is
         # queued, and run_until() may not pass it.
         self._horizon = math.inf
@@ -250,15 +253,25 @@ class Engine(object):
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
         if isinstance(action, Deliver):
             self.metrics.in_flight += len(action.dsts)
-        heapq.heappush(self._queue, (at_ms, next(self._seq), None, action))
+        bucket = self._buckets.get(at_ms)
+        if bucket is None:
+            self._buckets[at_ms] = [(None, action)]
+            heapq.heappush(self._times, at_ms)
+        else:
+            bucket.append((None, action))
 
     def set_timer(self, node_id: str, timer: TimerKey, at_ms: int) -> None:
         if at_ms < self.now:
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
-        # A timer due after the horizon could never be served. Leaving it out,
-        # seq too, keeps every other entry's (time, seq) order.
+        # A timer due after the horizon could never be served. Leaving it out
+        # keeps every other entry's place in the order served.
         if at_ms <= self._horizon:
-            heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
+            bucket = self._buckets.get(at_ms)
+            if bucket is None:
+                self._buckets[at_ms] = [(node_id, timer)]
+                heapq.heappush(self._times, at_ms)
+            else:
+                bucket.append((node_id, timer))
 
     def bootstrap(self) -> None:
         """Book each node's startup work at t=0, in declaration order."""
@@ -369,22 +382,26 @@ class Engine(object):
     # -- run loop -------------------------------------------------------------
 
     def run_until(self, t_end_ms: int) -> None:
-        """Process all events with time <= t_end in (time, seq) order."""
+        """Process all events with time <= t_end, in time order and each
+        time's in booking order. An entry booked for the time being served
+        opens a fresh bucket for it, served next. An error raised while a
+        bucket is served ends the run: the rest of that bucket is dropped."""
         if t_end_ms < self.now:
             raise SimInvariantError(f"cannot run back in time ({t_end_ms} < {self.now})")
         if t_end_ms > self._horizon:
             raise SimInvariantError(f"cannot run past the run's end ({t_end_ms} > {self._horizon})")
-        queue, nodes, metrics = self._queue, self.nodes, self.metrics
-        while queue and queue[0][0] <= t_end_ms:
-            at, _seq, node_id, action = heapq.heappop(queue)
+        times, buckets, nodes, metrics = self._times, self._buckets, self.nodes, self.metrics
+        while times and times[0] <= t_end_ms:
+            at = heapq.heappop(times)
             self.now = at
-            if node_id is not None:
-                nodes[node_id].on_timer(self, action, at)
-            elif isinstance(action, Deliver):
-                metrics.in_flight -= len(action.dsts)
-                self._handle_deliver(action, at)
-            else:
-                self._handle_script(action, at)
+            for node_id, action in buckets.pop(at):
+                if node_id is not None:
+                    nodes[node_id].on_timer(self, action, at)
+                elif isinstance(action, Deliver):
+                    metrics.in_flight -= len(action.dsts)
+                    self._handle_deliver(action, at)
+                else:
+                    self._handle_script(action, at)
         self.now = t_end_ms
 
     def _handle_script(self, step: ScriptStep, now: int) -> None:

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 from pathlib import Path
 from unittest import mock
 
@@ -48,7 +49,54 @@ class EveryTimerEngine(Engine):
     def set_timer(self, node_id, timer, at_ms):
         if at_ms < self.now:
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
-        heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
+        bucket = self._buckets.get(at_ms)
+        if bucket is None:
+            self._buckets[at_ms] = [(node_id, timer)]
+            heapq.heappush(self._times, at_ms)
+        else:
+            bucket.append((node_id, timer))
+
+
+class HeapQueueEngine(Engine):
+    """The queue the calendar queue replaced: one heap of (time, seq, node
+    id, action) entries, served in (time, seq) order, with the same horizon
+    rule."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._queue = []
+        self._seq = itertools.count()
+
+    def schedule(self, at_ms, action):
+        if at_ms < self.now:
+            raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
+        if isinstance(action, Deliver):
+            self.metrics.in_flight += len(action.dsts)
+        heapq.heappush(self._queue, (at_ms, next(self._seq), None, action))
+
+    def set_timer(self, node_id, timer, at_ms):
+        if at_ms < self.now:
+            raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
+        if at_ms <= self._horizon:
+            heapq.heappush(self._queue, (at_ms, next(self._seq), node_id, timer))
+
+    def run_until(self, t_end_ms):
+        if t_end_ms < self.now:
+            raise SimInvariantError(f"cannot run back in time ({t_end_ms} < {self.now})")
+        if t_end_ms > self._horizon:
+            raise SimInvariantError(f"cannot run past the run's end ({t_end_ms} > {self._horizon})")
+        queue, nodes, metrics = self._queue, self.nodes, self.metrics
+        while queue and queue[0][0] <= t_end_ms:
+            at, _seq, node_id, action = heapq.heappop(queue)
+            self.now = at
+            if node_id is not None:
+                nodes[node_id].on_timer(self, action, at)
+            elif isinstance(action, Deliver):
+                metrics.in_flight -= len(action.dsts)
+                self._handle_deliver(action, at)
+            else:
+                self._handle_script(action, at)
+        self.now = t_end_ms
 
 
 class ReferenceHost(Host):
@@ -159,12 +207,26 @@ def attach(engine: Engine, node) -> None:
     engine.add_node(node, SwitchPort(f"p{len(engine.nodes) + 1}", port_class, False, None))
 
 
+def queued(engine: Engine):
+    """Pending entries in service order, as (time, node id, action): the due
+    times in order, each time's entries in booking order. The node id is
+    None for anything but a timer. Checks first that the heap holds the time
+    of each bucket once and nothing else, and that no bucket is empty."""
+    assert sorted(engine._times) == sorted(engine._buckets)
+    assert all(engine._buckets.values())
+    return [
+        (at, node_id, action)
+        for at, bucket in sorted(engine._buckets.items())
+        for node_id, action in bucket
+    ]
+
+
 def queued_deliveries(engine: Engine):
     """Pending deliveries in event order, as (time, receiver, message): one
     row per receiver of each queued emission, in node order."""
     return [
         (at, dst, action.msg)
-        for (at, *_, action) in sorted(engine._queue)
+        for (at, _, action) in queued(engine)
         if isinstance(action, Deliver)
         for dst in action.dsts
     ]
@@ -172,11 +234,7 @@ def queued_deliveries(engine: Engine):
 
 def queued_timers(engine: Engine):
     """Pending timers in event order, as (time, node, timer)."""
-    return [
-        (at, node_id, timer)
-        for (at, _seq, node_id, timer) in sorted(engine._queue)
-        if node_id is not None
-    ]
+    return [(at, node_id, timer) for (at, node_id, timer) in queued(engine) if node_id is not None]
 
 
 def records(engine: Engine, kind: str):

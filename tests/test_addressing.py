@@ -21,8 +21,15 @@ from slaacsim.addressing import (
     iid_text,
     link_local_from,
     parse_iid,
+    parse_ipv4,
 )
-from slaacsim.messages import Timer
+from slaacsim.messages import (
+    MAX_ROUTER_LIFETIME,
+    PrefixInfo,
+    RouterAdvertisement,
+    RouterPreference,
+    Timer,
+)
 
 
 def eui64_by_string_splice(mac_text: str) -> str:
@@ -153,6 +160,37 @@ def test_parse_error_offset():
         Ipv6Address.parse("1:2:3:4:5:6:7:8:9")
 
 
+# (text, offset): a second "::" is faulty at its start, an over-long group
+# at its fifth digit, and any other fault (too many groups) at 0.
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("1::2::3", 4),
+        ("fe80::1::", 7),
+        ("12345::1", 4),
+        ("2001:db8::1:abcde", 16),
+        ("1:2:3:4:5:6:7:8:9", 0),
+    ],
+)
+def test_parse_error_offset_of_a_fault_inside_the_alphabet(text, offset):
+    with pytest.raises(AddressParseError) as exc:
+        Ipv6Address.parse(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"invalid IPv6 address at offset {offset}: {text!r}"
+
+
+@pytest.mark.parametrize("text", ["10.0.0", "10.0.0.256", "", "fe80::1", "10.0.0.1 "])
+def test_ipv4_parse_error(text):
+    with pytest.raises(AddressParseError) as exc:
+        parse_ipv4(text)
+    assert exc.value.offset == 0
+    assert str(exc.value) == f"invalid IPv4 address at offset 0: {text!r}"
+
+
+def test_ipv4_parse():
+    assert str(parse_ipv4("10.0.0.1")) == "10.0.0.1"
+
+
 @pytest.mark.parametrize("text", ["fe80::1%eth0", "fe80::1%1", "2001:db8::%", "%"])
 def test_scoped_literal_rejected_at_its_zone(text):
     with pytest.raises(AddressParseError) as exc:
@@ -249,6 +287,44 @@ def test_mac_text_is_six_lower_case_pairs(octets):
     assert MacAddress.parse(text) == MacAddress.parse(text.upper()) == MacAddress(octets)
 
 
+@pytest.mark.parametrize("length", [5, 7, 0])
+def test_mac_needs_six_octets(length):
+    with pytest.raises(ValueError, match=f"^MAC must be 6 octets, got {length}$"):
+        MacAddress(bytes(length))
+
+
+@pytest.mark.parametrize("length", [-1, 129])
+def test_prefix_length_out_of_range(length):
+    with pytest.raises(ValueError, match=f"^prefix length {length} out of range$"):
+        Prefix(Ipv6Address(0), length)
+    assert str(Prefix(Ipv6Address(0), 128)) == "::/128"
+    assert str(Prefix(Ipv6Address(0), 0)) == "::/0"
+
+
+@pytest.mark.parametrize(
+    "valid, preferred, message",
+    [
+        (-1, 0, "lifetimes must be non-negative"),
+        (0, -1, "lifetimes must be non-negative"),
+        (10, 11, "preferred lifetime exceeds valid lifetime"),
+    ],
+)
+def test_prefix_info_lifetimes_out_of_range(valid, preferred, message):
+    prefix = Prefix.parse("2001:db8:1::/64")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PrefixInfo(prefix, valid, preferred)
+    assert PrefixInfo(prefix, 10, 10).preferred_lifetime == 10
+
+
+@pytest.mark.parametrize("lifetime", [-1, MAX_ROUTER_LIFETIME + 1])
+def test_router_lifetime_out_of_range(lifetime):
+    mac, ip = MacAddress.parse("00:00:5e:00:53:01"), Ipv6Address.parse("fe80::1")
+    with pytest.raises(ValueError, match=f"^router lifetime {lifetime} out of range$"):
+        RouterAdvertisement(mac, ip, lifetime, RouterPreference.MEDIUM)
+    for edge in (0, MAX_ROUTER_LIFETIME):
+        assert RouterAdvertisement(mac, ip, edge, RouterPreference.MEDIUM).router_lifetime == edge
+
+
 def test_prefix_host_bits_must_be_zero():
     with pytest.raises(ValueError):
         Prefix(Ipv6Address(1), 64)
@@ -261,3 +337,13 @@ def test_iid_text_round_trip():
     assert iid_text(0x021A2BFFFE3C4D5E) == "021a:2bff:fe3c:4d5e"
     assert parse_iid("021a:2bff:fe3c:4d5e") == 0x021A2BFFFE3C4D5E
     assert parse_iid("021a2bfffe3c4d5e") == 0x021A2BFFFE3C4D5E
+
+
+@pytest.mark.parametrize(
+    "text", ["021a:2bff:fe3c", "021a:2bff:fe3c:4d5e:00", "021a:2bff:fe3c:4d5g", "", "\uff10" * 16]
+)
+def test_iid_parse_error(text):
+    with pytest.raises(AddressParseError) as exc:
+        parse_iid(text)
+    assert exc.value.offset == 0
+    assert str(exc.value) == f"IID needs 16 hex digits at offset 0: {text!r}"

@@ -14,12 +14,14 @@ import pytest
 
 from conftest import (
     EveryTimerEngine,
+    HeapQueueEngine,
     SCENARIO_DIR,
     attach,
     attrs,
     build_on,
     eui64_host,
     load,
+    queued,
     queued_deliveries,
     queued_timers,
     records,
@@ -97,7 +99,7 @@ def test_scheduling_into_the_past_raises(engine):
         engine.schedule(99, MeasureDirective())
     with pytest.raises(SimInvariantError):
         engine.set_timer("N1", Timer.RA, 99)
-    assert engine._queue == []
+    assert queued(engine) == []
 
 
 def spoofable_ra() -> RouterAdvertisement:
@@ -138,12 +140,12 @@ def test_guarded_broadcast_yields_drop_records_per_recipient():
 def test_broadcast_queues_one_entry_per_emission():
     engine = three_node_link(guard_attacker=False)
     engine.broadcast("A1", spoofable_ra(), 0)
-    (entry,) = engine._queue
-    assert entry[3].dsts == ("H1", "H2")
+    (entry,) = queued(engine)
+    assert entry[2].dsts == ("H1", "H2")
     lone = Engine(link_latency_ms=1, seed=0, two_hour_rule=False, switch_id="SW1")
     attach(lone, eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e")))
     lone.broadcast("H1", spoofable_ra(), 0)
-    assert lone._queue == [] and lone.metrics.emitted == 0
+    assert queued(lone) == [] and lone.metrics.emitted == 0
 
 
 def test_node_added_after_a_broadcast_receives_the_next():
@@ -153,7 +155,7 @@ def test_node_added_after_a_broadcast_receives_the_next():
     engine.broadcast("A1", spoofable_ra(), 0)
     attach(engine, eui64_host("H3", MacAddress.parse("00:1a:2b:3c:4d:60")))
     engine.broadcast("A1", spoofable_ra(), 0)
-    first, second = (entry[3].dsts for entry in sorted(engine._queue))
+    first, second = (action.dsts for _, _, action in queued(engine))
     assert first == ("H1", "H2") and second == ("H1", "H2", "H3")
     assert engine.metrics.emitted == engine.metrics.in_flight == 5
 
@@ -302,6 +304,131 @@ def test_run_until_alone_queues_every_timer(engine):
     assert queued_timers(engine) == [(10**12, "N1", Timer.RA)]
 
 
+@pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
+def test_calendar_queue_matches_the_heap_queue(name):
+    # Serving each due time's bucket in booking order is exact only if it
+    # is the (time, seq) order of one heap.
+    assert_same_output(name, HeapQueueEngine)
+
+
+def test_calendar_queue_matches_the_heap_queue_at_each_end_near_a_due_time():
+    sc = slaacsim.scenario.parse_scenario(SHORT_LIFETIMES)
+    for t_end in sorted({due + d for due in DUE_MS for d in range(-2, 3)}):
+        assert run_output(sc, Engine, t_end) == run_output(sc, HeapQueueEngine, t_end), t_end
+
+
+class ServedLog:
+    """A node that logs each timer and message it is served, as (time,
+    node, what), into ``log``; ``on_fire(ctx, now)`` runs after its timer's
+    entry."""
+
+    def __init__(self, node_id, log, on_fire=None):
+        self.node_id, self.log, self.on_fire = node_id, log, on_fire
+
+    def on_timer(self, ctx, timer, now):
+        self.log.append((now, self.node_id, "timer"))
+        if self.on_fire is not None:
+            self.on_fire(ctx, now)
+
+    def on_message(self, ctx, msg, sender_id, now):
+        self.log.append((now, self.node_id, type(msg).__name__))
+
+
+def zero_latency_engine(engine_class) -> Engine:
+    return engine_class(link_latency_ms=0, seed=0, two_hour_rule=False, switch_id="SW1")
+
+
+def served_in_one_millisecond(engine_class):
+    """At latency 0, N1's timer at 5 ms broadcasts an RA, so its delivery is
+    booked for 5 ms, then books N3's timer for 5 ms; N2's timer was due at
+    5 ms before either."""
+    engine, log = zero_latency_engine(engine_class), []
+
+    def fire(ctx, now):
+        ctx.broadcast("N1", spoofable_ra(), now)
+        ctx.set_timer("N3", Timer.RA, now)
+
+    attach(engine, ServedLog("N1", log, fire))
+    attach(engine, ServedLog("N2", log))
+    attach(engine, ServedLog("N3", log))
+    engine.set_timer("N1", Timer.RA, 5)
+    engine.set_timer("N2", Timer.RA, 5)
+    engine.run_until(5)
+    assert engine.metrics.in_flight == 0
+    return log
+
+
+def test_delivery_booked_for_the_millisecond_served_runs_after_what_was_due():
+    log = served_in_one_millisecond(Engine)
+    assert log == [
+        (5, "N1", "timer"),
+        (5, "N2", "timer"),
+        (5, "N2", "RouterAdvertisement"),
+        (5, "N3", "RouterAdvertisement"),
+        (5, "N3", "timer"),
+    ]
+    assert log == served_in_one_millisecond(HeapQueueEngine)
+
+
+# At latency 0, A1's fake-router play at 5 s advertises R1's prefix with a
+# valid lifetime of 0. H1, which has held the address since 1 s, books its
+# expiry tick for the very millisecond, in a bucket opened while the
+# delivery's own bucket, opened by the play, is served.
+VALID_ZERO = """\
+link-latency 0
+switch SW1 ports=3
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64
+node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:1::/64 persona-valid=0 persona-preferred=0
+node host H1 mac=00:1a:2b:3c:4d:5e
+attach R1 SW1.p1 class=router
+attach A1 SW1.p2 class=host
+attach H1 SW1.p3 class=host
+at 5 attack A1 fake-router
+run 6
+"""
+
+
+def test_valid_zero_for_a_held_address_drops_it_in_the_same_millisecond():
+    bookings = []
+
+    class BookingLog(Engine):
+        def set_timer(self, node_id, timer, at_ms):
+            bookings.append((self.now, node_id, timer, at_ms))
+            super().set_timer(node_id, timer, at_ms)
+
+    sc = slaacsim.scenario.parse_scenario(VALID_ZERO)
+    engine = build_on(sc, BookingLog)
+    engine.execute(sc.run_ms)
+    assert (5000, "H1", Timer.EXPIRY, 5000) in bookings
+    address = "2001:db8:1:0:21a:2bff:fe3c:4d5e"
+    h1_records = [TraceRecord._make(r) for r in engine.trace_records if r[1] == "H1"]
+    assert [(r.time, r.kind, dict(r.attrs)) for r in h1_records[-3:]] == [
+        (5000, "addr-lifetime", {"addr": address, "valid_ms": "0"}),
+        (5000, "addr-abandoned", {"addr": address, "reason": "expired"}),
+        (6000, "path-resolved", {"outcome": "unreachable", "via": "-", "family": "-"}),
+    ]
+    assert all(str(e.address) != address for e in engine.nodes["H1"].addresses)
+    assert run_output(sc, Engine) == run_output(sc, HeapQueueEngine)
+
+
+def served_after_a_second_run_to_the_same_end(engine_class):
+    engine, log = zero_latency_engine(engine_class), []
+    attach(engine, ServedLog("N1", log))
+    engine.run_until(5)
+    engine.set_timer("N1", Timer.RA, 5)
+    assert log == []
+    engine.run_until(5)
+    assert engine.now == 5
+    return engine, log
+
+
+def test_second_run_until_to_the_same_end_serves_a_timer_booked_there():
+    engine, log = served_after_a_second_run_to_the_same_end(Engine)
+    assert log == [(5, "N1", "timer")]
+    assert queued(engine) == []
+    assert log == served_after_a_second_run_to_the_same_end(HeapQueueEngine)[1]
+
+
 def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
     calls = Counter()
 
@@ -378,7 +505,7 @@ run 0.5
     metrics = engine.execute(sc.run_ms)
     pending = [(at, dst) for at, dst, _ in queued_deliveries(engine)]
     assert pending == [(600, "R1"), (600, "H2"), (600, "R1"), (600, "H1")]
-    assert sum(isinstance(a, Deliver) for *_, a in engine._queue) == 2
+    assert sum(isinstance(a, Deliver) for *_, a in queued(engine)) == 2
     assert metrics.in_flight == 4
     assert (metrics.emitted, metrics.delivered, metrics.dropped) == (10, 6, 0)
     assert metrics.emitted == metrics.delivered + metrics.dropped + metrics.in_flight
@@ -634,25 +761,50 @@ def test_trace_records_are_immutable():
 @pytest.mark.parametrize("name", all_scenarios())
 def test_records_and_queue_entries_are_bare_tuples(name, monkeypatch):
     # Nothing on the event path builds an object per record or per timer: a
-    # record is (time, node, kind, values), a queue entry (time, seq, node
-    # id, timer) for a timer and (time, seq, None, action) for anything else.
-    booked = []
+    # record is (time, node, kind, values), a bucket entry (node id, timer)
+    # for a timer and (None, action) for anything else, and a due time a
+    # plain int. Every bucket is read as its time is popped, and the ones
+    # left at the end of the run from the queue.
+    pushed, served = [], []
 
-    def heappush(queue, entry):
-        booked.append(entry)
-        real_heappush(queue, entry)
+    def heappush(times, at):
+        pushed.append(at)
+        real_heappush(times, at)
 
-    real_heappush = heapq.heappush
+    def heappop(times):
+        at = real_heappop(times)
+        served.extend(engine._buckets[at])
+        return at
+
+    real_heappush, real_heappop = heapq.heappush, heapq.heappop
     monkeypatch.setattr(heapq, "heappush", heappush)
-    _, engine, _ = run_scenario(name)
-    assert booked and all(type(e) is tuple and len(e) == 4 for e in booked)
-    for _at, _seq, node_id, action in booked:
+    monkeypatch.setattr(heapq, "heappop", heappop)
+    sc = load(name)
+    engine = build_engine(sc)
+    engine.execute(sc.run_ms)
+    booked = served + [(node_id, action) for _, node_id, action in queued(engine)]
+    assert booked and all(type(e) is tuple and len(e) == 2 for e in booked)
+    for node_id, action in booked:
         if node_id is None:
             assert isinstance(action, (Deliver, AttackDirective, MeasureDirective, ToggleDirective))
         else:
             assert node_id in engine.nodes and isinstance(action, (Timer, Ipv6Address))
-    assert any(e[2] is not None for e in booked) and any(e[2] is None for e in booked)
+    assert any(e[0] is not None for e in booked) and any(e[0] is None for e in booked)
+    assert pushed and all(type(at) is int for at in pushed)
+    assert all(type(at) is int for at in engine._times)
     assert all(type(r) is tuple and len(r) == 4 for r in engine.trace_records)
+
+
+def test_probe_from_a_source_not_assigned_is_an_invariant_violation(monkeypatch):
+    # select_global_source offers only assigned addresses, and the probe
+    # checks that the address it sends from still is one.
+    _, engine, _ = run_scenario("baseline")
+    h1 = engine.nodes["H1"]
+    [entry] = [e for e in h1.addresses if e.prefix is not None]
+    entry.state = AddressState.TENTATIVE
+    monkeypatch.setattr(h1, "select_global_source", lambda now: entry)
+    with pytest.raises(SimInvariantError, match=f"^H1 sourced data from non-assigned {entry.address}$"):
+        engine.measure(engine.now)
 
 
 def test_jitter_scenarios_depend_on_seed():

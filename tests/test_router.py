@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from conftest import SCENARIO_DIR, attach, attrs, eui64_host, records
+from conftest import SCENARIO_DIR, attach, attrs, eui64_host, queued, queued_timers, records
 
 import slaacsim.router
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
@@ -35,7 +35,7 @@ def make_router(node_id="R1", src_ip=R1_IP, prefixes=(PREFIX_INFO,), **kw) -> Ro
 
 def emitted_ras(engine):
     """The queued emissions' messages, one per emission whatever its fan-out."""
-    return [a.msg for (*_, a) in sorted(engine._queue) if isinstance(a, Deliver)]
+    return [a.msg for (_, _, a) in queued(engine) if isinstance(a, Deliver)]
 
 
 def test_periodic_ra_carries_config_fields(engine):
@@ -50,7 +50,7 @@ def test_periodic_ra_carries_config_fields(engine):
     assert ra.preference is RouterPreference.HIGH
     assert ra.prefixes == (PREFIX_INFO,)
     # next emission booked one interval out
-    assert any(at == 10_000 for (at, _, node_id, _) in engine._queue if node_id is not None)
+    assert any(at == 10_000 for (at, _, _) in queued_timers(engine))
 
 
 def test_ra_without_prefixes_is_default_router_only(engine):

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, canonical round trip, and the CLI."""
 
 import inspect
+import sys
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import GOLDEN_DIR, SCENARIO_DIR, attrs, records, scenario_path
 
 from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
 from slaacsim.attacker import Attacker
-from slaacsim.cli import run_command
+from slaacsim.cli import main, run_command
 from slaacsim.defense import PortClass, SwitchPort, cga_generate
 from slaacsim.engine import Engine, HostMetrics, SimInvariantError
 from slaacsim.host import Host
@@ -411,6 +412,37 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert trace.read_text().endswith("\n")
     body = metrics.read_text()
     assert "host=H1" in body and "dos_success=true" in body and "counters emitted=" in body
+
+
+def test_invariant_violation_exits_2_with_one_line_on_stderr(monkeypatch, capsys):
+    # An emission counted twice breaks message conservation, which execute()
+    # checks once the run ends.
+    broadcast = Engine.broadcast
+
+    def counted_twice(engine, src_id, msg, now):
+        broadcast(engine, src_id, msg, now)
+        engine.metrics.emitted += 1
+
+    monkeypatch.setattr(Engine, "broadcast", counted_twice)
+    assert run_command(["run", str(scenario_path("baseline")), "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violation: message conservation broken: emitted=")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("name, status", [("attack_kill", 0), ("no_such_scenario", 1)])
+def test_main_exits_with_the_status_of_run_command(monkeypatch, capsys, name, status):
+    argv = ["run", str(scenario_path(name)), "--check"]
+    monkeypatch.setattr(sys, "argv", ["slaacsim", *argv])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == status
+    # It prints what run_command prints, and something: a check, or an error.
+    from_main = capsys.readouterr()
+    assert from_main.out + from_main.err
+    assert run_command(argv) == status
+    assert capsys.readouterr() == from_main
 
 
 def test_run_command_metrics_match_the_golden_file(tmp_path):

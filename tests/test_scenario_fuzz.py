@@ -1,12 +1,12 @@
 """Generated scenarios: the canonical writer round-trips any valid scenario,
-every valid one runs alike with and without the queue's horizon, and no
-malformed scenario ends in an exception other than a scenario or invariant
-error."""
+every valid one runs alike with and without the queue's horizon and on the
+one-heap queue the calendar queue replaced, and no malformed scenario ends
+in an exception other than a scenario or invariant error."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EveryTimerEngine, run_output
+from conftest import EveryTimerEngine, HeapQueueEngine, run_output
 from mutants import OUTCOMES, corpus_mutants, parse_outcome
 
 from slaacsim.engine import Engine, SimInvariantError
@@ -161,6 +161,13 @@ def _output(sc, engine_class) -> str:
 def test_generated_scenarios_run_alike_with_every_timer_queued(text):
     sc = parse_scenario(text)
     assert _output(sc, Engine) == _output(sc, EveryTimerEngine)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scenario_texts())
+def test_generated_scenarios_run_alike_on_the_heap_queue(text):
+    sc = parse_scenario(text)
+    assert _output(sc, Engine) == _output(sc, HeapQueueEngine)
 
 
 # Mutants run at most this long: a mutated `run 65536` is valid, and the

@@ -290,8 +290,10 @@ class Engine(object):
         # An RA's values recur once per receiving host, so the text from ` kind=`
         # on is made once per kind and distinct (hashable, immutable) values tuple,
         # in a memo made at the kind's first record. Records with one time share a head.
+        # Each line is three parts, joined once: no per-line string is made.
         tails: dict[str, dict[tuple[object, ...], str]] = {}
-        lines = []
+        parts: list[str] = []
+        extend = parts.extend
         last_t = head = None
         for t, node, kind, values in self.trace_records:
             if t != last_t:
@@ -302,8 +304,8 @@ class Engine(object):
             tail = memo.get(values)
             if tail is None:
                 tail = memo[values] = _TAIL_FORMATS[kind] % values
-            lines.append(f"{head}{node}{tail}")
-        return "".join(lines)
+            extend((head, node, tail))
+        return "".join(parts)
 
     # -- delivery ----------------------------------------------------------------
 
@@ -438,13 +440,23 @@ class Engine(object):
         # A run makes no reference cycles (a test holds that), so a cyclic
         # collection during the loop would find nothing and only re-walk the
         # trace records. The pause is process-wide, which is safe because the
-        # engine is single-threaded; the collector is restored as found.
+        # engine is single-threaded; the enabled state is restored as found.
         collecting = gc.isenabled()
         gc.disable()
         try:
             self.run_until(t_end_ms)
         finally:
             if collecting:
+                # A loop that deferred a young collection would pay it at the
+                # next allocation, re-walking the run's records to find
+                # nothing. Freezing and unfreezing (two list splices) moves
+                # every tracked object to the oldest generation and zeroes the
+                # young count instead. A caller's frozen objects would be
+                # unfrozen too, so then the collection runs as it would have.
+                threshold = gc.get_threshold()[0]
+                if threshold and gc.get_count()[0] > threshold and not gc.get_freeze_count():
+                    gc.freeze()
+                    gc.unfreeze()
                 gc.enable()
         metrics = self.metrics
         if not metrics.hosts:

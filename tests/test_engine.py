@@ -714,9 +714,19 @@ def test_trace_values_are_immutable_and_render_stably():
     # a mutable value would let the text change after the event. trace_text
     # renders each distinct values tuple of a kind once, so the tuple must
     # hash, and two values in one slot that compare equal must be of one type
-    # (an Ipv6Address equal to an int would take the int's text).
-    for name in all_scenarios():
-        _, engine, _ = run_scenario(name)
+    # (an Ipv6Address equal to an int would take the int's text). The text
+    # must be each record's line in turn, also on the two generated links,
+    # where thousands of records share one time and each kind's memo is hot.
+    texts = {name: scenario_path(name).read_text() for name in all_scenarios()}
+    texts["longrun-like"] = link_text(10, guard=True, run_s=7200)
+    texts["fanout-like"] = link_text(100, guard=False, run_s=60)
+    for name, text in texts.items():
+        sc = parse_scenario(text)
+        engine = build_engine(sc)
+        engine.execute(sc.run_ms)
+        rendered = engine.trace_text()
+        assert engine.trace_text() == rendered, name
+        end = 0
         slot_types = {}
         for record in map(TraceRecord._make, engine.trace_records):
             hash(record.values)
@@ -725,9 +735,11 @@ def test_trace_values_are_immutable_and_render_stably():
                 seen = slot_types.setdefault((record.kind, slot), {})
                 first = seen.setdefault(value, type(value))
                 assert first is type(value), f"{name} {record.kind} {key}={value!r}"
-        assert engine.trace_text() == engine.trace_text()
-        lines = [TraceRecord._make(r).line() + "\n" for r in engine.trace_records]
-        assert engine.trace_text() == "".join(lines), name
+            line = record.line() + "\n"
+            assert rendered.startswith(line, end), f"{name} {record}"
+            end += len(line)
+        assert end == len(rendered), name
+        del sc, engine, rendered
 
 
 def test_advertised_prefixes_admit_only_frozen_prefix_infos():
@@ -1148,3 +1160,86 @@ def test_execute_leaves_the_collector_as_it_found_it(collecting):
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def collections() -> int:
+    return sum(generation["collections"] for generation in gc.get_stats())
+
+
+def in_generation(obj, generation: int) -> bool:
+    return any(o is obj for o in gc.get_objects(generation=generation))
+
+
+@pytest.fixture
+def collector_on():
+    """The collector on, with an empty young generation; restored after."""
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+LONG_LINK = link_text(10, guard=True, run_s=7200)
+
+
+@pytest.mark.skipif(
+    gc.get_freeze_count() > 0,
+    reason="the interpreter starts with frozen objects (CPython 3.12 does), which execute"
+    " cannot tell from a caller's, so it keeps the deferred collection",
+)
+def test_execute_hands_a_deferred_collection_back_without_running_it(collector_on):
+    # The paused loop leaves far more new objects than the young threshold;
+    # execute moves them, and everything else alive, to the oldest
+    # generation instead of collecting them once the collector is back on.
+    sc = parse_scenario(LONG_LINK)
+    engine = build_engine(sc)
+    young = []
+    before = collections()
+    engine.execute(sc.run_ms)
+    assert collections() == before
+    assert gc.isenabled()
+    assert not in_generation(young, 0) and in_generation(young, 2)
+
+
+def test_execute_moves_nothing_after_a_small_run(collector_on):
+    sc = load("attack_kill")
+    engine = build_engine(sc)
+    young = []
+    engine.execute(sc.run_ms)
+    assert in_generation(young, 0)
+
+
+def test_execute_moves_nothing_with_the_collector_off():
+    sc = parse_scenario(LONG_LINK)
+    engine = build_engine(sc)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        young = []
+        engine.execute(sc.run_ms)
+        assert not gc.isenabled()
+        assert gc.get_count()[0] > gc.get_threshold()[0]
+        assert in_generation(young, 0)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_execute_keeps_a_callers_frozen_objects_frozen(collector_on):
+    # Unfreezing would hand the caller's frozen objects back to the
+    # collector, so with any frozen, the deferred collection runs as before.
+    kept = []
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        sc = parse_scenario(LONG_LINK)
+        engine = build_engine(sc)
+        before = collections()
+        engine.execute(sc.run_ms)
+        assert gc.get_freeze_count() == frozen > 0
+        assert not any(o is kept for o in gc.get_objects())
+        assert collections() > before
+    finally:
+        gc.unfreeze()

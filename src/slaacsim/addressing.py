@@ -12,6 +12,8 @@ import ipaddress
 import re
 from dataclasses import dataclass
 
+from _socket import AF_INET6, inet_pton  # not socket, which builds four IntEnums at import
+
 IID_BITS = 64
 IID_MASK = (1 << IID_BITS) - 1
 LINK_LOCAL_PREFIX = 0xFE80 << 112
@@ -35,20 +37,20 @@ class PrefixLengthUnsupported(ValueError):
     """Address formation from a prefix requires a 64-bit prefix."""
 
 
-@dataclass(frozen=True, order=True)
-class MacAddress:
-    """48-bit IEEE 802 address; canonical form is six lowercase hex pairs."""
+class MacAddress(bytes):
+    """48-bit IEEE 802 address; its octets, so it compares and hashes in C. Lowercase hex pairs."""
 
-    octets: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.octets) != 6:
-            raise ValueError(f"MAC must be 6 octets, got {len(self.octets)}")
+    def __new__(cls, octets: bytes) -> "MacAddress":
+        if len(octets) != 6:
+            raise ValueError(f"MAC must be 6 octets, got {len(octets)}")
+        return bytes.__new__(cls, octets)
 
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
         if _MAC_RE.fullmatch(text):
-            return cls(bytes.fromhex(text.replace(":", "")))
+            return bytes.__new__(cls, bytes.fromhex(text.replace(":", "")))
         # Malformed: find the first bad pair for the error's offset.
         parts = text.split(":")
         if len(parts) != 6:
@@ -57,7 +59,7 @@ class MacAddress:
         raise AddressParseError(text, 3 * bad, "bad hex pair")
 
     def __str__(self) -> str:
-        return self.octets.hex(":")
+        return self.hex(":")
 
 
 class Ipv6Address(int):
@@ -74,9 +76,15 @@ class Ipv6Address(int):
     def parse(cls, text: str) -> "Ipv6Address":
         # A link has no zones: the stdlib takes "fe80::1%eth0" and int() drops "%eth0".
         if "%" not in text:
+            # libc's parser: OSError on a bad text, ValueError on a NUL or a lone surrogate.
+            try:
+                return int.__new__(cls, int.from_bytes(inet_pton(AF_INET6, text), "big"))
+            except (OSError, ValueError):
+                pass
+            # The stdlib states the grammar, so what it takes is taken on any libc.
             try:
                 return cls(int(ipaddress.IPv6Address(text)))
-            except (ipaddress.AddressValueError, ValueError):
+            except ValueError:
                 pass
         raise AddressParseError(text, _fault_offset(text), "invalid IPv6 address")
 
@@ -129,7 +137,7 @@ class Prefix:
 def derive_eui64(mac: MacAddress) -> int:
     """Modified EUI-64 interface identifier: MAC halves around ff:fe with the
     universal/local bit of the first octet flipped."""
-    spliced = mac.octets[:3] + b"\xff\xfe" + mac.octets[3:]
+    spliced = mac[:3] + b"\xff\xfe" + mac[3:]
     return int.from_bytes(spliced, "big") ^ (0x02 << 56)
 
 

@@ -23,12 +23,15 @@ class RouterPreference(enum.IntEnum):
     @classmethod
     def parse(cls, text: str) -> "RouterPreference":
         try:
-            return cls[text.upper()]
+            return _PREFERENCES[text]
         except KeyError:
             raise ValueError(f"unknown preference {text!r}") from None
 
     def __str__(self) -> str:
         return self._name_.lower()
+
+
+_PREFERENCES = {str(p): p for p in RouterPreference}
 
 
 class Timer(enum.Enum):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .addressing import (
     Ipv6Address,
@@ -105,10 +105,6 @@ def _ascii_number(convert: Callable[[str], Any], text: str) -> Any:
     return value
 
 
-def _int(text: str) -> int:
-    return _ascii_number(int, text)
-
-
 def _time_ms(text: str) -> int:
     try:
         value = _ascii_number(float, text)
@@ -132,9 +128,9 @@ def _interval_ms(text: str) -> int:
     return value
 
 
-def _int_in(low: int, high: float = math.inf) -> Callable[[str], int]:
+def _int_in(low: float = -math.inf, high: float = math.inf) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        value = _int(text)
+        value = _ascii_number(int, text)
         if not low <= value <= high:
             raise ValueError(f"{value} out of range {low}..{high}")
         return value
@@ -173,6 +169,7 @@ def _node_id(text: str) -> str:
     return text
 
 
+_int = _int_in()
 _router_lifetime = _int_in(0, MAX_ROUTER_LIFETIME)
 _seconds = _int_in(0)
 _port_count = _int_in(1, MAX_PORTS)
@@ -261,9 +258,9 @@ _NOT_ABOVE = (("preferred", "valid"), ("persona-preferred", "persona-valid"))
 
 
 # -- declarations -------------------------------------------------------------
+# Tuples, so a line's declaration is built in C and cannot change.
 
-@dataclass(frozen=True)
-class NodeDecl:
+class NodeDecl(NamedTuple):
     """One ``node`` line: the value of each option given or defaulted."""
 
     kind: str  # a key of NODE_OPTIONS
@@ -275,16 +272,14 @@ class NodeDecl:
         return self.options["mac"]
 
 
-@dataclass(frozen=True)
-class AttachDecl:
+class AttachDecl(NamedTuple):
     node: str
     switch: str
     port: str
     port_class: PortClass
 
 
-@dataclass(frozen=True)
-class PolicyLine:
+class PolicyLine(NamedTuple):
     switch: str
     port: str
     kind: str  # RA_GUARD | ACL
@@ -343,65 +338,21 @@ def _need_at_least(tokens: list[str], count: int) -> None:
 
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    seen: set[str] = set()  # the directives read so far
+    seen: set[str] = set()  # the link-latency and run lines read so far
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         head = tokens[0]
         try:
-            if head in ("link-latency", "run") and head in seen:
-                raise ValueError(f"duplicate {head} line")
-            seen.add(head)
-            if head == "link-latency":
-                _need(tokens, 2)
-                sc.link_latency_ms = _time_ms(tokens[1])
-            elif head == "switch":
-                if sc.switch is not None:
-                    raise ValueError("only one switch is supported")
-                _need(tokens, 3)
-                ports = _kv(tokens[2:], ("ports",))["ports"]
-                sc.switch = (_node_id(tokens[1]), _port_count(ports))
-            elif head == "node":
-                _need_at_least(tokens, 3)
-                sc.nodes.append(_parse_node(tokens))
-            elif head == "attach":
-                _need(tokens, 4)
-                switch, port = _port_ref(tokens[2])
-                class_text = _kv(tokens[3:], ("class",))["class"]
-                port_class = PORT_CLASSES.get(class_text)
-                if port_class is None:
-                    raise ValueError(f"bad port class {class_text!r}")
-                sc.attaches.append(AttachDecl(tokens[1], switch, port, port_class))
-            elif head == "policy":
-                _parse_policy(sc, tokens)
-            elif head == "key":
-                _need(tokens, 3)
-                if tokens[1] in sc.keys:
-                    raise ValueError(f"{tokens[1]} already has a key")
-                sc.keys[tokens[1]] = _node_id(tokens[2])
-            elif head == "trust":
-                _need(tokens, 2)
-                sc.trusts.append(_node_id(tokens[1]))
-            elif head == "at":
-                _need_at_least(tokens, 3)
-                sc.directives.append(_parse_step(tokens))
-            elif head == "expect":
-                _need(tokens, 2)
-                key, sep, value = tokens[1].partition("=")
-                if not sep:
-                    raise ValueError("expect needs <metric>=<value>")
-                sc.expects.append((key, value))
-            elif head == "allow-dup-mac":
-                sc.allow_dup_mac = True
-            elif head == "run":
-                _need_at_least(tokens, 2)
-                sc.run_ms = _time_ms(tokens[1])
-                kv = _kv(tokens[2:], ("seed",))
-                if "seed" in kv:
-                    sc.seed = _int(kv["seed"])
-            else:
+            if head in ("link-latency", "run"):
+                if head in seen:
+                    raise ValueError(f"duplicate {head} line")
+                seen.add(head)
+            handler = _DIRECTIVES.get(head)
+            if handler is None:
                 raise ValueError(f"unknown directive {head!r}")
+            handler(sc, tokens)
         except ValueError as exc:
             raise ScenarioParseError(line_no, str(exc)) from exc
     if "run" not in seen:
@@ -410,7 +361,65 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
-def _parse_node(tokens: list[str]) -> NodeDecl:
+# -- one handler per directive: it reads the line's tokens into the scenario ----
+
+def _link_latency(sc: Scenario, tokens: list[str]) -> None:
+    _need(tokens, 2)
+    sc.link_latency_ms = _time_ms(tokens[1])
+
+
+def _switch(sc: Scenario, tokens: list[str]) -> None:
+    if sc.switch is not None:
+        raise ValueError("only one switch is supported")
+    _need(tokens, 3)
+    ports = _kv(tokens[2:], ("ports",))["ports"]
+    sc.switch = (_node_id(tokens[1]), _port_count(ports))
+
+
+def _attach(sc: Scenario, tokens: list[str]) -> None:
+    _need(tokens, 4)
+    switch, port = _port_ref(tokens[2])
+    class_text = _kv(tokens[3:], ("class",))["class"]
+    port_class = PORT_CLASSES.get(class_text)
+    if port_class is None:
+        raise ValueError(f"bad port class {class_text!r}")
+    sc.attaches.append(AttachDecl(tokens[1], switch, port, port_class))
+
+
+def _key(sc: Scenario, tokens: list[str]) -> None:
+    _need(tokens, 3)
+    if tokens[1] in sc.keys:
+        raise ValueError(f"{tokens[1]} already has a key")
+    sc.keys[tokens[1]] = _node_id(tokens[2])
+
+
+def _trust(sc: Scenario, tokens: list[str]) -> None:
+    _need(tokens, 2)
+    sc.trusts.append(_node_id(tokens[1]))
+
+
+def _expect(sc: Scenario, tokens: list[str]) -> None:
+    _need(tokens, 2)
+    key, sep, value = tokens[1].partition("=")
+    if not sep:
+        raise ValueError("expect needs <metric>=<value>")
+    sc.expects.append((key, value))
+
+
+def _allow_dup_mac(sc: Scenario, tokens: list[str]) -> None:
+    sc.allow_dup_mac = True
+
+
+def _run(sc: Scenario, tokens: list[str]) -> None:
+    _need_at_least(tokens, 2)
+    sc.run_ms = _time_ms(tokens[1])
+    kv = _kv(tokens[2:], ("seed",))
+    if "seed" in kv:
+        sc.seed = _int(kv["seed"])
+
+
+def _node(sc: Scenario, tokens: list[str]) -> None:
+    _need_at_least(tokens, 3)
     kind = tokens[1]
     node_id = _node_id(tokens[2])
     options = NODE_OPTIONS.get(kind)
@@ -440,10 +449,10 @@ def _parse_node(tokens: list[str]) -> NodeDecl:
     for lower, upper in _NOT_ABOVE:
         if lower in values and values[lower] > values[upper]:
             raise ValueError(f"{lower} lifetime exceeds {upper} lifetime")
-    return NodeDecl(kind, node_id, values)
+    sc.nodes.append(NodeDecl(kind, node_id, values))
 
 
-def _parse_policy(sc: Scenario, tokens: list[str]) -> None:
+def _policy(sc: Scenario, tokens: list[str]) -> None:
     _need(tokens, 3)
     if tokens[1] == "global":
         if tokens[2] != "two-hour-rule":
@@ -461,16 +470,17 @@ def _parse_policy(sc: Scenario, tokens: list[str]) -> None:
         raise ValueError(f"unknown policy {spec!r}")
 
 
-def _parse_step(tokens: list[str]) -> tuple[int, ScriptStep]:
+def _at(sc: Scenario, tokens: list[str]) -> None:
+    _need_at_least(tokens, 3)
     time_ms = _time_ms(tokens[1])
     verb = tokens[2]
     if verb == "measure":
         _need(tokens, 3)
-        return time_ms, MeasureDirective()
-    if verb in ("disable", "enable"):
+        step: ScriptStep = MeasureDirective()
+    elif verb in ("disable", "enable"):
         _need(tokens, 4)
-        return time_ms, ToggleDirective(tokens[3], verb == "enable")
-    if verb == "attack":
+        step = ToggleDirective(tokens[3], verb == "enable")
+    elif verb == "attack":
         _need_at_least(tokens, 5)
         mode = ATTACK_MODES.get(tokens[4])
         if mode is None:
@@ -480,8 +490,25 @@ def _parse_step(tokens: list[str]) -> tuple[int, ScriptStep]:
             raise ValueError("kill-router needs target=<router>")
         if mode is not AttackMode.KILL_ROUTER and target is not None:
             raise ValueError(f"{mode} takes no target")
-        return time_ms, AttackDirective(tokens[3], mode, target)
-    raise ValueError(f"unknown directive {verb!r}")
+        step = AttackDirective(tokens[3], mode, target)
+    else:
+        raise ValueError(f"unknown directive {verb!r}")
+    sc.directives.append((time_ms, step))
+
+
+_DIRECTIVES: dict[str, Callable[[Scenario, list[str]], None]] = {
+    "link-latency": _link_latency,
+    "switch": _switch,
+    "node": _node,
+    "attach": _attach,
+    "policy": _policy,
+    "key": _key,
+    "trust": _trust,
+    "at": _at,
+    "expect": _expect,
+    "allow-dup-mac": _allow_dup_mac,
+    "run": _run,
+}
 
 
 # -- validation ------------------------------------------------------------------
@@ -490,23 +517,24 @@ def _validate(sc: Scenario) -> None:
     # One pass over the nodes gathers what the checks below read; they then
     # run in a fixed order, so a file with several faults gets one message.
     declared, macs, ips, dup_ids, dup_macs, dup_ips = set(), set(), set(), set(), set(), set()
-    of_kind: dict[str, set[str]] = {kind: set() for kind in NODE_OPTIONS}
+    routers, hosts, attackers = set(), set(), set()
+    of_kind = {"router": routers, "host": hosts, "attacker": attackers}
     # ra_senders: the nodes whose advertisements an attacker can capture.
     personas, ra_senders, gateways = set(), set(), []  # gateways: (host, its gw4)
-    for n in sc.nodes:
-        values = n.options
-        (dup_ids if n.node_id in declared else declared).add(n.node_id)
-        (dup_macs if values["mac"] in macs else macs).add(values["mac"])
+    for kind, node_id, values in sc.nodes:
+        (dup_ids if node_id in declared else declared).add(node_id)
+        mac = values["mac"]
+        (dup_macs if mac in macs else macs).add(mac)
         # The engine maps the address a router or a persona advertises from to its node.
         if "ip" in values:
             (dup_ips if values["ip"] in ips else ips).add(values["ip"])
-        of_kind[n.kind].add(n.node_id)
+        of_kind[kind].add(node_id)
         if not _PERSONA_KEYS.isdisjoint(values):
-            personas.add(n.node_id)
-        if n.kind == "attacker" or (n.kind == "router" and values["ra"]):
-            ra_senders.add(n.node_id)
+            personas.add(node_id)
+        if kind == "attacker" or (kind == "router" and values["ra"]):
+            ra_senders.add(node_id)
         if "gw4" in values:
-            gateways.append((n.node_id, values["gw4"]))
+            gateways.append((node_id, values["gw4"]))
     if dup_ids:
         raise ScenarioValidationError(f"duplicate node id(s): {sorted(dup_ids)}")
     if dup_macs and not sc.allow_dup_mac:
@@ -519,35 +547,28 @@ def _validate(sc: Scenario) -> None:
         )
     if sc.switch is None:
         raise ScenarioValidationError("scenario needs a switch")
-    switch_id, port_count = sc.switch
-    if switch_id in declared:
+    if sc.switch[0] in declared:
         # The switch's id labels its ra-dropped records.
-        raise ScenarioValidationError(f"node id {switch_id!r} is the switch's id")
-
-    def on_switch(switch: str, port: str) -> bool:
-        match = _PORT_RE.fullmatch(port)
-        return switch == switch_id and match is not None and int(match[1]) <= port_count
-
+        raise ScenarioValidationError(f"node id {sc.switch[0]!r} is the switch's id")
     attached: dict[str, str] = {}
     used_ports: set[str] = set()
-    for att in sc.attaches:
-        if att.node not in declared:
-            raise ScenarioValidationError(f"attach references undeclared node {att.node!r}")
-        if not on_switch(att.switch, att.port):
-            raise ScenarioValidationError(f"attach references unknown port {att.switch}.{att.port}")
-        if att.node in attached:
-            raise ScenarioValidationError(f"node {att.node!r} attached twice")
-        if att.port in used_ports:
-            raise ScenarioValidationError(f"port {att.port!r} attached twice")
-        attached[att.node] = att.port
-        used_ports.add(att.port)
-    missing = declared - set(attached)
+    for node, switch, port, _class in sc.attaches:
+        if node not in declared:
+            raise ScenarioValidationError(f"attach references undeclared node {node!r}")
+        if not _on_switch(sc.switch, switch, port):
+            raise ScenarioValidationError(f"attach references unknown port {switch}.{port}")
+        if node in attached:
+            raise ScenarioValidationError(f"node {node!r} attached twice")
+        if port in used_ports:
+            raise ScenarioValidationError(f"port {port!r} attached twice")
+        attached[node] = port
+        used_ports.add(port)
+    missing = declared.difference(attached)
     if missing:
         raise ScenarioValidationError(f"node(s) not attached to the switch: {sorted(missing)}")
-    for pol in sc.policies:
-        if not on_switch(pol.switch, pol.port):
-            raise ScenarioValidationError(f"policy references unknown port {pol.switch}.{pol.port}")
-    routers, hosts, attackers = of_kind["router"], of_kind["host"], of_kind["attacker"]
+    for switch, port, _kind, _acl in sc.policies:
+        if not _on_switch(sc.switch, switch, port):
+            raise ScenarioValidationError(f"policy references unknown port {switch}.{port}")
     for node in sc.keys:
         if node not in routers:
             raise ScenarioValidationError(f"key holder {node!r} is not a declared router")
@@ -587,6 +608,12 @@ def _validate(sc: Scenario) -> None:
             raise ScenarioValidationError(f"unknown expectation metric {key!r}")
 
 
+def _on_switch(declared: tuple[str, int], switch: str, port: str) -> bool:
+    # declared: the scenario's (switch id, port count).
+    match = _PORT_RE.fullmatch(port)
+    return switch == declared[0] and match is not None and int(match[1]) <= declared[1]
+
+
 # -- canonical writer ---------------------------------------------------------------
 
 def print_scenario(sc: Scenario) -> str:
@@ -594,13 +621,13 @@ def print_scenario(sc: Scenario) -> str:
     switch_id, ports = sc.switch
     lines.append(f"switch {switch_id} ports={ports}")
     lines.extend(map(_print_node, sc.nodes))
-    for att in sc.attaches:
-        lines.append(f"attach {att.node} {att.switch}.{att.port} class={att.port_class!s}")
-    for pol in sc.policies:
-        if pol.kind == RA_GUARD:
-            lines.append(f"policy {pol.switch}.{pol.port} {RA_GUARD}")
+    for node, switch, port, port_class in sc.attaches:
+        lines.append(f"attach {node} {switch}.{port} class={port_class!s}")
+    for switch, port, kind, acl in sc.policies:
+        if kind == RA_GUARD:
+            lines.append(f"policy {switch}.{port} {RA_GUARD}")
         else:
-            lines.append(f"policy {pol.switch}.{pol.port} {ACL}={','.join(str(m) for m in pol.acl)}")
+            lines.append(f"policy {switch}.{port} {ACL}={','.join(map(str, acl))}")
     if sc.two_hour_rule:
         lines.append("policy global two-hour-rule")
     for node, key_id in sc.keys.items():
@@ -618,9 +645,9 @@ def print_scenario(sc: Scenario) -> str:
 
 
 def _print_node(n: NodeDecl) -> str:
-    values = n.options
-    shown = [f" {k}={o.show(values[k])}" for k, o in NODE_OPTIONS[n.kind].items() if k in values]
-    return f"node {n.kind} {n.node_id}" + "".join(shown)
+    kind, node_id, values = n
+    shown = [f" {k}={o.show(values[k])}" for k, o in NODE_OPTIONS[kind].items() if k in values]
+    return f"node {kind} {node_id}" + "".join(shown)
 
 
 def _print_step(time_ms: int, step: ScriptStep) -> str:
@@ -642,14 +669,14 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
         two_hour_rule=sc.two_hour_rule,
         switch_id=sc.switch[0],
     )
-    attach_for = {a.node: a for a in sc.attaches}
-    guarded = {pol.port for pol in sc.policies if pol.kind == RA_GUARD}
+    attach_for = {node: (port, port_class) for node, _switch, port, port_class in sc.attaches}
+    guarded = {port for _switch, port, kind, _acl in sc.policies if kind == RA_GUARD}
     # A port's last acl line is the one that holds.
-    acl_for = {pol.port: frozenset(pol.acl) for pol in sc.policies if pol.kind == ACL}
+    acl_for = {port: frozenset(acl) for _switch, port, kind, acl in sc.policies if kind == ACL}
     for decl in sc.nodes:
-        att = attach_for[decl.node_id]
-        port = SwitchPort(att.port, att.port_class, att.port in guarded, acl_for.get(att.port))
-        engine.add_node(_build_node(decl, sc.keys), port)
+        port, port_class = attach_for[decl.node_id]
+        switch_port = SwitchPort(port, port_class, port in guarded, acl_for.get(port))
+        engine.add_node(_build_node(decl, sc.keys), switch_port)
     engine.trusted_keys = {key_id: key_secret(key_id) for key_id in sc.trusts}
     # Node startup precedes same-time script steps.
     engine.bootstrap()
@@ -659,18 +686,18 @@ def build_engine(sc: Scenario, seed: Optional[int] = None) -> Engine:
 
 
 def _build_node(decl: NodeDecl, key_for: dict[str, str]):
-    values = decl.options
-    if decl.kind == "router":
-        return _router(decl, _AD_KEYS, key_for.get(decl.node_id), values["ra"], values["jitter"])
-    if decl.kind == "host":
+    kind, node_id, values = decl
+    if kind == "router":
+        return _router(decl, _AD_KEYS, key_for.get(node_id), values["ra"], values["jitter"])
+    if kind == "host":
         if "iid" in values:
             iid = values["iid"]
         elif "cga-key" in values:
             iid = cga_generate(values["cga-key"], values["cga-modifier"])
         else:
-            iid = derive_eui64(decl.mac)
+            iid = derive_eui64(values["mac"])
         return Host(
-            node_id=decl.node_id,
+            node_id=node_id,
             iid=iid,
             ipv6_enabled=values["ipv6"],
             ipv4=(values["ipv4"], values["gw4"]) if "ipv4" in values else None,
@@ -681,7 +708,7 @@ def _build_node(decl: NodeDecl, key_for: dict[str, str]):
     persona = None
     if not _PERSONA_KEYS.isdisjoint(values):
         persona = _router(decl, _PERSONA_AD_KEYS, send_key=None, ra_enabled=True, jitter_ms=0)
-    return Attacker(decl.node_id, persona)
+    return Attacker(node_id, persona)
 
 
 # The keys _router reads, in its order: a router's, and an attacker's persona's.
@@ -695,16 +722,16 @@ def _router(
     """The router a router line declares, or with the persona's ``keys`` an
     attacker's persona: the one advertisement it sends, from the node's own
     addresses, and when it sends it."""
-    values = decl.options
+    _kind, node_id, values = decl
     lifetime, preference, prefixes, valid, preferred, interval_ms, can_route = map(values.get, keys)
     ra = RouterAdvertisement(
-        src_mac=decl.mac,
+        src_mac=values["mac"],
         src_ip=values["ip"],
         router_lifetime=lifetime,
         preference=preference,
         prefixes=tuple(PrefixInfo(p, valid, preferred) for p in prefixes or ()),
     )
-    return Router(decl.node_id, ra, interval_ms, can_route, send_key, ra_enabled, jitter_ms)
+    return Router(node_id, ra, interval_ms, can_route, send_key, ra_enabled, jitter_ms)
 
 
 # -- expectations -----------------------------------------------------------------------

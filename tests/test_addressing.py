@@ -4,10 +4,12 @@ Expected values were derived by hand (bit-level EUI-64 walkthrough) or via the
 independent helpers below, never from the code under test.
 """
 
+import ipaddress
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slaacsim.addressing import (
@@ -60,6 +62,20 @@ def canonical_v6_by_group_scan(value: int) -> str:
     head = ":".join(groups[:best_start])
     tail = ":".join(groups[best_start + best_len :])
     return head + "::" + tail
+
+
+def fault_offset_by_regex(text: str) -> int:
+    """Independent oracle for an invalid IPv6 literal's offset: the first
+    character outside the literal's alphabet, else the start of a second
+    "::", else the fifth digit of an over-long group, else 0."""
+    outside = re.search(r"[^0-9a-fA-F:.]", text)
+    if outside:
+        return outside.start()
+    second = re.match(r"(.*?::.*?)::", text)
+    if second:
+        return len(second[1])
+    long_group = re.search(r"[^:.]{5}", text)
+    return long_group.start() + 4 if long_group else 0
 
 
 # --- modified EUI-64 -------------------------------------------------------
@@ -179,6 +195,56 @@ def test_parse_error_offset_of_a_fault_inside_the_alphabet(text, offset):
     assert str(exc.value) == f"invalid IPv6 address at offset {offset}: {text!r}"
 
 
+_HEX = "0123456789abcdefABCDEF"
+_GROUP = st.text(_HEX, min_size=1, max_size=4)
+# A dotted tail: a valid quad, or three to five parts of up to four digits.
+_V4_TAIL = st.lists(st.integers(0, 255).map(str), min_size=4, max_size=4).map(".".join) | st.lists(
+    st.text("0123456789", max_size=4), min_size=3, max_size=5
+).map(".".join)
+
+
+@st.composite
+def _structured(draw) -> str:
+    tail = draw(st.none() | _V4_TAIL)
+    width = 8 if tail is None else 6  # the groups a full literal has
+    compressed = draw(st.booleans())  # "::" stands for at least one group
+    count = draw(st.integers(0, width) if compressed else st.sampled_from([width - 1, width, width + 1]))
+    groups = draw(st.lists(_GROUP, min_size=count, max_size=count))
+    if groups and draw(st.booleans()):  # one group empty or five digits long
+        groups[draw(st.integers(0, count - 1))] = draw(st.sampled_from(["", "12345"]))
+    if compressed:
+        cut = draw(st.integers(0, count))
+        text = ":".join(groups[:cut]) + "::" + ":".join(groups[cut:])
+    else:
+        text = ":".join(groups)
+    if tail is not None:
+        text += tail if text.endswith(":") or not text else ":" + tail
+    zone = draw(st.none() | st.text(_HEX, max_size=3))  # the stdlib takes "%<zone>"
+    return text if zone is None else f"{text}%{zone}"
+
+
+# Well-formed and nearly well-formed literals, and free text over the
+# literal's alphabet, a zone sign and a digit of another script.
+_LITERALS = _structured() | st.text(_HEX + ":.%\u0663", max_size=48)
+
+
+@settings(max_examples=300)
+@given(_LITERALS)
+def test_parse_agrees_with_the_stdlib(text):
+    try:
+        expected = int(ipaddress.IPv6Address(text))
+    except ValueError:
+        expected = None
+    if expected is not None and "%" not in text:
+        assert Ipv6Address.parse(text) == expected
+        return
+    with pytest.raises(AddressParseError) as exc:
+        Ipv6Address.parse(text)
+    offset = fault_offset_by_regex(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"invalid IPv6 address at offset {offset}: {text!r}"
+
+
 @pytest.mark.parametrize("text", ["10.0.0", "10.0.0.256", "", "fe80::1", "10.0.0.1 "])
 def test_ipv4_parse_error(text):
     with pytest.raises(AddressParseError) as exc:
@@ -208,6 +274,14 @@ def test_ipv6_address_is_an_int_with_its_hash():
     assert not hasattr(addr, "__dict__")
     with pytest.raises(AttributeError):
         addr.extra = 1
+
+
+def test_mac_address_is_its_octets_with_their_hash():
+    mac = MacAddress.parse("00:1a:2b:3c:4d:5e")
+    octets = bytes.fromhex("001a2b3c4d5e")
+    assert mac == octets and hash(mac) == hash(octets)
+    assert mac == MacAddress(octets) and isinstance(MacAddress(octets), MacAddress)
+    assert not hasattr(mac, "__dict__")
 
 
 def test_ipv6_address_order_is_numeric():

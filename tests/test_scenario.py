@@ -7,6 +7,7 @@ import pytest
 
 from conftest import GOLDEN_DIR, SCENARIO_DIR, attrs, records, scenario_path
 
+from slaacsim import scenario
 from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
 from slaacsim.attacker import Attacker
 from slaacsim.cli import main, run_command
@@ -295,6 +296,25 @@ def test_node_line_with_several_faults_reports_the_first(options, message):
     with pytest.raises(ScenarioParseError) as exc:
         parse_scenario(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", ["HIGH", "High", "h\u0131gh"])
+@pytest.mark.parametrize("kind,key", [("router", "preference"), ("attacker", "persona-preference")])
+def test_preference_is_one_of_three_exact_words(kind, key, text):
+    # As every other keyword option: no case folding, so "hıgh" (dotless i),
+    # which upper-cases to "HIGH", is no preference either.
+    line = f"node {kind} R1 mac=00:00:5e:00:53:01 {key}={text}"
+    bad = MINIMAL.replace("node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64", line)
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(bad)
+    assert str(exc.value) == f"line 2: {key}: unknown preference {text!r}"
+
+
+def test_grammar_states_every_directive_of_the_table():
+    grammar = scenario.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0]
+    # A directive's lines start four spaces in; its continuation lines further.
+    heads = {line.split()[0] for line in grammar.splitlines() if not line.startswith(" " * 5)}
+    assert heads == set(scenario._DIRECTIVES)
 
 
 @pytest.mark.parametrize(

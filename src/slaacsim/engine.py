@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 from .addressing import Ipv6Address, iid_text
 from .attacker import Attacker, AttackMode, NoCapturedRa
 from .defense import SwitchPort, filter_ingress
-from .host import AddressState, Host, new_ra_delivery
+from .host import AddressState, Host, receive_ra
 from .messages import (
     AddressFamily,
     NdMessage,
@@ -207,9 +207,6 @@ class Engine(object):
         self.node_port: dict[str, SwitchPort] = {}  # each node's ingress port
         self._receivers: dict[str, tuple[str, ...]] = {}  # sender -> every other node
         self.trusted_keys: dict[str, bytes] = {}  # key id -> secret, from trust lines
-        # The work the receiving hosts of the RA being delivered share
-        # (host.new_ra_delivery); None between deliveries.
-        self.ra_delivery: Optional[list[object]] = None
         self.attack_armed = False  # set by the first non-passive attack directive
         # Bare (time, node, kind, values) tuples; TraceRecord names the fields.
         self.trace_records: list[tuple[int, str, str, tuple[object, ...]]] = []
@@ -352,21 +349,7 @@ class Engine(object):
         self.metrics.delivered += len(dsts)
         nodes = self.nodes
         if isinstance(msg, RouterAdvertisement):
-            # Every receiving host's record holds the same values, so they
-            # share one tuple. Each delivery starts with no verdict, even one
-            # of an RA delivered before.
-            received = (msg.src_ip, msg.router_lifetime, msg.preference)
-            append = self.trace_records.append
-            self.ra_delivery = new_ra_delivery()
-            try:
-                for dst in dsts:
-                    node = nodes[dst]
-                    if isinstance(node, Host):
-                        append((now, dst, "ra-received", received))
-                    if not isinstance(node, Router):
-                        node.on_message(self, msg, src, now)
-            finally:
-                self.ra_delivery = None
+            receive_ra(self, msg, src, map(nodes.__getitem__, dsts), now)
         elif isinstance(msg, RouterSolicitation):
             for dst in dsts:
                 node = nodes[dst]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .addressing import (
     Ipv6Address,
@@ -33,6 +33,7 @@ from .messages import (
     Timer,
     TimerKey,
 )
+from .router import Router
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -87,14 +88,6 @@ def apply_two_hour_rule(remaining_ms: int, received_ms: int) -> int:
     if remaining_ms <= TWO_HOURS_MS:
         return remaining_ms
     return TWO_HOURS_MS
-
-
-def new_ra_delivery() -> list[object]:
-    """The work the receiving hosts of one RA delivery share, as
-    [verdict, router record values]: each is made by the first host that
-    needs it (Host.process_ra), and the next delivery starts from a fresh
-    list."""
-    return [None, None]
 
 
 class Host(object):
@@ -172,87 +165,9 @@ class Host(object):
     # -- phase 2 -------------------------------------------------------------
 
     def process_ra(self, ctx: "Engine", ra: RouterAdvertisement, now: int) -> None:
-        """Handle one received RA in one pass: the router list entry of its
-        sender, then each prefix option in order."""
-        if not self.ipv6_enabled:
-            return
-        node_id = self.node_id
-        # A call outside a delivery shares its work with nobody.
-        shared = ctx.ra_delivery or new_ra_delivery()
-        if self.send_only:
-            verdict = shared[0]
-            if verdict is None:
-                verdict = shared[0] = verify_ra(ra, ctx.trusted_keys)
-            if not verdict:
-                ctx.trace(node_id, "ra-rejected-send", ra.src_ip)
-                return
-        # The records an RA makes at every host go straight into the trace,
-        # stamped with the engine's time as Engine.trace stamps them.
-        records = ctx.trace_records
-        src_ip = ra.src_ip
-        for router in self.router_list:
-            if router.router_ip == src_ip:
-                break
-        else:
-            router = None
-        if ra.router_lifetime > 0:
-            values = shared[1]
-            if values is None:
-                values = shared[1] = (src_ip, ra.preference, now + ra.router_lifetime * MS)
-            expires = values[2]
-            if router is None:
-                self.router_list.append(DefaultRouterEntry(src_ip, expires, ra.preference, now))
-                kind = "router-added"
-            else:
-                router.expires_at = expires
-                router.preference = ra.preference
-                router.refreshed_at = now
-                kind = "router-refreshed"
-            records.append((ctx.now, node_id, kind, values))
-            ctx.set_timer(node_id, Timer.EXPIRY, expires)
-        elif router is not None:
-            self.router_list.remove(router)
-            ctx.trace(node_id, "router-removed", src_ip, "lifetime-zero")
-        for info in ra.prefixes:
-            prefix = info.prefix
-            if is_link_local(prefix.address):  # RFC 4862 §5.5.3(b)
-                ctx.trace(node_id, "prefix-ignored", prefix, "link-local")
-                continue
-            if prefix.length != 64:
-                ctx.trace(node_id, "prefix-ignored", prefix, "length")
-                continue
-            # Only /64 prefixes ever form an entry, so an entry is this
-            # prefix's iff its prefix has the same network address.
-            network = prefix.address
-            for entry in self.addresses:
-                if entry.prefix is not None and entry.prefix.address == network:
-                    break
-            else:
-                entry = None
-            if entry is None:
-                if info.valid_lifetime == 0:  # RFC 4862 §5.5.3(d)
-                    ctx.trace(node_id, "prefix-ignored", prefix, "valid-zero")
-                    continue
-                entry = AddressEntry(
-                    global_from(prefix, self.iid),
-                    AddressState.TENTATIVE,
-                    prefix=prefix,
-                    valid_until=now + info.valid_lifetime * MS,
-                    preferred_until=now + info.preferred_lifetime * MS,
-                )
-                self.addresses.append(entry)
-                ctx.set_timer(node_id, Timer.EXPIRY, entry.valid_until)
-                self._start_dad(ctx, entry, now)
-            elif entry.state is not AddressState.ABANDONED:
-                valid_ms = info.valid_lifetime * MS
-                if ctx.two_hour_rule:
-                    valid_ms = apply_two_hour_rule(max(0, entry.valid_until - now), valid_ms)
-                entry.valid_until = now + valid_ms
-                entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
-                ctx.set_timer(node_id, Timer.EXPIRY, entry.valid_until)
-                records.append((ctx.now, node_id, "addr-lifetime", (entry.address, valid_ms)))
-            # An abandoned entry for the prefix means DAD failed and
-            # autoconfiguration stopped (RFC 4862 §5.4.5); never re-create it.
+        """Handle one received RA as its only receiver, without its
+        ``ra-received`` record."""
+        receive_ra(ctx, ra, None, (self,), now, dispatched=True)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -329,3 +244,120 @@ class Host(object):
             if entry.address == address and entry.state is not AddressState.ABANDONED:
                 return entry
         return None
+
+
+# The on_message whose RA work receive_ra does itself.
+_ON_MESSAGE = Host.on_message
+
+
+def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: Optional[str],
+               receivers: Iterable[object], now: int, dispatched: bool = False) -> None:
+    """Deliver one RA to ``receivers`` in one pass, in their order: a host
+    gets its ``ra-received`` record and then its RA handling, a router
+    nothing, and any other node on_message. What no host changes is worked
+    out once, before the loop; the signature verdict is made at the first
+    send=on host that needs it. Only a Host, while Host.on_message is this
+    module's own, is handled here; any other host (a subclass, or one whose
+    on_message a test or profiler has wrapped) gets on_message after its
+    record, which comes back through process_ra with ``dispatched`` set:
+    the receivers are hosts that have had their record."""
+    # The records an RA makes at every host go straight into the trace,
+    # stamped with the engine's time as Engine.trace stamps them.
+    append = ctx.trace_records.append
+    stamp = ctx.now
+    set_timer = ctx.set_timer
+    two_hour_rule = ctx.two_hour_rule
+    expiry, abandoned = Timer.EXPIRY, AddressState.ABANDONED
+    src_ip, lifetime, preference = ra.src_ip, ra.router_lifetime, ra.preference
+    received = (src_ip, lifetime, preference)
+    if lifetime > 0:
+        expires = now + lifetime * MS
+        router_values = (src_ip, preference, expires)
+    # Each option as (prefix, why it is ignored or None, its network
+    # address, valid ms, and a new entry's valid and preferred ends).
+    options = []
+    for info in ra.prefixes:
+        prefix = info.prefix
+        ignored = None
+        if is_link_local(prefix.address):  # RFC 4862 §5.5.3(b)
+            ignored = "link-local"
+        elif prefix.length != 64:
+            ignored = "length"
+        valid_ms = info.valid_lifetime * MS
+        preferred_until = now + info.preferred_lifetime * MS
+        options.append((prefix, ignored, prefix.address, valid_ms, now + valid_ms, preferred_until))
+    inline = Host.on_message is _ON_MESSAGE
+    verdict = None
+    for node in receivers:
+        if not isinstance(node, Host):
+            if not isinstance(node, Router):
+                node.on_message(ctx, ra, sender_id, now)
+            continue
+        node_id = node.node_id
+        if not dispatched:
+            append((stamp, node_id, "ra-received", received))
+            if not inline or type(node) is not Host:
+                node.on_message(ctx, ra, sender_id, now)
+                continue
+        if not node.ipv6_enabled:
+            continue
+        if node.send_only:
+            if verdict is None:
+                verdict = verify_ra(ra, ctx.trusted_keys)
+            if not verdict:
+                ctx.trace(node_id, "ra-rejected-send", src_ip)
+                continue
+        for router in node.router_list:
+            if router.router_ip == src_ip:
+                break
+        else:
+            router = None
+        if lifetime > 0:
+            if router is None:
+                node.router_list.append(DefaultRouterEntry(src_ip, expires, preference, now))
+                kind = "router-added"
+            else:
+                router.expires_at = expires
+                router.preference = preference
+                router.refreshed_at = now
+                kind = "router-refreshed"
+            append((stamp, node_id, kind, router_values))
+            set_timer(node_id, expiry, expires)
+        elif router is not None:
+            node.router_list.remove(router)
+            ctx.trace(node_id, "router-removed", src_ip, "lifetime-zero")
+        for prefix, ignored, network, valid_ms, valid_until, preferred_until in options:
+            if ignored is not None:
+                ctx.trace(node_id, "prefix-ignored", prefix, ignored)
+                continue
+            # Only /64 prefixes ever form an entry, so an entry is this
+            # prefix's iff its prefix has the same network address.
+            for entry in node.addresses:
+                if entry.prefix is not None and entry.prefix.address == network:
+                    break
+            else:
+                entry = None
+            if entry is None:
+                if valid_ms == 0:  # RFC 4862 §5.5.3(d)
+                    ctx.trace(node_id, "prefix-ignored", prefix, "valid-zero")
+                    continue
+                entry = AddressEntry(
+                    global_from(prefix, node.iid),
+                    AddressState.TENTATIVE,
+                    prefix=prefix,
+                    valid_until=valid_until,
+                    preferred_until=preferred_until,
+                )
+                node.addresses.append(entry)
+                set_timer(node_id, expiry, valid_until)
+                node._start_dad(ctx, entry, now)
+            elif entry.state is not abandoned:
+                kept_ms = valid_ms
+                if two_hour_rule:
+                    kept_ms = apply_two_hour_rule(max(0, entry.valid_until - now), valid_ms)
+                until = entry.valid_until = now + kept_ms
+                entry.preferred_until = preferred_until if preferred_until < until else until
+                set_timer(node_id, expiry, until)
+                append((stamp, node_id, "addr-lifetime", (entry.address, kept_ms)))
+            # An abandoned entry for the prefix means DAD failed and
+            # autoconfiguration stopped (RFC 4862 §5.4.5); never re-create it.

@@ -1,3 +1,4 @@
+import contextlib
 import heapq
 import itertools
 from pathlib import Path
@@ -100,8 +101,9 @@ class HeapQueueEngine(Engine):
 
 
 class ReferenceHost(Host):
-    """The RA handling that Host.process_ra replaced: four methods, and a
-    SLAAC entry found by comparing whole prefixes."""
+    """The RA handling that host.receive_ra replaced: four methods, and a
+    SLAAC entry found by comparing whole prefixes. The engine hands an RA to
+    a Host subclass through on_message, which calls this process_ra."""
 
     def process_ra(self, ctx, ra, now):
         if not self.ipv6_enabled:
@@ -175,6 +177,25 @@ class ReferenceHost(Host):
         entry.preferred_until = min(now + info.preferred_lifetime * MS, entry.valid_until)
         ctx.set_timer(self.node_id, Timer.EXPIRY, entry.valid_until)
         ctx.trace(self.node_id, "addr-lifetime", entry.address, new_valid_ms)
+
+
+@contextlib.contextmanager
+def counting(owner, name):
+    """Count the calls of ``owner.name`` made inside the block, each still
+    made as written: a mock whose ``call_count`` shows that an oracle's own
+    code ran."""
+    original = getattr(owner, name)
+    with mock.patch.object(owner, name, autospec=True, side_effect=original) as calls:
+        yield calls
+
+
+def reference_host_output(sc) -> str:
+    """``sc``'s output with each host a ReferenceHost, once it is checked
+    that ReferenceHost.process_ra took every RA that reached a host."""
+    with counting(ReferenceHost, "process_ra") as calls:
+        output = run_output(sc, Engine, host_class=ReferenceHost)
+    assert calls.call_count == output.count(" kind=ra-received ")
+    return output
 
 
 def build_on(sc, engine_class, host_class=Host) -> Engine:

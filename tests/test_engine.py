@@ -9,6 +9,7 @@ import ipaddress
 import json
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -19,22 +20,25 @@ from conftest import (
     attach,
     attrs,
     build_on,
+    counting,
     eui64_host,
     load,
     queued,
     queued_deliveries,
     queued_timers,
     records,
+    reference_host_output,
     run_output,
     run_scenario,
     scenario_path,
 )
 
+import slaacsim.host as host_module
 import slaacsim.scenario
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker, AttackMode
-from slaacsim.defense import PortClass, SwitchPort, filter_ingress
+from slaacsim.defense import PortClass, SwitchPort, filter_ingress, verify_ra
 from slaacsim.engine import (
     TRACE_KEYS,
     AdvertisedPrefixes,
@@ -190,14 +194,19 @@ run 4
 """
 
 
-def assert_same_output(name, reference):
+def assert_same_output(name, reference, oracle=None):
     """``reference`` gives Engine's trace and metrics on ``name`` at its own
-    link latency and at 0 and 2 ms."""
+    link latency and at 0 and 2 ms. ``oracle``, a ``counting`` mock of the
+    reference's own code, must count a call in each run where an RA
+    reaches a host."""
     sc = slaacsim.scenario.parse_scenario(TWO_ROUTERS) if name == "two-routers" else load(name)
     for latency in sorted({sc.link_latency_ms, 0, 2}):
         sc.link_latency_ms = latency
         expected = run_output(sc, Engine)
+        calls_before = oracle.call_count if oracle is not None else 0
         assert run_output(sc, reference) == expected, f"latency {latency}"
+        if oracle is not None and " kind=ra-received " in expected:
+            assert oracle.call_count > calls_before, f"latency {latency}: the oracle never ran"
 
 
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
@@ -230,7 +239,59 @@ class EveryReceiverEngine(Engine):
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
 def test_dispatch_by_kind_matches_calling_every_receiver(name):
     # Exact only if every call the engine skips was a no-op.
-    assert_same_output(name, EveryReceiverEngine)
+    with counting(EveryReceiverEngine, "_handle_deliver") as calls:
+        assert_same_output(name, EveryReceiverEngine, calls)
+
+
+# A run of hosts broken by an attacker and by a second router, then a
+# send=on host, an IPv6-off host and H4, whose MAC is H1's: H1 wins DAD for
+# the link-local address, and H4 loses it and then each global address.
+MIXED_ORDER = """\
+switch SW1 ports=7
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 interval=3
+node host H1 mac=00:1a:2b:3c:4d:5e
+node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64 persona-preference=high persona-interval=4
+node router R2 mac=00:00:5e:00:53:02 prefix=2001:db8:2::/64 interval=5
+node host H2 mac=00:1a:2b:3c:4d:5f send=on
+node host H3 mac=00:1a:2b:3c:4d:60 ipv6=off
+node host H4 mac=00:1a:2b:3c:4d:5e
+attach R1 SW1.p1 class=router
+attach H1 SW1.p2 class=host
+attach A1 SW1.p3 class=host
+attach R2 SW1.p4 class=router
+attach H2 SW1.p5 class=host
+attach H3 SW1.p6 class=host
+attach H4 SW1.p7 class=host
+key R1 k1
+trust k1
+allow-dup-mac
+at 5 attack A1 fake-router
+at 9 measure
+run 12
+"""
+
+
+@pytest.mark.parametrize("latency", [0, 1, 2])
+def test_mixed_receiver_order_matches_both_oracles(latency):
+    sc = slaacsim.scenario.parse_scenario(MIXED_ORDER)
+    sc.link_latency_ms = latency
+    with mock.patch.object(host_module, "verify_ra", wraps=verify_ra) as verify:
+        engine = build_on(sc, Engine)
+        metrics = engine.execute(sc.run_ms)
+        output = engine.trace_text() + "\n".join(metrics.to_lines())
+        # One verdict per delivery that reaches the send=on host.
+        assert verify.call_count == len([r for r in records(engine, "ra-received") if r.node == "H2"])
+    assert verify.call_count > 0
+    # Each kind of receiver in the mix acted, and the DAD conflict happened.
+    made = {(r.node, r.kind) for r in map(TraceRecord._make, engine.trace_records)}
+    assert made >= {
+        ("H2", "ra-rejected-send"), ("H2", "router-added"), ("A1", "ra-captured"),
+        ("H3", "ra-received"), ("H4", "dad-failed"),
+    }
+    with counting(EveryReceiverEngine, "_handle_deliver") as calls:
+        assert run_output(sc, EveryReceiverEngine) == output
+    assert calls.call_count > 0
+    assert reference_host_output(sc) == output
 
 
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
@@ -593,7 +654,7 @@ def test_trace_key_order_is_fixed_per_kind():
 
 SOURCE_DIR = SCENARIO_DIR.parent / "src" / "slaacsim"
 # The one trace record whose kind is a variable: the router list update in
-# Host.process_ra.
+# host.receive_ra.
 VARIABLE_KINDS = ("router-added", "router-refreshed")
 
 
@@ -669,6 +730,13 @@ def test_every_trace_call_passes_its_kinds_values():
                 assert len(values) == len(TRACE_KEYS[kind]), where
             seen.update(kinds)
     assert seen == set(TRACE_KEYS)
+
+
+def test_record_sites_reach_the_records_an_ra_delivery_appends():
+    # host.receive_ra appends these records itself, each with a values tuple
+    # made once per delivery or a literal; the check above must see them.
+    kinds = {ast.unparse(kind) for _, kind, _ in _record_sites(SOURCE_DIR / "host.py")}
+    assert {"'ra-received'", "kind", "'addr-lifetime'"} <= kinds
 
 
 def test_record_sites_follow_a_shared_tuple_to_its_one_literal(tmp_path):

@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 DAD_TIMEOUT_MS = 1 * MS  # single probe, one-second deadline
 TWO_HOURS_MS = 7200 * MS
+NO_EXPIRY = float("inf")  # the expiry floor of a host that holds no lifetime
 
 
 class AddressState(enum.Enum):
@@ -108,6 +109,9 @@ class Host(object):
         self.send_only = send_only
         self.addresses: list[AddressEntry] = []
         self.router_list: list[DefaultRouterEntry] = []
+        # A lower bound on the earliest expiry held: receive_ra lowers it to
+        # each expiry it sets, and a sweep makes it exact again.
+        self.expiry_floor: float = NO_EXPIRY
 
     # -- phase 1 -------------------------------------------------------------
 
@@ -175,7 +179,8 @@ class Host(object):
         """Drop each expired default router and each expired address. An
         expired address leaves the interface (RFC 4862 §5.5.4), so a later RA
         for its prefix forms it again; a DAD-failed entry is never dropped and
-        keeps its prefix blocked."""
+        keeps its prefix blocked. Leaves ``expiry_floor`` at the earliest
+        expiry still held."""
         # Each loop walks its list as the tick found it, and a removal binds
         # the attribute to a new list, so a tick that drops nothing builds none.
         for router in self.router_list:
@@ -190,6 +195,10 @@ class Host(object):
             ):
                 self.addresses = [e for e in self.addresses if e is not entry]
                 ctx.trace(self.node_id, "addr-abandoned", entry.address, "expired")
+        live = [r.expires_at for r in self.router_list]
+        live += [e.valid_until for e in self.addresses
+                 if e.state is not AddressState.ABANDONED and e.valid_until is not None]
+        self.expiry_floor = min(live, default=NO_EXPIRY)
 
     def select_default_router(self, now: int) -> Optional[DefaultRouterEntry]:
         """Highest preference among unexpired entries; ties broken by most
@@ -233,6 +242,8 @@ class Host(object):
 
     def on_timer(self, ctx: "Engine", timer: TimerKey, now: int) -> None:
         if timer is Timer.EXPIRY:
+            if now < self.expiry_floor:
+                return  # nothing held can have expired yet
             self.tick_lifetimes(ctx, now)
         elif timer is Timer.AUTOCONF:
             self.begin_autoconf(ctx, now)
@@ -323,6 +334,8 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: Optional[str],
                 kind = "router-refreshed"
             append((stamp, node_id, kind, router_values))
             set_timer(node_id, expiry, expires)
+            if expires < node.expiry_floor:
+                node.expiry_floor = expires
         elif router is not None:
             node.router_list.remove(router)
             ctx.trace(node_id, "router-removed", src_ip, "lifetime-zero")
@@ -350,6 +363,8 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: Optional[str],
                 )
                 node.addresses.append(entry)
                 set_timer(node_id, expiry, valid_until)
+                if valid_until < node.expiry_floor:
+                    node.expiry_floor = valid_until
                 node._start_dad(ctx, entry, now)
             elif entry.state is not abandoned:
                 kept_ms = valid_ms
@@ -358,6 +373,8 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: Optional[str],
                 until = entry.valid_until = now + kept_ms
                 entry.preferred_until = preferred_until if preferred_until < until else until
                 set_timer(node_id, expiry, until)
+                if until < node.expiry_floor:
+                    node.expiry_floor = until
                 append((stamp, node_id, "addr-lifetime", (entry.address, kept_ms)))
             # An abandoned entry for the prefix means DAD failed and
             # autoconfiguration stopped (RFC 4862 §5.4.5); never re-create it.

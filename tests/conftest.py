@@ -43,6 +43,33 @@ def run_scenario(name: str, seed=None):
     return sc, engine, metrics
 
 
+def link_text(hosts: int, guard: bool, run_s: int) -> str:
+    """A generated link like the benchmark's: R1 signing with trusted key k1,
+    ``hosts`` hosts and attacker A1 running fake-router from t=5 s. With
+    ``guard``, every host checks signatures, A1's port has RA Guard and the
+    two-hour rule is on; without it, only H1 checks signatures."""
+    lines = [
+        f"switch SW1 ports={hosts + 2}",
+        "node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 interval=10 jitter=1",
+        *(
+            f"node host H{i} mac=02:00:00:00:{i >> 8:02x}:{i & 0xff:02x}"
+            + (" send=on" if guard or i == 1 else "")
+            for i in range(1, hosts + 1)
+        ),
+        "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64"
+        " persona-lifetime=9000 persona-preference=high persona-interval=10 persona-routes=yes",
+        "attach R1 SW1.p1 class=router",
+        *(f"attach H{i} SW1.p{i + 1} class=host" for i in range(1, hosts + 1)),
+        f"attach A1 SW1.p{hosts + 2} class=host",
+        *([f"policy SW1.p{hosts + 2} ra-guard", "policy global two-hour-rule"] if guard else []),
+        "key R1 k1",
+        "trust k1",
+        "at 5 attack A1 fake-router",
+        f"run {run_s} seed=7",
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
 class EveryTimerEngine(Engine):
     """The queue without a horizon: every timer is booked, however long
     after the end of the run it is due."""
@@ -103,7 +130,16 @@ class HeapQueueEngine(Engine):
 class ReferenceHost(Host):
     """The RA handling that host.receive_ra replaced: four methods, and a
     SLAAC entry found by comparing whole prefixes. The engine hands an RA to
-    a Host subclass through on_message, which calls this process_ra."""
+    a Host subclass through on_message, which calls this process_ra. Every
+    expiry tick sweeps, as before Host kept an expiry floor: this process_ra
+    never lowers the floor, so a host that skipped sweeps by it would miss
+    expiries."""
+
+    def on_timer(self, ctx, timer, now):
+        if timer is Timer.EXPIRY:
+            self.tick_lifetimes(ctx, now)
+        else:
+            super().on_timer(ctx, timer, now)
 
     def process_ra(self, ctx, ra, now):
         if not self.ipv6_enabled:

@@ -22,6 +22,7 @@ from conftest import (
     build_on,
     counting,
     eui64_host,
+    link_text,
     load,
     queued,
     queued_deliveries,
@@ -1158,33 +1159,6 @@ def test_measure_at_the_run_end_is_the_only_one():
 
 
 # -- the cyclic collector -----------------------------------------------------------
-
-def link_text(hosts: int, guard: bool, run_s: int) -> str:
-    """A generated link like the benchmark's: R1 signing with trusted key k1,
-    ``hosts`` hosts and attacker A1 running fake-router from t=5 s. With
-    ``guard``, every host checks signatures, A1's port has RA Guard and the
-    two-hour rule is on; without it, only H1 checks signatures."""
-    lines = [
-        f"switch SW1 ports={hosts + 2}",
-        "node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 interval=10 jitter=1",
-        *(
-            f"node host H{i} mac=02:00:00:00:{i >> 8:02x}:{i & 0xff:02x}"
-            + (" send=on" if guard or i == 1 else "")
-            for i in range(1, hosts + 1)
-        ),
-        "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:bad::/64"
-        " persona-lifetime=9000 persona-preference=high persona-interval=10 persona-routes=yes",
-        "attach R1 SW1.p1 class=router",
-        *(f"attach H{i} SW1.p{i + 1} class=host" for i in range(1, hosts + 1)),
-        f"attach A1 SW1.p{hosts + 2} class=host",
-        *([f"policy SW1.p{hosts + 2} ra-guard", "policy global two-hour-rule"] if guard else []),
-        "key R1 k1",
-        "trust k1",
-        "at 5 attack A1 fake-router",
-        f"run {run_s} seed=7",
-    ]
-    return "".join(line + "\n" for line in lines)
-
 
 def test_a_run_makes_no_reference_cycles():
     # Engine.execute pauses the cyclic collector for the event loop, which

@@ -1,0 +1,156 @@
+"""Lifetime expiry: generated short-lifetime links run alike on today's host,
+on the reference host that sweeps on every expiry tick and on the one-heap
+queue; each host's expiry floor stays at or below its earliest live expiry
+after every served queue entry; and on a long link nearly every expiry tick
+skips its sweep."""
+
+import random
+
+from conftest import (
+    SCENARIO_DIR,
+    HeapQueueEngine,
+    build_on,
+    counting,
+    link_text,
+    reference_host_output,
+    run_output,
+)
+
+from slaacsim.engine import Engine
+from slaacsim.host import NO_EXPIRY, AddressState, Host
+from slaacsim.messages import Timer
+from slaacsim.scenario import build_engine, parse_scenario
+
+EXPIRY_SEEDS = range(150)
+
+
+def expiry_text(seed: int) -> str:
+    """A link where lifetimes run out within the run: 1-2 routers with
+    router lifetimes of 3-40 s and valid lifetimes of 5-60 s, advertising
+    every 2-13 s; 1-3 hosts; attacker A1 whose persona advertises R1's
+    prefix with a valid lifetime of 1-10 s. The script toggles routers,
+    arms kill-router and the forging modes, and the two-hour rule and RA
+    Guard on A1's port are drawn. Runs last at most 300 s."""
+    rng = random.Random(seed)
+    routers = rng.randint(1, 2)
+    hosts = rng.randint(1, 3)
+    run_s = rng.randint(30, 300)
+    lines = [f"switch SW1 ports={routers + hosts + 1}"]
+    for r in range(1, routers + 1):
+        valid = rng.randint(5, 60)
+        lines.append(
+            f"node router R{r} mac=00:00:5e:00:53:{r:02x} prefix=2001:db8:{rng.randint(1, 2)}::/64"
+            f" lifetime={rng.randint(3, 40)} interval={rng.randint(2, 13)}"
+            f" valid={valid} preferred={rng.randint(0, valid)}"
+            + (" jitter=1" if rng.random() < 0.3 else "")
+        )
+    lines += [f"node host H{h} mac=02:00:00:00:00:{h:02x}" for h in range(1, hosts + 1)]
+    persona_valid = rng.randint(1, 10)
+    lines.append(
+        "node attacker A1 mac=00:00:5e:00:53:66 persona-prefix=2001:db8:1::/64"
+        f" persona-lifetime={rng.randint(0, 40)} persona-interval={rng.randint(2, 13)}"
+        f" persona-valid={persona_valid} persona-preferred={rng.randint(0, persona_valid)}"
+    )
+    lines += [f"attach R{r} SW1.p{r} class=router" for r in range(1, routers + 1)]
+    lines += [f"attach H{h} SW1.p{routers + h} class=host" for h in range(1, hosts + 1)]
+    attacker_port = f"SW1.p{routers + hosts + 1}"
+    lines.append(f"attach A1 {attacker_port} class=host")
+    if rng.random() < 0.5:
+        lines.append("policy global two-hour-rule")
+    if rng.random() < 0.2:
+        lines.append(f"policy {attacker_port} ra-guard")
+    for _ in range(rng.randint(1, 5)):
+        at = rng.randint(1, run_s)
+        step = rng.choice(["disable", "enable", "kill-router", "forge", "passive", "measure"])
+        if step in ("disable", "enable"):
+            lines.append(f"at {at} {step} R{rng.randint(1, routers)}")
+        elif step == "kill-router":
+            lines.append(f"at {at} attack A1 kill-router target=R{rng.randint(1, routers)}")
+        elif step == "forge":
+            lines.append(f"at {at} attack A1 {rng.choice(['fake-router', 'blackhole'])}")
+        elif step == "passive":
+            lines.append(f"at {at} attack A1 passive")
+        else:
+            lines.append(f"at {at} measure")
+    lines.append(f"run {run_s} seed={seed}")
+    return "".join(line + "\n" for line in lines)
+
+
+def test_generated_expiries_match_the_sweep_on_every_tick_and_the_heap_queue():
+    expired = {"router-removed": 0, "addr-abandoned": 0}
+    for seed in EXPIRY_SEEDS:
+        sc = parse_scenario(expiry_text(seed))
+        output = run_output(sc, Engine)
+        assert reference_host_output(sc) == output, seed
+        assert run_output(sc, HeapQueueEngine) == output, seed
+        for line in output.splitlines():
+            kind = line.split(" kind=", 1)[-1].split(" ", 1)[0]
+            if kind in expired and line.endswith(" reason=expired"):
+                expired[kind] += 1
+    # The set reaches both kinds of expiry, so the oracle's sweep is tested.
+    assert all(expired.values()), expired
+
+
+def earliest_expiry(host: Host):
+    """The earliest expiry a host holds: a default router's, or the valid
+    lifetime's end of an address that is not abandoned."""
+    ends = [router.expires_at for router in host.router_list]
+    ends += [
+        entry.valid_until
+        for entry in host.addresses
+        if entry.state is not AddressState.ABANDONED and entry.valid_until is not None
+    ]
+    return min(ends, default=NO_EXPIRY)
+
+
+class FloorCheckingEngine(Engine):
+    """Engine that checks, after each queue entry it serves, that every
+    host's expiry floor is at or below the host's earliest live expiry."""
+
+    checked = 0
+
+    def add_node(self, node, port):
+        super().add_node(node, port)
+        on_timer = node.on_timer
+
+        def checked_on_timer(ctx, timer, now):
+            on_timer(ctx, timer, now)
+            self.check_floors()
+
+        node.on_timer = checked_on_timer
+
+    def _handle_deliver(self, action, now):
+        super()._handle_deliver(action, now)
+        self.check_floors()
+
+    def _handle_script(self, step, now):
+        super()._handle_script(step, now)
+        self.check_floors()
+
+    def check_floors(self):
+        self.checked += 1
+        for node in self.nodes.values():
+            if isinstance(node, Host):
+                assert node.expiry_floor <= earliest_expiry(node), (self.now, node.node_id)
+
+
+def test_floor_never_passes_a_live_expiry():
+    texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.txt"))]
+    texts += [expiry_text(seed) for seed in EXPIRY_SEEDS]
+    texts.append(link_text(10, guard=True, run_s=7200))
+    for text in texts:
+        sc = parse_scenario(text)
+        engine = build_on(sc, FloorCheckingEngine)
+        engine.execute(sc.run_ms)
+        assert engine.checked > 0
+
+
+def test_sweeps_run_for_at_most_one_percent_of_expiry_ticks():
+    # Every RA makes each of the 10 hosts book a router and an address
+    # tick, and almost none of them finds anything expired.
+    sc = parse_scenario(link_text(10, guard=True, run_s=7200))
+    with counting(Host, "on_timer") as ticks, counting(Host, "tick_lifetimes") as sweeps:
+        build_engine(sc).execute(sc.run_ms)
+    expiry_ticks = sum(1 for call in ticks.call_args_list if call.args[2] is Timer.EXPIRY)
+    assert expiry_ticks > 8000
+    assert 0 < sweeps.call_count <= expiry_ticks // 100, (sweeps.call_count, expiry_ticks)

@@ -26,6 +26,7 @@ from slaacsim.addressing import Ipv6Address, MacAddress, Prefix, derive_eui64, p
 from slaacsim.defense import key_secret, verify_ra
 from slaacsim.engine import Engine, TraceRecord
 from slaacsim.host import (
+    NO_EXPIRY,
     AddressEntry,
     AddressState,
     DefaultRouterEntry,
@@ -40,6 +41,7 @@ from slaacsim.messages import (
     PrefixInfo,
     RouterAdvertisement,
     RouterPreference,
+    Timer,
 )
 from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
@@ -665,6 +667,47 @@ def test_tick_drops_only_the_expired_entries_in_list_order(engine):
     assert [attrs(r)["addr"] for r in records(engine, "addr-abandoned")] == [
         "2001:db8:1:0:21a:2bff:fe3c:4d5e", "2001:db8:3:0:21a:2bff:fe3c:4d5e"
     ]
+
+
+def test_floor_follows_each_expiry_an_ra_sets(engine):
+    host = make_host()
+    attach(engine, host)
+    assert host.expiry_floor == NO_EXPIRY
+    host.process_ra(engine, make_ra(lifetime=1800, valid=30, preferred=30), 0)
+    assert host.expiry_floor == 30_000  # the address's end, before the router's
+    # A refresh that lowers a lifetime lowers the floor; one that raises it
+    # leaves the floor where it was, a bound the next sweep makes exact.
+    host.process_ra(engine, make_ra(lifetime=20, valid=30, preferred=30), 5_000)
+    assert host.expiry_floor == 25_000
+    host.process_ra(engine, make_ra(lifetime=1800, valid=3600, preferred=3600), 10_000)
+    assert host.expiry_floor == 25_000
+    host.tick_lifetimes(engine, 25_000)
+    assert host.expiry_floor == 1_810_000 and not records(engine, "router-removed")
+
+
+def test_expiry_tick_before_the_floor_skips_the_sweep(engine):
+    host = make_host()
+    attach(engine, host)
+    host.process_ra(engine, make_ra(lifetime=1800, valid=10, preferred=10), 0)
+    with mock.patch.object(host, "tick_lifetimes", wraps=host.tick_lifetimes) as sweep:
+        host.on_timer(engine, Timer.EXPIRY, 9_999)
+        assert sweep.call_count == 0
+        host.on_timer(engine, Timer.EXPIRY, 10_000)
+        assert sweep.call_count == 1
+    assert host.addresses == [] and host.expiry_floor == 1_800_000
+    assert [attrs(r)["reason"] for r in records(engine, "addr-abandoned")] == ["expired"]
+
+
+def test_sweep_leaves_no_floor_once_nothing_can_expire(engine):
+    # Link-local and DAD-failed entries never expire.
+    host = make_host()
+    attach(engine, host)
+    host.begin_autoconf(engine, 0)
+    host.process_ra(engine, make_ra(lifetime=0, valid=10, preferred=10), 0)
+    entry = host.addresses[-1]
+    host.on_neighbor_advertisement(engine, NeighborAdvertisement(entry.address), 5)
+    host.tick_lifetimes(engine, 5)
+    assert host.expiry_floor == NO_EXPIRY
 
 
 # One forged RA cuts H1's address to 1 s; R1 re-advertises at 10 s.

@@ -166,13 +166,6 @@ class Host(object):
             # Phase 2 entry point: solicit router advertisements.
             ctx.broadcast(self.node_id, RouterSolicitation(address), now)
 
-    # -- phase 2 -------------------------------------------------------------
-
-    def process_ra(self, ctx: "Engine", ra: RouterAdvertisement, now: int) -> None:
-        """Handle one received RA as its only receiver, without its
-        ``ra-received`` record."""
-        receive_ra(ctx, ra, None, (self,), now, dispatched=True)
-
     # -- bookkeeping -----------------------------------------------------------
 
     def tick_lifetimes(self, ctx: "Engine", now: int) -> None:
@@ -232,8 +225,8 @@ class Host(object):
     # -- dispatch ---------------------------------------------------------------
 
     def on_message(self, ctx: "Engine", msg: NdMessage, sender_id: str, now: int) -> None:
-        if isinstance(msg, RouterAdvertisement):
-            self.process_ra(ctx, msg, now)
+        if isinstance(msg, RouterAdvertisement):  # a delivery to this host alone
+            receive_ra(ctx, msg, sender_id, (self,), now)
         elif isinstance(msg, NeighborSolicitation):
             self.on_neighbor_solicitation(ctx, msg, sender_id, now)
         elif isinstance(msg, NeighborAdvertisement):
@@ -257,21 +250,13 @@ class Host(object):
         return None
 
 
-# The on_message whose RA work receive_ra does itself.
-_ON_MESSAGE = Host.on_message
-
-
-def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: Optional[str],
-               receivers: Iterable[object], now: int, dispatched: bool = False) -> None:
-    """Deliver one RA to ``receivers`` in one pass, in their order: a host
-    gets its ``ra-received`` record and then its RA handling, a router
-    nothing, and any other node on_message. What no host changes is worked
-    out once, before the loop; the signature verdict is made at the first
-    send=on host that needs it. Only a Host, while Host.on_message is this
-    module's own, is handled here; any other host (a subclass, or one whose
-    on_message a test or profiler has wrapped) gets on_message after its
-    record, which comes back through process_ra with ``dispatched`` set:
-    the receivers are hosts that have had their record."""
+def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
+               receivers: Iterable[object], now: int) -> None:
+    """Deliver one RA to ``receivers`` in one pass, in their order: a host,
+    subclass or not, gets its ``ra-received`` record and its RA handling, a
+    router nothing, and any other node on_message. What no host changes is
+    worked out once, before the loop; the signature verdict is made at the
+    first send=on host that needs it."""
     # The records an RA makes at every host go straight into the trace,
     # stamped with the engine's time as Engine.trace stamps them.
     append = ctx.trace_records.append
@@ -297,7 +282,6 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: Optional[str],
         valid_ms = info.valid_lifetime * MS
         preferred_until = now + info.preferred_lifetime * MS
         options.append((prefix, ignored, prefix.address, valid_ms, now + valid_ms, preferred_until))
-    inline = Host.on_message is _ON_MESSAGE
     verdict = None
     for node in receivers:
         if not isinstance(node, Host):
@@ -305,11 +289,7 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: Optional[str],
                 node.on_message(ctx, ra, sender_id, now)
             continue
         node_id = node.node_id
-        if not dispatched:
-            append((stamp, node_id, "ra-received", received))
-            if not inline or type(node) is not Host:
-                node.on_message(ctx, ra, sender_id, now)
-                continue
+        append((stamp, node_id, "ra-received", received))
         if not node.ipv6_enabled:
             continue
         if node.send_only:

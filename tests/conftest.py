@@ -9,7 +9,7 @@ import pytest
 import slaacsim.scenario
 
 from slaacsim.addressing import MacAddress, derive_eui64, global_from, is_link_local
-from slaacsim.defense import PortClass, SwitchPort, verify_ra
+from slaacsim.defense import PortClass, SwitchPort, filter_ingress, verify_ra
 from slaacsim.engine import Deliver, Engine, SimInvariantError, TraceRecord
 from slaacsim.host import (
     AddressEntry,
@@ -18,7 +18,7 @@ from slaacsim.host import (
     Host,
     apply_two_hour_rule,
 )
-from slaacsim.messages import MS, Timer
+from slaacsim.messages import MS, RouterAdvertisement, Timer
 from slaacsim.router import Router
 from slaacsim.scenario import build_engine, parse_scenario
 
@@ -127,13 +127,37 @@ class HeapQueueEngine(Engine):
         self.now = t_end_ms
 
 
+class EveryReceiverEngine(Engine):
+    """The dispatch the per-kind one replaced: every receiver's on_message is
+    called, whatever the message kind."""
+
+    def _handle_deliver(self, event, now):
+        msg, port = event.msg, self.node_port[event.src]
+        reason = filter_ingress(port, msg)
+        for dst in event.dsts:
+            if reason is not None:
+                self.metrics.dropped += 1
+                self.trace(self.switch_id, "ra-dropped", port.port_id, reason, msg.src_ip, dst)
+                continue
+            self.metrics.delivered += 1
+            self.nodes[dst].on_message(self, msg, event.src, now)
+
+
 class ReferenceHost(Host):
     """The RA handling that host.receive_ra replaced: four methods, and a
-    SLAAC entry found by comparing whole prefixes. The engine hands an RA to
-    a Host subclass through on_message, which calls this process_ra. Every
-    expiry tick sweeps, as before Host kept an expiry floor: this process_ra
-    never lowers the floor, so a host that skipped sweeps by it would miss
+    SLAAC entry found by comparing whole prefixes. on_message takes an RA
+    through this process_ra, so only an engine that hands each RA to each
+    receiver's on_message (EveryReceiverEngine) runs it. Every expiry tick
+    sweeps, as before Host kept an expiry floor: this process_ra never
+    lowers the floor, so a host that skipped sweeps by it would miss
     expiries."""
+
+    def on_message(self, ctx, msg, sender_id, now):
+        if isinstance(msg, RouterAdvertisement):
+            ctx.trace(self.node_id, "ra-received", msg.src_ip, msg.router_lifetime, msg.preference)
+            self.process_ra(ctx, msg, now)
+        else:
+            super().on_message(ctx, msg, sender_id, now)
 
     def on_timer(self, ctx, timer, now):
         if timer is Timer.EXPIRY:
@@ -226,10 +250,11 @@ def counting(owner, name):
 
 
 def reference_host_output(sc) -> str:
-    """``sc``'s output with each host a ReferenceHost, once it is checked
-    that ReferenceHost.process_ra took every RA that reached a host."""
+    """``sc``'s output with each host a ReferenceHost on an
+    EveryReceiverEngine, once it is checked that ReferenceHost.process_ra
+    took every RA that reached a host."""
     with counting(ReferenceHost, "process_ra") as calls:
-        output = run_output(sc, Engine, host_class=ReferenceHost)
+        output = run_output(sc, EveryReceiverEngine, host_class=ReferenceHost)
     assert calls.call_count == output.count(" kind=ra-received ")
     return output
 

@@ -1,7 +1,7 @@
 """Count how often each line of some functions runs under one pytest
 session, with the standard library's ``sys.settrace`` only.
 
-    PYTHONPATH=src python tests/linecount.py slaacsim.host:Host.process_ra \
+    PYTHONPATH=src python tests/linecount.py slaacsim.host:receive_ra \
         [slaacsim.engine:Engine.execute | slaacsim.scenario ...] [PYTEST_ARGS...]
 
 The leading ``module:qualname`` arguments name the functions, and a bare

@@ -14,6 +14,7 @@ from unittest import mock
 import pytest
 
 from conftest import (
+    EveryReceiverEngine,
     EveryTimerEngine,
     HeapQueueEngine,
     SCENARIO_DIR,
@@ -34,12 +35,13 @@ from conftest import (
     scenario_path,
 )
 
+import slaacsim.engine as engine_module
 import slaacsim.host as host_module
 import slaacsim.scenario
 
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import Attacker, AttackMode
-from slaacsim.defense import PortClass, SwitchPort, filter_ingress, verify_ra
+from slaacsim.defense import PortClass, SwitchPort, verify_ra
 from slaacsim.engine import (
     TRACE_KEYS,
     AdvertisedPrefixes,
@@ -218,25 +220,6 @@ def test_batched_delivery_matches_per_receiver_entries(name):
     assert_same_output(name, PerReceiverEngine)
 
 
-class EveryReceiverEngine(Engine):
-    """The dispatch the per-kind one replaced: every receiver's on_message is
-    called, whatever the message kind."""
-
-    def _handle_deliver(self, event, now):
-        msg, port = event.msg, self.node_port[event.src]
-        reason = filter_ingress(port, msg)
-        for dst in event.dsts:
-            if reason is not None:
-                self.metrics.dropped += 1
-                self.trace(self.switch_id, "ra-dropped", port.port_id, reason, msg.src_ip, dst)
-                continue
-            self.metrics.delivered += 1
-            node = self.nodes[dst]
-            if isinstance(node, Host) and isinstance(msg, RouterAdvertisement):
-                self.trace(dst, "ra-received", msg.src_ip, msg.router_lifetime, msg.preference)
-            node.on_message(self, msg, event.src, now)
-
-
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
 def test_dispatch_by_kind_matches_calling_every_receiver(name):
     # Exact only if every call the engine skips was a no-op.
@@ -272,17 +255,51 @@ run 12
 """
 
 
-@pytest.mark.parametrize("latency", [0, 1, 2])
-def test_mixed_receiver_order_matches_both_oracles(latency):
+class BareHost(Host):
+    """A Host subclass that overrides nothing."""
+
+
+# Each latency with every host a plain Host, with Host.on_message wrapped by
+# a pass-through counter (as a profiler wraps it), and with every host a
+# BareHost.
+MIXED_RUNS = [
+    pytest.param(latency, way, id=f"{latency}" + ("" if way == "plain" else f"-{way}"))
+    for latency in (0, 1, 2)
+    for way in ("plain", "wrapped", "subclass")
+]
+
+
+@pytest.mark.parametrize("latency,way", MIXED_RUNS)
+def test_mixed_receiver_order_matches_both_oracles(latency, way, monkeypatch):
     sc = slaacsim.scenario.parse_scenario(MIXED_ORDER)
     sc.link_latency_ms = latency
-    with mock.patch.object(host_module, "verify_ra", wraps=verify_ra) as verify:
-        engine = build_on(sc, Engine)
+    plain = run_output(sc, Engine)
+    heard = Counter()
+    if way == "wrapped":
+        on_message = Host.on_message
+
+        def counted(node, ctx, msg, sender_id, now):
+            heard[type(msg).__name__] += 1
+            on_message(node, ctx, msg, sender_id, now)
+
+        monkeypatch.setattr(Host, "on_message", counted)
+    host_class = BareHost if way == "subclass" else Host
+    # Host.on_message finds receive_ra in the host module, the engine in its
+    # own, so a call counted here is an RA a host took through on_message:
+    # a per-host path, which no delivery takes, whatever the host's class.
+    with mock.patch.object(host_module, "verify_ra", wraps=verify_ra) as verify, \
+            counting(host_module, "receive_ra") as per_host:
+        engine = build_on(sc, Engine, host_class)
+        assert {type(n) for n in engine.nodes.values() if isinstance(n, Host)} == {host_class}
         metrics = engine.execute(sc.run_ms)
         output = engine.trace_text() + "\n".join(metrics.to_lines())
         # One verdict per delivery that reaches the send=on host.
         assert verify.call_count == len([r for r in records(engine, "ra-received") if r.node == "H2"])
     assert verify.call_count > 0
+    assert per_host.call_count == 0
+    if way == "wrapped":
+        assert heard and "RouterAdvertisement" not in heard
+    assert output == plain
     # Each kind of receiver in the mix acted, and the DAD conflict happened.
     made = {(r.node, r.kind) for r in map(TraceRecord._make, engine.trace_records)}
     assert made >= {
@@ -492,30 +509,43 @@ def test_second_run_until_to_the_same_end_serves_a_timer_booked_there():
 
 
 def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
+    # Keyed by (class, message kind, way in): a node's on_message, where an
+    # NS or NA also says whether the node claimed its target, or, for a host
+    # that an RA reaches, the engine's receive_ra.
     calls = Counter()
 
     def counting(cls):
         on_message = cls.on_message
 
         def counted(node, ctx, msg, sender_id, now):
-            claimed = isinstance(msg, (NeighborSolicitation, NeighborAdvertisement)) and (
-                node.node_id in ctx._claims.get(msg.target, ())
-            )
-            calls[cls.__name__, type(msg).__name__, claimed] += 1
+            way = "on_message"
+            if isinstance(msg, (NeighborSolicitation, NeighborAdvertisement)):
+                way = "claimed" if node.node_id in ctx._claims.get(msg.target, ()) else "unclaimed"
+            calls[cls.__name__, type(msg).__name__, way] += 1
             on_message(node, ctx, msg, sender_id, now)
 
         monkeypatch.setattr(cls, "on_message", counted)
 
+    receive_ra = engine_module.receive_ra
+
+    def counted_ra(ctx, ra, sender_id, receivers, now):
+        receivers = list(receivers)
+        for node in receivers:
+            if isinstance(node, Host):
+                calls["Host", type(ra).__name__, "receive_ra"] += 1
+        receive_ra(ctx, ra, sender_id, receivers, now)
+
     for cls in (Host, Router, Attacker):
         counting(cls)
+    monkeypatch.setattr(engine_module, "receive_ra", counted_ra)
     for name in all_scenarios():
         run_scenario(name)
     assert set(calls) == {
-        ("Host", "RouterAdvertisement", False),
-        ("Host", "NeighborSolicitation", True),
-        ("Host", "NeighborAdvertisement", True),
-        ("Attacker", "RouterAdvertisement", False),
-        ("Router", "RouterSolicitation", False),
+        ("Host", "RouterAdvertisement", "receive_ra"),
+        ("Host", "NeighborSolicitation", "claimed"),
+        ("Host", "NeighborAdvertisement", "claimed"),
+        ("Attacker", "RouterAdvertisement", "on_message"),
+        ("Router", "RouterSolicitation", "on_message"),
     }
 
 
@@ -983,7 +1013,7 @@ def test_tentative_address_never_sources_data():
     engine = three_node_link(guard_attacker=False)
     host = engine.nodes["H1"]
     ra = spoofable_ra()
-    host.process_ra(engine, ra, 0)
+    host.on_message(engine, ra, "R1", 0)
     assert host.addresses == [] or all(
         e.state is not AddressState.ASSIGNED for e in host.addresses
     )

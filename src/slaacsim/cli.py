@@ -34,8 +34,8 @@ class _Parser(argparse.ArgumentParser):
 def _seed(text: str) -> int:
     try:
         return _int(text)  # ASCII digits only, as seed= in a scenario file
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def run_command(argv: list[str]) -> int:

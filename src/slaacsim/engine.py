@@ -309,15 +309,6 @@ class Engine(object):
     def broadcast(self, src_id: str, msg: NdMessage, now: int) -> None:
         """Enqueue one entry delivering to every other node after link latency,
         subject to filtering at the sender's ingress port on arrival."""
-        self._trace_emission(src_id, msg)
-        dsts = self._receivers.get(src_id)
-        if dsts is None:
-            dsts = self._receivers[src_id] = tuple([n for n in self.nodes if n != src_id])
-        if dsts:
-            self.metrics.emitted += len(dsts)
-            self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, dsts))
-
-    def _trace_emission(self, src_id: str, msg: NdMessage) -> None:
         if isinstance(msg, RouterAdvertisement):
             prefixes = AdvertisedPrefixes(msg.prefixes)
             self.trace(src_id, "ra-sent", msg.src_ip, msg.router_lifetime, msg.preference, prefixes)
@@ -327,6 +318,12 @@ class Engine(object):
             self.trace(src_id, "ns-sent", msg.target)
         elif isinstance(msg, NeighborAdvertisement):
             self.trace(src_id, "na-sent", msg.target)
+        dsts = self._receivers.get(src_id)
+        if dsts is None:
+            dsts = self._receivers[src_id] = tuple([n for n in self.nodes if n != src_id])
+        if dsts:
+            self.metrics.emitted += len(dsts)
+            self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, dsts))
 
     def claim(self, node_id: str, address: Ipv6Address) -> None:
         """A host started DAD on ``address``: it hears NS and NA for it from now on."""

@@ -96,13 +96,15 @@ class ScenarioValidationError(ScenarioError):
 # Parsers raise ValueError; parse_scenario prefixes the line number.
 
 def _ascii_number(convert: Callable[[str], Any], text: str) -> Any:
-    """``convert(text)`` for a number written in ASCII: int() and float()
-    also read other scripts' digits and ``_`` separators, which the
-    canonical text would then print rewritten."""
-    value = convert(text)
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"bad number {text!r}")
-    return value
+    """``convert(text)`` for a number written in ASCII, else ValueError
+    ``bad number``: int() and float() also read other scripts' digits and
+    ``_`` separators, which the canonical text would then print rewritten."""
+    try:
+        if text.isascii() and "_" not in text:
+            return convert(text)
+    except ValueError:
+        pass
+    raise ValueError(f"bad number {text!r}")
 
 
 def _time_ms(text: str) -> int:

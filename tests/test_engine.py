@@ -14,9 +14,6 @@ from unittest import mock
 import pytest
 
 from conftest import (
-    EveryReceiverEngine,
-    EveryTimerEngine,
-    HeapQueueEngine,
     SCENARIO_DIR,
     attach,
     attrs,
@@ -25,12 +22,11 @@ from conftest import (
     eui64_host,
     link_text,
     load,
+    matches_reference,
     queued,
     queued_deliveries,
     queued_timers,
     records,
-    reference_host_output,
-    run_output,
     run_scenario,
     scenario_path,
 )
@@ -167,18 +163,6 @@ def test_node_added_after_a_broadcast_receives_the_next():
     assert engine.metrics.emitted == engine.metrics.in_flight == 5
 
 
-class PerReceiverEngine(Engine):
-    """The schedule batching replaced: one single-receiver entry per
-    receiver, each with its own seq."""
-
-    def broadcast(self, src_id, msg, now):
-        self._trace_emission(src_id, msg)
-        for node_id in self.nodes:
-            if node_id != src_id:
-                self.metrics.emitted += 1
-                self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, (node_id,)))
-
-
 # Each host's solicitation reaches both routers, which answer at once; at
 # latency 0 an answer handled inside the batch would land before the second
 # router has seen the solicitation.
@@ -197,19 +181,16 @@ run 4
 """
 
 
-def assert_same_output(name, reference, oracle=None):
-    """``reference`` gives Engine's trace and metrics on ``name`` at its own
-    link latency and at 0 and 2 ms. ``oracle``, a ``counting`` mock of the
-    reference's own code, must count a call in each run where an RA
-    reaches a host."""
+# The corpus and TWO_ROUTERS against the reference simulator
+# (tests/reference.py), which has each path the engine's own replaced: one
+# queue entry per receiver, every receiver called, every timer booked and
+# one (time, seq) heap. Each input runs here at 0 and at 2 ms; a corpus file
+# runs at its own latency in tests/test_host.py, TWO_ROUTERS in
+# tests/test_reference.py.
+def at_latency(name, latency):
     sc = slaacsim.scenario.parse_scenario(TWO_ROUTERS) if name == "two-routers" else load(name)
-    for latency in sorted({sc.link_latency_ms, 0, 2}):
-        sc.link_latency_ms = latency
-        expected = run_output(sc, Engine)
-        calls_before = oracle.call_count if oracle is not None else 0
-        assert run_output(sc, reference) == expected, f"latency {latency}"
-        if oracle is not None and " kind=ra-received " in expected:
-            assert oracle.call_count > calls_before, f"latency {latency}: the oracle never ran"
+    sc.link_latency_ms = latency
+    return sc
 
 
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
@@ -217,14 +198,14 @@ def test_batched_delivery_matches_per_receiver_entries(name):
     # One entry per emission is exact only if no event can run between its
     # receivers and they are served in node order; latency 0 books replies
     # at the very time of the batch.
-    assert_same_output(name, PerReceiverEngine)
+    matches_reference(at_latency(name, 0))
 
 
 @pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
-def test_dispatch_by_kind_matches_calling_every_receiver(name):
-    # Exact only if every call the engine skips was a no-op.
-    with counting(EveryReceiverEngine, "_handle_deliver") as calls:
-        assert_same_output(name, EveryReceiverEngine, calls)
+def test_calendar_queue_matches_the_heap_queue(name):
+    # Serving each due time's bucket in booking order is exact only if it
+    # is the (time, seq) order of one heap.
+    matches_reference(at_latency(name, 2))
 
 
 # A run of hosts broken by an attacker and by a second router, then a
@@ -271,9 +252,12 @@ MIXED_RUNS = [
 
 @pytest.mark.parametrize("latency,way", MIXED_RUNS)
 def test_mixed_receiver_order_matches_both_oracles(latency, way, monkeypatch):
+    # The plain run matches the reference simulator, which calls every
+    # receiver and takes an RA in four steps; a wrapped or subclassed host
+    # changes nothing.
     sc = slaacsim.scenario.parse_scenario(MIXED_ORDER)
     sc.link_latency_ms = latency
-    plain = run_output(sc, Engine)
+    plain = matches_reference(sc)
     heard = Counter()
     if way == "wrapped":
         on_message = Host.on_message
@@ -306,16 +290,6 @@ def test_mixed_receiver_order_matches_both_oracles(latency, way, monkeypatch):
         ("H2", "ra-rejected-send"), ("H2", "router-added"), ("A1", "ra-captured"),
         ("H3", "ra-received"), ("H4", "dad-failed"),
     }
-    with counting(EveryReceiverEngine, "_handle_deliver") as calls:
-        assert run_output(sc, EveryReceiverEngine) == output
-    assert calls.call_count > 0
-    assert reference_host_output(sc) == output
-
-
-@pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
-def test_horizon_matches_queueing_every_timer(name):
-    # Exact only if no timer left out could ever have been served.
-    assert_same_output(name, EveryTimerEngine)
 
 
 # Short lifetimes put H1's timers inside the run: its DAD deadlines (1000 and
@@ -334,22 +308,24 @@ DUE_MS = (1000, 1001, 3001, 4002, 5001, 6002)
 
 
 def test_horizon_matches_queueing_every_timer_at_each_end_near_a_due_time():
-    # A timer due at the very end must still fire; one due a millisecond
-    # later must not be served.
+    # The reference books every timer. A timer due at the very end must
+    # still fire; one due a millisecond later must not be served.
     sc = slaacsim.scenario.parse_scenario(SHORT_LIFETIMES)
-    full = run_output(sc, Engine)
+    full = matches_reference(sc)
     assert "t=4002 node=H1 kind=router-removed" in full
     assert "t=6002 node=H1 kind=addr-abandoned" in full
     for t_end in sorted({due + d for due in DUE_MS for d in range(-2, 3)}):
-        assert run_output(sc, Engine, t_end) == run_output(sc, EveryTimerEngine, t_end), t_end
+        matches_reference(sc, t_end)
 
 
 def test_execute_queues_no_timer_due_after_the_end():
     sc = slaacsim.scenario.parse_scenario(SHORT_LIFETIMES)
-    reference, engine = build_on(sc, EveryTimerEngine), slaacsim.scenario.build_engine(sc)
-    reference.execute(3000)
+    # Without a stated end (run_until alone), every timer is queued.
+    unbounded = slaacsim.scenario.build_engine(sc)
+    engine = slaacsim.scenario.build_engine(sc)
+    unbounded.run_until(3000)
     engine.execute(3000)
-    assert [at for at, *_ in queued_timers(reference)] == [3001, 4002, 5001, 6002, 600_000]
+    assert [at for at, *_ in queued_timers(unbounded)] == [3001, 4002, 5001, 6002, 600_000]
     assert queued_timers(engine) == []
 
 
@@ -383,19 +359,6 @@ def test_run_until_alone_queues_every_timer(engine):
     assert queued_timers(engine) == [(10**12, "N1", Timer.RA)]
 
 
-@pytest.mark.parametrize("name", all_scenarios() + ["two-routers"])
-def test_calendar_queue_matches_the_heap_queue(name):
-    # Serving each due time's bucket in booking order is exact only if it
-    # is the (time, seq) order of one heap.
-    assert_same_output(name, HeapQueueEngine)
-
-
-def test_calendar_queue_matches_the_heap_queue_at_each_end_near_a_due_time():
-    sc = slaacsim.scenario.parse_scenario(SHORT_LIFETIMES)
-    for t_end in sorted({due + d for due in DUE_MS for d in range(-2, 3)}):
-        assert run_output(sc, Engine, t_end) == run_output(sc, HeapQueueEngine, t_end), t_end
-
-
 class ServedLog:
     """A node that logs each timer and message it is served, as (time,
     node, what), into ``log``; ``on_fire(ctx, now)`` runs after its timer's
@@ -413,15 +376,15 @@ class ServedLog:
         self.log.append((now, self.node_id, type(msg).__name__))
 
 
-def zero_latency_engine(engine_class) -> Engine:
-    return engine_class(link_latency_ms=0, seed=0, two_hour_rule=False, switch_id="SW1")
+def zero_latency_engine() -> Engine:
+    return Engine(link_latency_ms=0, seed=0, two_hour_rule=False, switch_id="SW1")
 
 
-def served_in_one_millisecond(engine_class):
+def served_in_one_millisecond():
     """At latency 0, N1's timer at 5 ms broadcasts an RA, so its delivery is
     booked for 5 ms, then books N3's timer for 5 ms; N2's timer was due at
     5 ms before either."""
-    engine, log = zero_latency_engine(engine_class), []
+    engine, log = zero_latency_engine(), []
 
     def fire(ctx, now):
         ctx.broadcast("N1", spoofable_ra(), now)
@@ -438,7 +401,7 @@ def served_in_one_millisecond(engine_class):
 
 
 def test_delivery_booked_for_the_millisecond_served_runs_after_what_was_due():
-    log = served_in_one_millisecond(Engine)
+    log = served_in_one_millisecond()
     assert log == [
         (5, "N1", "timer"),
         (5, "N2", "timer"),
@@ -446,7 +409,6 @@ def test_delivery_booked_for_the_millisecond_served_runs_after_what_was_due():
         (5, "N3", "RouterAdvertisement"),
         (5, "N3", "timer"),
     ]
-    assert log == served_in_one_millisecond(HeapQueueEngine)
 
 
 # At latency 0, A1's fake-router play at 5 s advertises R1's prefix with a
@@ -487,11 +449,10 @@ def test_valid_zero_for_a_held_address_drops_it_in_the_same_millisecond():
         (6000, "path-resolved", {"outcome": "unreachable", "via": "-", "family": "-"}),
     ]
     assert all(str(e.address) != address for e in engine.nodes["H1"].addresses)
-    assert run_output(sc, Engine) == run_output(sc, HeapQueueEngine)
 
 
-def served_after_a_second_run_to_the_same_end(engine_class):
-    engine, log = zero_latency_engine(engine_class), []
+def served_after_a_second_run_to_the_same_end():
+    engine, log = zero_latency_engine(), []
     attach(engine, ServedLog("N1", log))
     engine.run_until(5)
     engine.set_timer("N1", Timer.RA, 5)
@@ -502,10 +463,9 @@ def served_after_a_second_run_to_the_same_end(engine_class):
 
 
 def test_second_run_until_to_the_same_end_serves_a_timer_booked_there():
-    engine, log = served_after_a_second_run_to_the_same_end(Engine)
+    engine, log = served_after_a_second_run_to_the_same_end()
     assert log == [(5, "N1", "timer")]
     assert queued(engine) == []
-    assert log == served_after_a_second_run_to_the_same_end(HeapQueueEngine)[1]
 
 
 def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
@@ -1072,22 +1032,11 @@ def test_ra_guard_completeness_when_all_host_ports_guarded():
 
 
 def test_acl_soundness_every_delivered_ra_is_allow_listed():
-    from slaacsim.messages import RouterAdvertisement
-    from slaacsim.scenario import build_engine, parse_scenario
-
     sc = parse_scenario(SCENARIO_DIR.joinpath("attack_mitm_acl.txt").read_text())
-    engine = build_engine(sc)
-    delivered_src_macs = []
-    original = engine._handle_deliver
-
-    def recording(event, now):
-        before = engine.metrics.delivered
-        original(event, now)
-        if engine.metrics.delivered > before and isinstance(event.msg, RouterAdvertisement):
-            delivered_src_macs.append(event.msg.src_mac)
-
-    engine._handle_deliver = recording
-    engine.execute(sc.run_ms)
+    # The engine hands receive_ra each RA delivery that passed its port.
+    with mock.patch.object(engine_module, "receive_ra", wraps=engine_module.receive_ra) as delivered:
+        build_engine(sc).execute(sc.run_ms)
+    delivered_src_macs = [call.args[1].src_mac for call in delivered.call_args_list]
     allowed = {MacAddress.parse("00:00:5e:00:53:01")}
     assert delivered_src_macs and set(delivered_src_macs) <= allowed
 

@@ -1,22 +1,15 @@
-"""Lifetime expiry: generated short-lifetime links run alike on today's host,
-on the reference host that sweeps on every expiry tick and on the one-heap
-queue; each host's expiry floor stays at or below its earliest live expiry
-after every served queue entry; and on a long link nearly every expiry tick
-skips its sweep."""
+"""Lifetime expiry: generated short-lifetime links run alike on today's
+host and on the reference simulator, which sweeps on every expiry tick and
+keeps one heap; each host's expiry floor stays at or below its earliest live
+expiry after every RA delivery and every timer it is served; and on a long
+link nearly every expiry tick skips its sweep."""
 
 import random
+from unittest import mock
 
-from conftest import (
-    SCENARIO_DIR,
-    HeapQueueEngine,
-    build_on,
-    counting,
-    link_text,
-    reference_host_output,
-    run_output,
-)
+from conftest import SCENARIO_DIR, counting, link_text, matches_reference
 
-from slaacsim.engine import Engine
+import slaacsim.engine as engine_module
 from slaacsim.host import NO_EXPIRY, AddressState, Host
 from slaacsim.messages import Timer
 from slaacsim.scenario import build_engine, parse_scenario
@@ -79,15 +72,12 @@ def expiry_text(seed: int) -> str:
 def test_generated_expiries_match_the_sweep_on_every_tick_and_the_heap_queue():
     expired = {"router-removed": 0, "addr-abandoned": 0}
     for seed in EXPIRY_SEEDS:
-        sc = parse_scenario(expiry_text(seed))
-        output = run_output(sc, Engine)
-        assert reference_host_output(sc) == output, seed
-        assert run_output(sc, HeapQueueEngine) == output, seed
+        output = matches_reference(parse_scenario(expiry_text(seed)))
         for line in output.splitlines():
             kind = line.split(" kind=", 1)[-1].split(" ", 1)[0]
             if kind in expired and line.endswith(" reason=expired"):
                 expired[kind] += 1
-    # The set reaches both kinds of expiry, so the oracle's sweep is tested.
+    # The set reaches both kinds of expiry, so the reference's sweep is tested.
     assert all(expired.values()), expired
 
 
@@ -103,46 +93,39 @@ def earliest_expiry(host: Host):
     return min(ends, default=NO_EXPIRY)
 
 
-class FloorCheckingEngine(Engine):
-    """Engine that checks, after each queue entry it serves, that every
-    host's expiry floor is at or below the host's earliest live expiry."""
-
-    checked = 0
-
-    def add_node(self, node, port):
-        super().add_node(node, port)
-        on_timer = node.on_timer
-
-        def checked_on_timer(ctx, timer, now):
-            on_timer(ctx, timer, now)
-            self.check_floors()
-
-        node.on_timer = checked_on_timer
-
-    def _handle_deliver(self, action, now):
-        super()._handle_deliver(action, now)
-        self.check_floors()
-
-    def _handle_script(self, step, now):
-        super()._handle_script(step, now)
-        self.check_floors()
-
-    def check_floors(self):
-        self.checked += 1
-        for node in self.nodes.values():
-            if isinstance(node, Host):
-                assert node.expiry_floor <= earliest_expiry(node), (self.now, node.node_id)
-
-
 def test_floor_never_passes_a_live_expiry():
+    # A floor changes only where receive_ra lowers it and where an expiry
+    # tick (Host.on_timer) sweeps, so every host's floor is checked after
+    # each call of either.
+    checks = []
+
+    def check_floors(ctx):
+        checks.append(ctx.now)
+        for node in ctx.nodes.values():
+            if isinstance(node, Host):
+                assert node.expiry_floor <= earliest_expiry(node), (ctx.now, node.node_id)
+
+    receive_ra, on_timer = engine_module.receive_ra, Host.on_timer
+
+    def checked_receive_ra(ctx, *args):
+        receive_ra(ctx, *args)
+        check_floors(ctx)
+
+    def checked_on_timer(host, ctx, *args):
+        on_timer(host, ctx, *args)
+        check_floors(ctx)
+
     texts = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.txt"))]
     texts += [expiry_text(seed) for seed in EXPIRY_SEEDS]
     texts.append(link_text(10, guard=True, run_s=7200))
-    for text in texts:
-        sc = parse_scenario(text)
-        engine = build_on(sc, FloorCheckingEngine)
-        engine.execute(sc.run_ms)
-        assert engine.checked > 0
+    with mock.patch.object(engine_module, "receive_ra", checked_receive_ra), \
+            mock.patch.object(Host, "on_timer", checked_on_timer):
+        for text in texts:
+            sc = parse_scenario(text)
+            engine = build_engine(sc)
+            checked = len(checks)
+            engine.execute(sc.run_ms)
+            assert len(checks) > checked
 
 
 def test_sweeps_run_for_at_most_one_percent_of_expiry_ticks():

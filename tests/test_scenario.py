@@ -280,8 +280,8 @@ def test_parse_errors_carry_line_numbers():
     "options,message",
     [
         # Reported in option-table order, whatever order the line gives them in.
-        ("interval=0 lifetime=x", "line 2: lifetime: invalid literal for int() with base 10: 'x'"),
-        ("lifetime=x interval=0", "line 2: lifetime: invalid literal for int() with base 10: 'x'"),
+        ("interval=0 lifetime=x", "line 2: lifetime: bad number 'x'"),
+        ("lifetime=x interval=0", "line 2: lifetime: bad number 'x'"),
         ("jitter=-1 mac=00:00:5e:00:53:zz", "line 2: mac: bad hex pair at offset 15: '00:00:5e:00:53:zz'"),
         ("routes=maybe valid=1 preferred=2", "line 2: routes: bad value 'maybe' (want on/off or yes/no)"),
         ("valid=1 preferred=2", "line 2: preferred lifetime exceeds valid lifetime"),

@@ -1,15 +1,15 @@
 """Generated scenarios: the canonical writer round-trips any valid scenario,
-every valid one runs alike with and without the queue's horizon and on the
-one-heap queue the calendar queue replaced, and no malformed scenario ends
-in an exception other than a scenario or invariant error."""
+every valid one runs alike on the product and on the reference simulator
+(which queues every timer on one heap), and no malformed scenario ends in an
+exception other than a scenario or invariant error."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EveryTimerEngine, HeapQueueEngine, run_output
+from conftest import matches_reference
 from mutants import OUTCOMES, corpus_mutants, parse_outcome
 
-from slaacsim.engine import Engine, SimInvariantError
+from slaacsim.engine import SimInvariantError
 from slaacsim.scenario import ScenarioError, build_engine, parse_scenario, print_scenario
 
 ON_OFF = st.sampled_from(["on", "off", "yes", "no"])
@@ -146,28 +146,11 @@ def test_canonical_text_round_trips(text):
 GENERATED_RUN_MS = 20_000
 
 
-def _output(sc, engine_class) -> str:
-    """The run's text, or the scenario error that ends it: an attack step
-    that replays an RA its attacker has not captured yet. A SimInvariantError
-    is never caught, so it fails the test."""
-    try:
-        return run_output(sc, engine_class, min(sc.run_ms, GENERATED_RUN_MS))
-    except ScenarioError as exc:
-        return f"ScenarioError: {exc}"
-
-
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(scenario_texts())
 def test_generated_scenarios_run_alike_with_every_timer_queued(text):
     sc = parse_scenario(text)
-    assert _output(sc, Engine) == _output(sc, EveryTimerEngine)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(scenario_texts())
-def test_generated_scenarios_run_alike_on_the_heap_queue(text):
-    sc = parse_scenario(text)
-    assert _output(sc, Engine) == _output(sc, HeapQueueEngine)
+    matches_reference(sc, min(sc.run_ms, GENERATED_RUN_MS))
 
 
 # Mutants run at most this long: a mutated `run 65536` is valid, and the

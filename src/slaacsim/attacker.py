@@ -9,7 +9,7 @@ import enum
 from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from .messages import NdMessage, RouterAdvertisement, Timer
+from .messages import RouterAdvertisement, Timer
 from .router import Router
 
 if TYPE_CHECKING:
@@ -92,9 +92,9 @@ class Attacker(object):
             return False
         return self.persona is not None and self.persona.routes()
 
-    def on_message(self, ctx: "Engine", msg: NdMessage, sender_id: str, now: int) -> None:
-        if isinstance(msg, RouterAdvertisement):
-            self.capture_ra(ctx, msg, sender_id, now)
+    def on_message(self, ctx: "Engine", msg: RouterAdvertisement, sender_id: str, now: int) -> None:
+        """An RA, the only message the engine hands an attacker."""
+        self.capture_ra(ctx, msg, sender_id, now)
 
     def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
         # A tick booked by an earlier arming finds next_forge_at moved on.

@@ -326,7 +326,7 @@ class Engine(object):
             self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, dsts))
 
     def claim(self, node_id: str, address: Ipv6Address) -> None:
-        """A host started DAD on ``address``: it hears NS and NA for it from now on."""
+        """A host started DAD on ``address``: it hears NS for it from now on."""
         self._claims.setdefault(address, set()).add(node_id)
 
     def _handle_deliver(self, event: Deliver, now: int) -> None:
@@ -352,7 +352,7 @@ class Engine(object):
                 node = nodes[dst]
                 if isinstance(node, Router):
                     node.on_message(self, msg, src, now)
-        else:  # NS or NA: only hosts that claimed the target act on it
+        elif isinstance(msg, NeighborSolicitation):  # only claimants act on it
             claimants = self._claims.get(msg.target)
             # The sender is never among its receivers, so when it is the
             # only claimant nobody acts.
@@ -360,6 +360,8 @@ class Engine(object):
                 for dst in dsts:
                     if dst in claimants:
                         nodes[dst].on_message(self, msg, src, now)
+        # An NA calls no one: every host probes from t=0 on the same RAs, so
+        # a DAD loser has already given up on the winner's NS.
 
     # -- run loop -------------------------------------------------------------
 

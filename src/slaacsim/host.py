@@ -24,7 +24,6 @@ from .defense import verify_ra
 from .messages import (
     MS,
     AddressFamily,
-    NdMessage,
     NeighborAdvertisement,
     NeighborSolicitation,
     RouterAdvertisement,
@@ -130,9 +129,9 @@ class Host(object):
         ctx.broadcast(self.node_id, NeighborSolicitation(entry.address), now)
         ctx.set_timer(self.node_id, entry.address, deadline)
 
-    def on_neighbor_solicitation(
-        self, ctx: "Engine", msg: NeighborSolicitation, sender_id: str, now: int
-    ) -> None:
+    def on_message(self, ctx: "Engine", msg: NeighborSolicitation, sender_id: str, now: int) -> None:
+        """A DAD probe for an address this host claimed, the only message the
+        engine hands a host this way (an RA goes through ``receive_ra``)."""
         entry = self._entry_for(msg.target)
         if entry is None:
             return
@@ -142,16 +141,8 @@ class Host(object):
         if entry.state is AddressState.ASSIGNED or self.node_id < sender_id:
             ctx.broadcast(self.node_id, NeighborAdvertisement(entry.address), now)
         else:
-            self._abandon_tentative(ctx, entry)
-
-    def on_neighbor_advertisement(self, ctx: "Engine", msg: NeighborAdvertisement, now: int) -> None:
-        entry = self._entry_for(msg.target)
-        if entry is not None and entry.state is AddressState.TENTATIVE:
-            self._abandon_tentative(ctx, entry)
-
-    def _abandon_tentative(self, ctx: "Engine", entry: AddressEntry) -> None:
-        entry.state = AddressState.ABANDONED
-        ctx.trace(self.node_id, "dad-failed", entry.address)
+            entry.state = AddressState.ABANDONED
+            ctx.trace(self.node_id, "dad-failed", entry.address)
 
     def dad_deadline(self, ctx: "Engine", address: Ipv6Address, now: int) -> None:
         """No conflict arrived before the deadline: assign the address's entry
@@ -223,15 +214,6 @@ class Host(object):
         return None
 
     # -- dispatch ---------------------------------------------------------------
-
-    def on_message(self, ctx: "Engine", msg: NdMessage, sender_id: str, now: int) -> None:
-        if isinstance(msg, RouterAdvertisement):  # a delivery to this host alone
-            receive_ra(ctx, msg, sender_id, (self,), now)
-        elif isinstance(msg, NeighborSolicitation):
-            self.on_neighbor_solicitation(ctx, msg, sender_id, now)
-        elif isinstance(msg, NeighborAdvertisement):
-            self.on_neighbor_advertisement(ctx, msg, now)
-        # Router solicitations are not for hosts.
 
     def on_timer(self, ctx: "Engine", timer: TimerKey, now: int) -> None:
         if timer is Timer.EXPIRY:

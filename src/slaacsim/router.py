@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .defense import sign_ra
-from .messages import NdMessage, RouterAdvertisement, RouterSolicitation, Timer
+from .messages import NdMessage, RouterAdvertisement, Timer
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -54,9 +54,8 @@ class Router(object):
         return self.can_route
 
     def on_message(self, ctx: "Engine", msg: NdMessage, sender_id: str, now: int) -> None:
-        if isinstance(msg, RouterSolicitation):
-            self.emit_ra(ctx, now)  # at once: solicitations are never rate limited
-        # Routers ignore RAs, NS/NA (their own addresses are static).
+        """An RS, the only message the engine hands a router."""
+        self.emit_ra(ctx, now)  # at once: solicitations are never rate limited
 
     def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
         if timer is Timer.RA:

@@ -10,7 +10,6 @@ from slaacsim.addressing import Ipv6Address, MacAddress, Prefix
 from slaacsim.attacker import FORGING_MODES, AttackMode, Attacker, NoCapturedRa, PersonaMissing
 from slaacsim.defense import key_secret, sign_ra
 from slaacsim.messages import (
-    NeighborSolicitation,
     PrefixInfo,
     RouterAdvertisement,
     RouterPreference,
@@ -59,14 +58,6 @@ def test_capture_keeps_latest_ra_per_sender(engine):
     assert attacker.spoof_kill_ra("R2") == replace(r2_ra, router_lifetime=0)
     assert attacker.spoof_kill_ra() == replace(legit_ra(900), router_lifetime=0)
     assert attacker.spoof_kill_ra("R1") == replace(legit_ra(900), router_lifetime=0)
-
-
-def test_non_ra_messages_are_not_captured(engine):
-    attacker = make_attacker()
-    attach(engine, attacker)
-    ns = NeighborSolicitation(Ipv6Address.parse("fe80::5"))
-    attacker.on_message(engine, ns, "R1", 0)
-    assert attacker.captured_ras == {}
 
 
 def test_spoof_zeroes_lifetime_and_keeps_source(engine):

@@ -18,7 +18,6 @@ from conftest import (
     attach,
     attrs,
     build_on,
-    counting,
     eui64_host,
     link_text,
     load,
@@ -50,9 +49,8 @@ from slaacsim.engine import (
     ToggleDirective,
     TraceRecord,
 )
-from slaacsim.host import AddressState, Host
+from slaacsim.host import AddressState, Host, receive_ra
 from slaacsim.messages import (
-    NeighborAdvertisement,
     NeighborSolicitation,
     PrefixInfo,
     RouterAdvertisement,
@@ -240,9 +238,9 @@ class BareHost(Host):
     """A Host subclass that overrides nothing."""
 
 
-# Each latency with every host a plain Host, with Host.on_message wrapped by
-# a pass-through counter (as a profiler wraps it), and with every host a
-# BareHost.
+# Each latency with every host a plain Host, with Host.on_message (the DAD
+# probe handler) wrapped by a pass-through counter (as a profiler wraps it),
+# and with every host a BareHost.
 MIXED_RUNS = [
     pytest.param(latency, way, id=f"{latency}" + ("" if way == "plain" else f"-{way}"))
     for latency in (0, 1, 2)
@@ -254,7 +252,7 @@ MIXED_RUNS = [
 def test_mixed_receiver_order_matches_both_oracles(latency, way, monkeypatch):
     # The plain run matches the reference simulator, which calls every
     # receiver and takes an RA in four steps; a wrapped or subclassed host
-    # changes nothing.
+    # changes nothing, and the wrapper hears only NS.
     sc = slaacsim.scenario.parse_scenario(MIXED_ORDER)
     sc.link_latency_ms = latency
     plain = matches_reference(sc)
@@ -268,11 +266,7 @@ def test_mixed_receiver_order_matches_both_oracles(latency, way, monkeypatch):
 
         monkeypatch.setattr(Host, "on_message", counted)
     host_class = BareHost if way == "subclass" else Host
-    # Host.on_message finds receive_ra in the host module, the engine in its
-    # own, so a call counted here is an RA a host took through on_message:
-    # a per-host path, which no delivery takes, whatever the host's class.
-    with mock.patch.object(host_module, "verify_ra", wraps=verify_ra) as verify, \
-            counting(host_module, "receive_ra") as per_host:
+    with mock.patch.object(host_module, "verify_ra", wraps=verify_ra) as verify:
         engine = build_on(sc, Engine, host_class)
         assert {type(n) for n in engine.nodes.values() if isinstance(n, Host)} == {host_class}
         metrics = engine.execute(sc.run_ms)
@@ -280,9 +274,8 @@ def test_mixed_receiver_order_matches_both_oracles(latency, way, monkeypatch):
         # One verdict per delivery that reaches the send=on host.
         assert verify.call_count == len([r for r in records(engine, "ra-received") if r.node == "H2"])
     assert verify.call_count > 0
-    assert per_host.call_count == 0
     if way == "wrapped":
-        assert heard and "RouterAdvertisement" not in heard
+        assert set(heard) == {"NeighborSolicitation"}
     assert output == plain
     # Each kind of receiver in the mix acted, and the DAD conflict happened.
     made = {(r.node, r.kind) for r in map(TraceRecord._make, engine.trace_records)}
@@ -470,8 +463,9 @@ def test_second_run_until_to_the_same_end_serves_a_timer_booked_there():
 
 def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
     # Keyed by (class, message kind, way in): a node's on_message, where an
-    # NS or NA also says whether the node claimed its target, or, for a host
-    # that an RA reaches, the engine's receive_ra.
+    # NS also says whether the node claimed its target, or, for a host that
+    # an RA reaches, the engine's receive_ra. An NA reaches the wire and
+    # calls no one.
     calls = Counter()
 
     def counting(cls):
@@ -479,7 +473,7 @@ def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
 
         def counted(node, ctx, msg, sender_id, now):
             way = "on_message"
-            if isinstance(msg, (NeighborSolicitation, NeighborAdvertisement)):
+            if isinstance(msg, NeighborSolicitation):
                 way = "claimed" if node.node_id in ctx._claims.get(msg.target, ()) else "unclaimed"
             calls[cls.__name__, type(msg).__name__, way] += 1
             on_message(node, ctx, msg, sender_id, now)
@@ -498,12 +492,14 @@ def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
     for cls in (Host, Router, Attacker):
         counting(cls)
     monkeypatch.setattr(engine_module, "receive_ra", counted_ra)
+    na_sent = 0
     for name in all_scenarios():
-        run_scenario(name)
+        _, engine, _ = run_scenario(name)
+        na_sent += len(records(engine, "na-sent"))
+    assert na_sent > 0
     assert set(calls) == {
         ("Host", "RouterAdvertisement", "receive_ra"),
         ("Host", "NeighborSolicitation", "claimed"),
-        ("Host", "NeighborAdvertisement", "claimed"),
         ("Attacker", "RouterAdvertisement", "on_message"),
         ("Router", "RouterSolicitation", "on_message"),
     }
@@ -973,7 +969,7 @@ def test_tentative_address_never_sources_data():
     engine = three_node_link(guard_attacker=False)
     host = engine.nodes["H1"]
     ra = spoofable_ra()
-    host.on_message(engine, ra, "R1", 0)
+    receive_ra(engine, ra, "R1", (host,), 0)
     assert host.addresses == [] or all(
         e.state is not AddressState.ASSIGNED for e in host.addresses
     )

@@ -31,11 +31,11 @@ from slaacsim.host import (
     DefaultRouterEntry,
     Host,
     apply_two_hour_rule,
+    receive_ra,
 )
 from slaacsim.messages import (
     MS,
     AddressFamily,
-    NeighborAdvertisement,
     NeighborSolicitation,
     PrefixInfo,
     RouterAdvertisement,
@@ -104,7 +104,7 @@ def test_begin_autoconf_with_zero_iid(engine):
     assert attrs(records(engine, "ns-sent")[0])["target"] == "fe80::"
 
 
-# -- neighbor solicitation / advertisement -------------------------------------
+# -- neighbor solicitation -----------------------------------------------------
 
 def assigned_entry(text: str) -> AddressEntry:
     return AddressEntry(Ipv6Address.parse(text), AddressState.ASSIGNED)
@@ -117,7 +117,7 @@ def test_ns_for_assigned_address_is_defended(engine, sender):
     attach(engine, host)
     host.addresses.append(assigned_entry("fe80::1"))
     ns = NeighborSolicitation(Ipv6Address.parse("fe80::1"))
-    host.on_neighbor_solicitation(engine, ns, sender, 0)
+    host.on_message(engine, ns, sender, 0)
     assert host.addresses[0].state is AddressState.ASSIGNED
     out = records(engine, "na-sent")
     assert len(out) == 1 and attrs(out[0])["target"] == "fe80::1"
@@ -128,7 +128,7 @@ def test_ns_for_unknown_target_is_ignored(engine):
     attach(engine, host)
     host.addresses.append(assigned_entry("fe80::1"))
     ns = NeighborSolicitation(Ipv6Address.parse("fe80::2"))
-    host.on_neighbor_solicitation(engine, ns, "H9", 0)
+    host.on_message(engine, ns, "H9", 0)
     assert engine.trace_records == []
 
 
@@ -138,10 +138,10 @@ def test_simultaneous_dad_smaller_id_wins(engine):
     host.begin_autoconf(engine, 0)
     target = host.addresses[0].address
     ns = NeighborSolicitation(target)
-    host.on_neighbor_solicitation(engine, ns, "H2", 0)  # H1 < H2: defend
+    host.on_message(engine, ns, "H2", 0)  # H1 < H2: defend
     assert host.addresses[0].state is AddressState.TENTATIVE
     assert records(engine, "na-sent")
-    host.on_neighbor_solicitation(engine, ns, "H0", 0)  # H1 > H0: abandon
+    host.on_message(engine, ns, "H0", 0)  # H1 > H0: abandon
     assert host.addresses[0].state is AddressState.ABANDONED
     assert len(records(engine, "dad-failed")) == 1
     # The deadline stays queued, and firing it leaves the abandoned entry be.
@@ -149,39 +149,6 @@ def test_simultaneous_dad_smaller_id_wins(engine):
     engine.run_until(1000)
     assert host.addresses[0].state is AddressState.ABANDONED
     assert not records(engine, "addr-assigned")
-
-
-def test_na_abandons_pending_tentative(engine):
-    host = make_host()
-    attach(engine, host)
-    host.begin_autoconf(engine, 0)
-    target = host.addresses[0].address
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(target), 5)
-    assert host.addresses[0].state is AddressState.ABANDONED
-    assert records(engine, "dad-failed")
-    # the cancelled deadline never assigns
-    host.dad_deadline(engine, target, 1000)
-    assert host.addresses[0].state is AddressState.ABANDONED
-
-
-def test_na_for_foreign_target_is_noop(engine):
-    host = make_host()
-    attach(engine, host)
-    host.begin_autoconf(engine, 0)
-    foreign = Ipv6Address.parse("fe80::dead")
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(foreign), 5)
-    assert host.addresses[0].state is AddressState.TENTATIVE
-
-
-def test_na_after_assignment_is_noop(engine):
-    host = make_host()
-    attach(engine, host)
-    host.begin_autoconf(engine, 0)
-    target = host.addresses[0].address
-    host.dad_deadline(engine, target, 1000)
-    assert host.addresses[0].state is AddressState.ASSIGNED
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(target), 1500)
-    assert host.addresses[0].state is AddressState.ASSIGNED
 
 
 # -- DAD completion ------------------------------------------------------------
@@ -200,7 +167,7 @@ def test_link_local_assignment_solicits_routers(engine):
 def test_global_assignment_sends_no_rs(engine):
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(), "R1", 0)
+    receive_ra(engine, make_ra(), "R1", (host,), 0)
     entry = host.addresses[0]
     assert entry.prefix == PREFIX and entry.state is AddressState.TENTATIVE
     host.dad_deadline(engine, entry.address, 1000)
@@ -213,7 +180,7 @@ def test_global_assignment_sends_no_rs(engine):
 def test_ra_installs_router_and_address(engine):
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(), "R1", 0)
+    receive_ra(engine, make_ra(), "R1", (host,), 0)
     assert len(host.router_list) == 1
     assert host.router_list[0].expires_at == 1800 * 1000
     entry = host.addresses[0]
@@ -225,13 +192,13 @@ def test_ra_installs_router_and_address(engine):
 def test_lifetime_zero_removes_default_router(engine):
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(), "R1", 0)
-    host.on_message(engine, make_ra(lifetime=0), "R1", 10)
+    receive_ra(engine, make_ra(), "R1", (host,), 0)
+    receive_ra(engine, make_ra(lifetime=0), "R1", (host,), 10)
     assert host.router_list == []
     assert attrs(records(engine, "router-removed")[0])["reason"] == "lifetime-zero"
     assert host.select_default_router(20) is None
     # only a fresh positive-lifetime RA from the same router re-adds it
-    host.on_message(engine, make_ra(lifetime=600), "R1", 30)
+    receive_ra(engine, make_ra(lifetime=600), "R1", (host,), 30)
     assert host.select_default_router(40).router_ip == R1_IP
 
 
@@ -239,7 +206,7 @@ def test_non_64_autonomous_prefix_is_ignored(engine):
     host = make_host()
     attach(engine, host)
     ra = make_ra(prefixes=(PrefixInfo(Prefix.parse("2001:db8::/48"), 3600, 3600),))
-    host.on_message(engine, ra, "R1", 0)
+    receive_ra(engine, ra, "R1", (host,), 0)
     assert host.addresses == []
     assert len(host.router_list) == 1  # a prefix that forms no address still installs the router
     assert attrs(records(engine, "prefix-ignored")[0])["reason"] == "length"
@@ -257,7 +224,7 @@ def test_link_local_prefix_forms_no_address(engine, text, forms):
     attach(engine, host)
     host.begin_autoconf(engine, 0)
     ra = make_ra(prefixes=(PrefixInfo(Prefix.parse(text), 3600, 3600),))
-    host.on_message(engine, ra, "R1", 1)
+    receive_ra(engine, ra, "R1", (host,), 1)
     ignored = [] if forms else [{"prefix": text, "reason": "link-local"}]
     assert [attrs(r) for r in records(engine, "prefix-ignored")] == ignored
     engine.run_until(2000)
@@ -268,13 +235,11 @@ def test_link_local_prefix_forms_no_address(engine, text, forms):
 def test_abandoned_prefix_is_never_recreated(engine):
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(), "R1", 0)
+    receive_ra(engine, make_ra(), "R1", (host,), 0)
     entry = host.addresses[0]
-    host.on_neighbor_advertisement(
-        engine, NeighborAdvertisement(entry.address), 5
-    )
+    host.on_message(engine, NeighborSolicitation(entry.address), "H0", 5)
     assert entry.state is AddressState.ABANDONED
-    host.on_message(engine, make_ra(), "R1", 10)
+    receive_ra(engine, make_ra(), "R1", (host,), 10)
     assert len(host.addresses) == 1
 
 
@@ -284,16 +249,16 @@ def test_valid_lifetime_zero_forms_no_address(engine):
     # updates an address the prefix already formed.
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(valid=0, preferred=0), "R1", 0)
+    receive_ra(engine, make_ra(valid=0, preferred=0), "R1", (host,), 0)
     assert host.addresses == []
     assert [attrs(r) for r in records(engine, "prefix-ignored")] == [
         {"prefix": "2001:db8:1::/64", "reason": "valid-zero"}
     ]
     assert not records(engine, "dad-start")
-    host.on_message(engine, make_ra(), "R1", 10)
+    receive_ra(engine, make_ra(), "R1", (host,), 10)
     [entry] = host.addresses
     assert entry.state is AddressState.TENTATIVE
-    host.on_message(engine, make_ra(valid=0, preferred=0), "R1", 20)
+    receive_ra(engine, make_ra(valid=0, preferred=0), "R1", (host,), 20)
     assert entry.valid_until == 20
     assert attrs(records(engine, "addr-lifetime")[0])["valid_ms"] == "0"
     assert len(records(engine, "prefix-ignored")) == 1
@@ -305,8 +270,8 @@ def test_ra_records_are_stamped_with_the_engine_time(engine):
     host = make_host()
     attach(engine, host)
     engine.now = 7
-    host.on_message(engine, make_ra(), "R1", 500)
-    host.on_message(engine, make_ra(), "R1", 600)
+    receive_ra(engine, make_ra(), "R1", (host,), 500)
+    receive_ra(engine, make_ra(), "R1", (host,), 600)
     kinds = [r.kind for r in map(TraceRecord._make, engine.trace_records)]
     assert {"router-added", "router-refreshed", "addr-lifetime"} <= set(kinds)
     assert {r[0] for r in engine.trace_records} == {7}
@@ -315,7 +280,7 @@ def test_ra_records_are_stamped_with_the_engine_time(engine):
 def test_send_only_host_drops_unauthenticated_ra(engine):
     host = make_host(send_only=True)
     attach(engine, host)
-    host.on_message(engine, make_ra(), "R1", 0)
+    receive_ra(engine, make_ra(), "R1", (host,), 0)
     assert host.router_list == [] and host.addresses == []
     assert records(engine, "ra-rejected-send")
 
@@ -326,14 +291,14 @@ def test_send_only_host_accepts_signed_ra(engine):
     engine.trusted_keys["k1"] = key_secret("k1")
     host = make_host(send_only=True)
     attach(engine, host)
-    host.on_message(engine, sign_ra(make_ra(), "k1"), "R1", 0)
+    receive_ra(engine, sign_ra(make_ra(), "k1"), "R1", (host,), 0)
     assert len(host.router_list) == 1
 
 
 def test_disabled_host_ignores_ra(engine):
     host = make_host(ipv6_enabled=False)
     attach(engine, host)
-    host.on_message(engine, make_ra(), "R1", 0)
+    receive_ra(engine, make_ra(), "R1", (host,), 0)
     assert host.router_list == [] and host.addresses == []
 
 
@@ -378,8 +343,8 @@ def test_two_hour_rule_floor(remaining, received):
 def test_refresh_without_policy_takes_received_lifetime(engine):
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(valid=10000, preferred=10000), "R1", 0)
-    host.on_message(engine, make_ra(valid=100, preferred=50), "R1", 1000)
+    receive_ra(engine, make_ra(valid=10000, preferred=10000), "R1", (host,), 0)
+    receive_ra(engine, make_ra(valid=100, preferred=50), "R1", (host,), 1000)
     assert host.addresses[0].valid_until == 1000 + 100 * 1000
 
 
@@ -387,8 +352,8 @@ def test_refresh_with_policy_applies_floor():
     engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=True, switch_id="SW1")
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(valid=10000, preferred=10000), "R1", 0)
-    host.on_message(engine, make_ra(valid=100, preferred=50), "R1", 1000)
+    receive_ra(engine, make_ra(valid=10000, preferred=10000), "R1", (host,), 0)
+    receive_ra(engine, make_ra(valid=100, preferred=50), "R1", (host,), 1000)
     entry = host.addresses[0]
     assert entry.valid_until == 1000 + 7200 * 1000
     assert entry.preferred_until <= entry.valid_until
@@ -639,7 +604,7 @@ def test_tick_abandons_expired_address(engine):
     # RFC 4862 §5.5.4: an expired address is invalid and leaves the interface.
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(valid=10, preferred=10), "R1", 0)
+    receive_ra(engine, make_ra(valid=10, preferred=10), "R1", (host,), 0)
     host.tick_lifetimes(engine, 10_000)
     assert host.addresses == []
     assert [attrs(r) for r in records(engine, "addr-abandoned")] == [
@@ -653,7 +618,7 @@ def test_tick_drops_only_the_expired_entries_in_list_order(engine):
     host.begin_autoconf(engine, 0)
     prefixes = [Prefix.parse(f"2001:db8:{i}::/64") for i in (1, 2, 3)]
     ra = make_ra(prefixes=[PrefixInfo(p, v, v) for p, v in zip(prefixes, (10, 100, 10))])
-    host.on_message(engine, ra, "R1", 0)
+    receive_ra(engine, ra, "R1", (host,), 0)
     host.router_list = [
         router_entry("fe80::1", RouterPreference.HIGH, expires=5_000),
         router_entry("fe80::2", RouterPreference.HIGH, expires=50_000),
@@ -672,13 +637,13 @@ def test_floor_follows_each_expiry_an_ra_sets(engine):
     host = make_host()
     attach(engine, host)
     assert host.expiry_floor == NO_EXPIRY
-    host.on_message(engine, make_ra(lifetime=1800, valid=30, preferred=30), "R1", 0)
+    receive_ra(engine, make_ra(lifetime=1800, valid=30, preferred=30), "R1", (host,), 0)
     assert host.expiry_floor == 30_000  # the address's end, before the router's
     # A refresh that lowers a lifetime lowers the floor; one that raises it
     # leaves the floor where it was, a bound the next sweep makes exact.
-    host.on_message(engine, make_ra(lifetime=20, valid=30, preferred=30), "R1", 5_000)
+    receive_ra(engine, make_ra(lifetime=20, valid=30, preferred=30), "R1", (host,), 5_000)
     assert host.expiry_floor == 25_000
-    host.on_message(engine, make_ra(lifetime=1800, valid=3600, preferred=3600), "R1", 10_000)
+    receive_ra(engine, make_ra(lifetime=1800, valid=3600, preferred=3600), "R1", (host,), 10_000)
     assert host.expiry_floor == 25_000
     host.tick_lifetimes(engine, 25_000)
     assert host.expiry_floor == 1_810_000 and not records(engine, "router-removed")
@@ -687,7 +652,7 @@ def test_floor_follows_each_expiry_an_ra_sets(engine):
 def test_expiry_tick_before_the_floor_skips_the_sweep(engine):
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(lifetime=1800, valid=10, preferred=10), "R1", 0)
+    receive_ra(engine, make_ra(lifetime=1800, valid=10, preferred=10), "R1", (host,), 0)
     with mock.patch.object(host, "tick_lifetimes", wraps=host.tick_lifetimes) as sweep:
         host.on_timer(engine, Timer.EXPIRY, 9_999)
         assert sweep.call_count == 0
@@ -702,9 +667,9 @@ def test_sweep_leaves_no_floor_once_nothing_can_expire(engine):
     host = make_host()
     attach(engine, host)
     host.begin_autoconf(engine, 0)
-    host.on_message(engine, make_ra(lifetime=0, valid=10, preferred=10), "R1", 0)
+    receive_ra(engine, make_ra(lifetime=0, valid=10, preferred=10), "R1", (host,), 0)
     entry = host.addresses[-1]
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(entry.address), 5)
+    host.on_message(engine, NeighborSolicitation(entry.address), "H0", 5)
     host.tick_lifetimes(engine, 5)
     assert host.expiry_floor == NO_EXPIRY
 
@@ -747,13 +712,13 @@ def test_dad_failed_address_never_comes_back_even_past_its_lifetime(engine):
     # is not expired, so no tick drops it, and it keeps blocking its prefix.
     host = make_host()
     attach(engine, host)
-    host.on_message(engine, make_ra(valid=10, preferred=10), "R1", 0)
+    receive_ra(engine, make_ra(valid=10, preferred=10), "R1", (host,), 0)
     [entry] = host.addresses
-    host.on_neighbor_advertisement(engine, NeighborAdvertisement(entry.address), 5)
+    host.on_message(engine, NeighborSolicitation(entry.address), "H0", 5)
     host.tick_lifetimes(engine, 20_000)
     assert host.addresses == [entry] and entry.state is AddressState.ABANDONED
     assert not records(engine, "addr-abandoned")
-    host.on_message(engine, make_ra(), "R1", 30_000)
+    receive_ra(engine, make_ra(), "R1", (host,), 30_000)
     assert host.addresses == [entry] and entry.state is AddressState.ABANDONED
     assert len(records(engine, "dad-start")) == 1
 
@@ -835,6 +800,6 @@ def test_a_call_outside_a_delivery_verifies_against_the_trust_set_it_sees(engine
     host = engine.nodes["H0"]
     deliver(engine, ra, at=0)
     engine.trusted_keys.clear()
-    host.on_message(engine, ra, "R1", 5)
+    receive_ra(engine, ra, "R1", (host,), 5)
     assert [r.node for r in records(engine, "ra-rejected-send")] == ["H0"]
     assert len(records(engine, "router-added")) == 1 and not records(engine, "router-refreshed")

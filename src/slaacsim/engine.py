@@ -206,6 +206,7 @@ class Engine(object):
         self.switch_id = switch_id  # labels ra-dropped records
         self.node_port: dict[str, SwitchPort] = {}  # each node's ingress port
         self._receivers: dict[str, tuple[str, ...]] = {}  # sender -> every other node
+        self._routers: list[Router] = []  # in node order: the only nodes an RS calls
         self.trusted_keys: dict[str, bytes] = {}  # key id -> secret, from trust lines
         self.attack_armed = False  # set by the first non-passive attack directive
         # Bare (time, node, kind, values) tuples; TraceRecord names the fields.
@@ -237,6 +238,7 @@ class Engine(object):
         self._receivers.clear()
         # Only a router's or a persona's RAs put an address in a router list.
         if isinstance(node, Router):
+            self._routers.append(node)
             self._ip_owner[node.ra.src_ip] = node.node_id
             if node.jitter_ms and self.rng is None:  # most runs draw nothing
                 self.rng = random.Random(self.seed)
@@ -347,11 +349,10 @@ class Engine(object):
         nodes = self.nodes
         if isinstance(msg, RouterAdvertisement):
             receive_ra(self, msg, src, map(nodes.__getitem__, dsts), now)
-        elif isinstance(msg, RouterSolicitation):
-            for dst in dsts:
-                node = nodes[dst]
-                if isinstance(node, Router):
-                    node.on_message(self, msg, src, now)
+        elif isinstance(msg, RouterSolicitation):  # only routers act on it
+            for router in self._routers:
+                if router.node_id != src:
+                    router.on_message(self, msg, src, now)
         elif isinstance(msg, NeighborSolicitation):  # only claimants act on it
             claimants = self._claims.get(msg.target)
             # The sender is never among its receivers, so when it is the

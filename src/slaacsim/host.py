@@ -48,7 +48,7 @@ class AddressState(enum.Enum):
     ABANDONED = "abandoned"  # after a DAD conflict; an expired entry is dropped instead
 
 
-@dataclass
+@dataclass(slots=True)
 class AddressEntry:
     """One configured address: the link-local entry when ``prefix`` is None,
     else the SLAAC entry formed from that prefix. ``valid_until``/
@@ -62,7 +62,7 @@ class AddressEntry:
     preferred_until: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class DefaultRouterEntry:
     router_ip: Ipv6Address
     expires_at: int
@@ -238,12 +238,13 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
     subclass or not, gets its ``ra-received`` record and its RA handling, a
     router nothing, and any other node on_message. What no host changes is
     worked out once, before the loop; the signature verdict is made at the
-    first send=on host that needs it."""
+    first send=on host that needs it. No booking call is made for an expiry
+    past the run's end, which set_timer would drop."""
     # The records an RA makes at every host go straight into the trace,
     # stamped with the engine's time as Engine.trace stamps them.
     append = ctx.trace_records.append
     stamp = ctx.now
-    set_timer = ctx.set_timer
+    set_timer, horizon = ctx.set_timer, ctx._horizon
     two_hour_rule = ctx.two_hour_rule
     expiry, abandoned = Timer.EXPIRY, AddressState.ABANDONED
     src_ip, lifetime, preference = ra.src_ip, ra.router_lifetime, ra.preference
@@ -251,8 +252,10 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
     if lifetime > 0:
         expires = now + lifetime * MS
         router_values = (src_ip, preference, expires)
+        book_router = expires <= horizon
     # Each option as (prefix, why it is ignored or None, its network
-    # address, valid ms, and a new entry's valid and preferred ends).
+    # address, valid ms, a new entry's valid end, whether that end is
+    # booked, and a new entry's preferred end).
     options = []
     for info in ra.prefixes:
         prefix = info.prefix
@@ -263,7 +266,9 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
             ignored = "length"
         valid_ms = info.valid_lifetime * MS
         preferred_until = now + info.preferred_lifetime * MS
-        options.append((prefix, ignored, prefix.address, valid_ms, now + valid_ms, preferred_until))
+        valid_until = now + valid_ms
+        options.append((prefix, ignored, prefix.address, valid_ms,
+                        valid_until, valid_until <= horizon, preferred_until))
     verdict = None
     for node in receivers:
         if not isinstance(node, Host):
@@ -295,13 +300,14 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
                 router.refreshed_at = now
                 kind = "router-refreshed"
             append((stamp, node_id, kind, router_values))
-            set_timer(node_id, expiry, expires)
+            if book_router:
+                set_timer(node_id, expiry, expires)
             if expires < node.expiry_floor:
                 node.expiry_floor = expires
         elif router is not None:
             node.router_list.remove(router)
             ctx.trace(node_id, "router-removed", src_ip, "lifetime-zero")
-        for prefix, ignored, network, valid_ms, valid_until, preferred_until in options:
+        for prefix, ignored, network, valid_ms, valid_until, book_new, preferred_until in options:
             if ignored is not None:
                 ctx.trace(node_id, "prefix-ignored", prefix, ignored)
                 continue
@@ -324,7 +330,8 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
                     preferred_until=preferred_until,
                 )
                 node.addresses.append(entry)
-                set_timer(node_id, expiry, valid_until)
+                if book_new:
+                    set_timer(node_id, expiry, valid_until)
                 if valid_until < node.expiry_floor:
                     node.expiry_floor = valid_until
                 node._start_dad(ctx, entry, now)
@@ -334,7 +341,8 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
                     kept_ms = apply_two_hour_rule(max(0, entry.valid_until - now), valid_ms)
                 until = entry.valid_until = now + kept_ms
                 entry.preferred_until = preferred_until if preferred_until < until else until
-                set_timer(node_id, expiry, until)
+                if until <= horizon:
+                    set_timer(node_id, expiry, until)
                 if until < node.expiry_floor:
                     node.expiry_floor = until
                 append((stamp, node_id, "addr-lifetime", (entry.address, kept_ms)))

@@ -29,6 +29,10 @@ Grammar (one directive per line, ``#`` starts a comment)::
 
 Every ``<sec>`` is a finite number of seconds in 0..MAX_TIME_S; a switch has
 1..MAX_PORTS ports, named p1, p2, ...
+
+A step at 0 is served after every node's startup work at 0: a router has
+sent its first advertisement, and each host has begun autoconfiguration,
+before ``at 0 disable <router>`` turns the router off.
 """
 
 from __future__ import annotations

@@ -492,11 +492,17 @@ def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
     for cls in (Host, Router, Attacker):
         counting(cls)
     monkeypatch.setattr(engine_module, "receive_ra", counted_ra)
-    na_sent = 0
+    na_sent = rs_reach = 0
     for name in all_scenarios():
         _, engine, _ = run_scenario(name)
         na_sent += len(records(engine, "na-sent"))
+        # An RS calls each router but its sender, once.
+        routers = [node_id for node_id, node in engine.nodes.items() if isinstance(node, Router)]
+        rs_reach += sum(
+            sum(1 for router in routers if router != rs.node) for rs in records(engine, "rs-sent")
+        )
     assert na_sent > 0
+    assert calls["Router", "RouterSolicitation", "on_message"] == rs_reach > 0
     assert set(calls) == {
         ("Host", "RouterAdvertisement", "receive_ra"),
         ("Host", "NeighborSolicitation", "claimed"),
@@ -959,6 +965,31 @@ run 32
     assert 0 in periodic and 30_000 in periodic
     toggles = [attrs(r)["enabled"] for r in records(engine, "router-toggled")]
     assert toggles == ["off", "on"]
+
+
+def test_a_step_at_zero_is_served_after_the_nodes_startup_work():
+    # Every node's t=0 work is booked before any script step, so R2 has
+    # advertised once when `at 0 disable R2` turns it off, and H1 forms
+    # R2's prefix from that advertisement.
+    text = """\
+switch SW1 ports=3
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 interval=10
+node router R2 mac=00:00:5e:00:53:02 prefix=2001:db8:2::/64 interval=10
+node host H1 mac=00:1a:2b:3c:4d:5e
+attach R1 SW1.p1 class=router
+attach R2 SW1.p2 class=router
+attach H1 SW1.p3 class=host
+at 0 disable R2
+at 5 enable R2
+run 7
+"""
+    sc = parse_scenario(text)
+    engine = build_engine(sc)
+    engine.execute(sc.run_ms)
+    at_zero = [(r.node, r.kind) for r in map(TraceRecord._make, engine.trace_records) if r.time == 0]
+    assert at_zero.index(("R2", "ra-sent")) < at_zero.index(("R2", "router-toggled"))
+    formed = [(r.time, attrs(r)["addr"]) for r in records(engine, "dad-start") if r.node == "H1"]
+    assert (1, "2001:db8:2:0:21a:2bff:fe3c:4d5e") in formed
 
 
 def test_tentative_address_never_sources_data():

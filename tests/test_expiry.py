@@ -137,3 +137,59 @@ def test_sweeps_run_for_at_most_one_percent_of_expiry_ticks():
     expiry_ticks = sum(1 for call in ticks.call_args_list if call.args[2] is Timer.EXPIRY)
     assert expiry_ticks > 8000
     assert 0 < sweeps.call_count <= expiry_ticks // 100, (sweeps.call_count, expiry_ticks)
+
+
+def expiry_bookings(text: str, run) -> tuple[list[int], object]:
+    """The due times of the ``expiry`` ticks booked while ``run(engine, end)``
+    steps the built link, and the engine."""
+    sc = parse_scenario(text)
+    engine = build_engine(sc)
+    with counting(engine_module.Engine, "set_timer") as booked:
+        run(engine, sc.run_ms)
+    return [call.args[3] for call in booked.call_args_list if call.args[2] is Timer.EXPIRY], engine
+
+
+def lifetime_records(engine) -> int:
+    """The records of the lifetimes receive_ra set: one per router added or
+    refreshed, address lifetime updated and SLAAC address formed."""
+    kinds = ("router-added", "router-refreshed", "addr-lifetime")
+    return sum(
+        1 for _t, _node, kind, values in engine.trace_records
+        if kind in kinds or (kind == "dad-start" and not str(values[0]).startswith("fe80:"))
+    )
+
+
+def test_no_expiry_past_the_end_is_booked():
+    # A 60 s run of a fanout-like link: every router and address lifetime
+    # outlasts the run, so receive_ra makes no booking call for one.
+    text = link_text(10, guard=False, run_s=60)
+    due, engine = expiry_bookings(text, engine_module.Engine.execute)
+    assert due == [] and lifetime_records(engine) > 100
+    # Stepped with run_until alone the engine has no end, and every
+    # lifetime receive_ra sets is booked.
+    due, engine = expiry_bookings(text, engine_module.Engine.run_until)
+    assert len(due) == lifetime_records(engine) > 100
+
+
+# With no link latency R1's first RA sets H1's router and address ends at
+# 3000 and 5000 ms; its answer to H1's RS at 1000 ms refreshes them to 4000
+# and 6000.
+AT_THE_END = """\
+link-latency 0
+switch SW1 ports=2
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64 lifetime=3 valid=5 preferred=4 interval=600
+node host H1 mac=00:1a:2b:3c:4d:5e
+attach R1 SW1.p1 class=router
+attach H1 SW1.p2 class=host
+"""
+
+
+def test_an_expiry_due_at_the_end_is_booked_and_fires():
+    for run_s, booked, fired in (
+        (4, [3000, 4000], "t=4000 node=H1 kind=router-removed"),
+        (5, [3000, 5000, 4000], "t=4000 node=H1 kind=router-removed"),
+        (6, [3000, 5000, 4000, 6000], "t=6000 node=H1 kind=addr-abandoned"),
+    ):
+        due, engine = expiry_bookings(AT_THE_END + f"run {run_s}\n", engine_module.Engine.execute)
+        assert due == booked, run_s
+        assert fired + " " in engine.trace_text(), run_s

@@ -443,6 +443,13 @@ def router_entry(ip: str, pref, expires=10_000_000, refreshed=0):
     return DefaultRouterEntry(Ipv6Address.parse(ip), expires, pref, refreshed)
 
 
+def test_host_entries_are_slotted():
+    for entry in (assigned_entry("2001:db8:1::5"), router_entry("fe80::1", RouterPreference.HIGH)):
+        assert not hasattr(entry, "__dict__")
+        with pytest.raises(AttributeError):
+            entry.extra = 1
+
+
 def test_selection_prefers_high():
     host = make_host()
     host.router_list = [

@@ -18,8 +18,7 @@ IID_BITS = 64
 IID_MASK = (1 << IID_BITS) - 1
 LINK_LOCAL_PREFIX = 0xFE80 << 112
 # ASCII hex only: \d, str.isdigit and int() also take other scripts' digits.
-_HEX_PAIR_RE = re.compile("[0-9a-fA-F]{2}")
-_MAC_RE = re.compile("[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2}){5}")
+_MAC_RE = re.compile("[0-9a-fA-F]{2}(?::[0-9a-fA-F]{2})*")  # the pairs; __new__ counts them
 # Distinct IPv6 texts kept by _ipv6_text; a bound, so a process that runs many
 # scenarios never grows the cache without limit.
 IPV6_TEXT_CACHE_SIZE = 1 << 16
@@ -50,12 +49,9 @@ class MacAddress(bytes):
     @classmethod
     def parse(cls, text: str) -> "MacAddress":
         if _MAC_RE.fullmatch(text):
-            return bytes.__new__(cls, bytes.fromhex(text.replace(":", "")))
-        # Malformed: find the first bad pair for the error's offset.
-        parts = text.split(":")
-        if len(parts) != 6:
-            raise AddressParseError(text, 0, "MAC needs six colon-separated pairs")
-        bad = next(i for i, part in enumerate(parts) if not _HEX_PAIR_RE.fullmatch(part))
+            return cls(bytes.fromhex(text.replace(":", "")))
+        # Not all hex pairs: find the first bad one for the error's offset.
+        bad = next(i for i, part in enumerate(text.split(":")) if not _MAC_RE.fullmatch(part))
         raise AddressParseError(text, 3 * bad, "bad hex pair")
 
     def __str__(self) -> str:

@@ -53,11 +53,6 @@ class Attacker(object):
         self.mode = AttackMode.PASSIVE
         self.next_forge_at: Optional[int] = None  # the one live forging tick
 
-    def capture_ra(self, ctx: "Engine", ra: RouterAdvertisement, sender: str, now: int) -> None:
-        self.captured_ras.pop(sender, None)
-        self.captured_ras[sender] = ra
-        ctx.trace(self.node_id, "ra-captured", ra.src_ip, ra.router_lifetime)
-
     def spoof_kill_ra(self, target: Optional[str] = None) -> RouterAdvertisement:
         """Latest captured advertisement from ``target`` (or from anyone when
         unset), replayed with lifetime zero and any auth token stripped: the
@@ -93,8 +88,10 @@ class Attacker(object):
         return self.persona is not None and self.persona.routes()
 
     def on_message(self, ctx: "Engine", msg: RouterAdvertisement, sender_id: str, now: int) -> None:
-        """An RA, the only message the engine hands an attacker."""
-        self.capture_ra(ctx, msg, sender_id, now)
+        """An RA, the only message an attacker hears: kept as its sender's latest."""
+        self.captured_ras.pop(sender_id, None)
+        self.captured_ras[sender_id] = msg
+        ctx.trace(self.node_id, "ra-captured", msg.src_ip, msg.router_lifetime)
 
     def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
         # A tick booked by an earlier arming finds next_forge_at moved on.

@@ -164,7 +164,7 @@ class RunMetrics:
     emitted: int = 0
     delivered: int = 0
     dropped: int = 0
-    in_flight: int = 0  # receivers of the queued Deliver entries
+    in_flight: int = 0  # receivers of the emitted deliveries not yet served
 
     def texts(self) -> dict[str, str]:
         """The text of each flag and of each ``<host>.<field>``, keyed as
@@ -217,11 +217,10 @@ class Engine(object):
         # The calendar queue: a heap of due times, one per distinct time, and
         # each time's entries in booking order, (node id, timer) for a timer
         # and (None, action) for anything else. Serving the times in order and
-        # each bucket in order is (time, booking) order. schedule and
-        # set_timer each book inline: every host an RA reaches books timers.
+        # each bucket in order is (time, booking) order. set_timer alone books.
         self._times: list[int] = []
         self._buckets: dict[int, list[tuple[Optional[str], Union[TimerKey, Action]]]] = {}
-        # The end of the run, once execute() states it: no timer due later is
+        # The end of the run, once execute() states it: no entry due later is
         # queued, and run_until() may not pass it.
         self._horizon = math.inf
         self._ip_owner: dict[Ipv6Address, str] = {}
@@ -248,22 +247,14 @@ class Engine(object):
     # -- scheduling -------------------------------------------------------------
 
     def schedule(self, at_ms: int, action: Action) -> None:
-        if at_ms < self.now:
-            raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
-        if isinstance(action, Deliver):
-            self.metrics.in_flight += len(action.dsts)
-        bucket = self._buckets.get(at_ms)
-        if bucket is None:
-            self._buckets[at_ms] = [(None, action)]
-            heapq.heappush(self._times, at_ms)
-        else:
-            bucket.append((None, action))
+        """Book a delivery or a script step; set_timer books it."""
+        self.set_timer(None, action, at_ms)
 
-    def set_timer(self, node_id: str, timer: TimerKey, at_ms: int) -> None:
+    def set_timer(self, node_id: Optional[str], timer: Union[TimerKey, Action], at_ms: int) -> None:
+        """The one booking: a timer of ``node_id``, or with None a delivery or a script step.
+        One due after the horizon is left out, which moves no other entry."""
         if at_ms < self.now:
             raise SimInvariantError(f"cannot schedule into the past ({at_ms} < {self.now})")
-        # A timer due after the horizon could never be served. Leaving it out
-        # keeps every other entry's place in the order served.
         if at_ms <= self._horizon:
             bucket = self._buckets.get(at_ms)
             if bucket is None:
@@ -324,8 +315,11 @@ class Engine(object):
         if dsts is None:
             dsts = self._receivers[src_id] = tuple([n for n in self.nodes if n != src_id])
         if dsts:
-            self.metrics.emitted += len(dsts)
-            self.schedule(now + self.link_latency_ms, Deliver(msg, src_id, dsts))
+            # In flight from now until served, or to the end if due after it.
+            metrics = self.metrics
+            metrics.emitted += len(dsts)
+            metrics.in_flight += len(dsts)
+            self.set_timer(None, Deliver(msg, src_id, dsts), now + self.link_latency_ms)
 
     def claim(self, node_id: str, address: Ipv6Address) -> None:
         """A host started DAD on ``address``: it hears NS for it from now on."""
@@ -416,7 +410,7 @@ class Engine(object):
         """Run to t_end, measuring at the end if no measure has recorded a
         host, then verify message conservation. A measure over no hosts
         records and traces nothing, so measuring again then changes no
-        output. t_end is the run's end from then on: no timer due later is
+        output. t_end is the run's end from then on: no entry due later is
         queued, and the engine cannot be run past it. Expects bootstrap() to
         have been called (the scenario builder does so)."""
         self._horizon = t_end_ms

@@ -64,8 +64,13 @@ class PrefixInfo:
     def __post_init__(self):
         if self.valid_lifetime < 0 or self.preferred_lifetime < 0:
             raise ValueError("lifetimes must be non-negative")
-        if self.preferred_lifetime > self.valid_lifetime:
-            raise ValueError("preferred lifetime exceeds valid lifetime")
+        check_preferred_lifetime(self.valid_lifetime, self.preferred_lifetime)
+
+
+def check_preferred_lifetime(valid: int, preferred: int) -> None:
+    """The bound PrefixInfo and each node line's ``preferred=`` both check."""
+    if preferred > valid:
+        raise ValueError("preferred lifetime exceeds valid lifetime")
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,13 @@ class AuthToken:
 MAX_ROUTER_LIFETIME = 65535
 
 
+def check_router_lifetime(seconds: int) -> int:
+    """``seconds``, once RouterAdvertisement and each ``lifetime=`` may take it."""
+    if not 0 <= seconds <= MAX_ROUTER_LIFETIME:
+        raise ValueError(f"router lifetime {seconds} out of range 0..{MAX_ROUTER_LIFETIME}")
+    return seconds
+
+
 @dataclass(frozen=True)
 class RouterAdvertisement:
     src_mac: MacAddress
@@ -89,8 +101,7 @@ class RouterAdvertisement:
     auth: Optional[AuthToken] = None
 
     def __post_init__(self):
-        if not 0 <= self.router_lifetime <= MAX_ROUTER_LIFETIME:
-            raise ValueError(f"router lifetime {self.router_lifetime} out of range")
+        check_router_lifetime(self.router_lifetime)
 
     @cached_property
     def signed_fields(self) -> bytes:

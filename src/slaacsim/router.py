@@ -13,6 +13,13 @@ if TYPE_CHECKING:
     from .engine import Engine
 
 
+def check_interval(interval_ms: int) -> int:
+    """``interval_ms``, once Router and each node line's ``interval=`` may take it."""
+    if interval_ms <= 0:
+        raise ValueError("interval must be positive")
+    return interval_ms
+
+
 class Router(object):
     """One advertising router on the link, or the persona an attacker poses as:
     the one advertisement it sends all run, and when it sends it."""
@@ -27,11 +34,9 @@ class Router(object):
         ra_enabled: bool,
         jitter_ms: int,
     ):
-        if interval_ms <= 0:
-            raise ValueError("ra_interval must be positive")
         self.node_id = node_id
         self.ra = ra if send_key is None else sign_ra(ra, send_key)
-        self.interval_ms = interval_ms
+        self.interval_ms = check_interval(interval_ms)
         self.can_route = can_route
         self.ra_enabled = ra_enabled
         self.jitter_ms = jitter_ms

@@ -67,8 +67,9 @@ from .engine import (
     ToggleDirective,
 )
 from .host import Host
-from .messages import MAX_ROUTER_LIFETIME, MS, PrefixInfo, RouterAdvertisement, RouterPreference
-from .router import Router
+from .messages import MS, PrefixInfo, RouterAdvertisement, RouterPreference
+from .messages import check_preferred_lifetime, check_router_lifetime
+from .router import Router, check_interval
 
 # Bounds on input values. Both sit far above any run the simulator is meant
 # for (the longest shipped workload is two simulated hours on 11 ports). They
@@ -127,13 +128,6 @@ def _fmt_time(ms: int) -> str:
     return f"{ms // MS}.{ms % MS:03d}".rstrip("0")
 
 
-def _interval_ms(text: str) -> int:
-    value = _time_ms(text)
-    if value <= 0:
-        raise ValueError("interval must be positive")
-    return value
-
-
 def _int_in(low: float = -math.inf, high: float = math.inf) -> Callable[[str], int]:
     def parse(text: str) -> int:
         value = _ascii_number(int, text)
@@ -176,7 +170,6 @@ def _node_id(text: str) -> str:
 
 
 _int = _int_in()
-_router_lifetime = _int_in(0, MAX_ROUTER_LIFETIME)
 _seconds = _int_in(0)
 _port_count = _int_in(1, MAX_PORTS)
 
@@ -202,9 +195,9 @@ ROUTER_OPTIONS = (
     _MAC,
     _IP,
     Option("prefix", _prefixes, _show_prefixes),
-    Option("lifetime", _router_lifetime, str, 1800),
+    Option("lifetime", lambda text: check_router_lifetime(_int(text)), str, 1800),
     Option("preference", RouterPreference.parse, str, RouterPreference.MEDIUM),
-    Option("interval", _interval_ms, _fmt_time, 10 * MS),
+    Option("interval", lambda text: check_interval(_time_ms(text)), _fmt_time, 10 * MS),
     Option("valid", _seconds, str, 3600),
     Option("preferred", _seconds, str, 3600),
     Option("routes", _on_off, _show_yes_no, True),
@@ -260,7 +253,7 @@ _DEFAULTS = {
 # Rules across the options of one node line.
 _TOGETHER = (("ipv4", "gw4"), ("cga-key", "cga-modifier"))
 _EXCLUSIVE = (("iid", "cga-key"),)
-_NOT_ABOVE = (("preferred", "valid"), ("persona-preferred", "persona-valid"))
+_PREFERRED = (("preferred", "valid"), ("persona-preferred", "persona-valid"))  # (preferred, valid)
 
 
 # -- declarations -------------------------------------------------------------
@@ -441,20 +434,21 @@ def _node(sc: Scenario, tokens: list[str]) -> None:
         if a in given and b in given:
             raise ValueError(f"{a} and {b} are mutually exclusive")
     values = dict(_DEFAULTS[kind, not _PERSONA_KEYS.isdisjoint(given)])
-    # In table order, so that of two bad options the first in the table is reported.
-    for key, option in options.items():
-        if key in given:
-            try:
+    # In table order, so that of two bad options the first in the table is reported,
+    # then each preferred lifetime, given or defaulted, against its valid one.
+    try:
+        for key, option in options.items():
+            if key in given:
                 value = option.parse(given[key])
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-            if value is not None:  # an empty prefix list leaves prefix unset
-                values[key] = value
+                if value is not None:  # an empty prefix list leaves prefix unset
+                    values[key] = value
+        for key, valid in _PREFERRED:
+            if key in values:
+                check_preferred_lifetime(values[valid], values[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
     if "ip" in options and "ip" not in values:
         values["ip"] = link_local_from(derive_eui64(values["mac"]))
-    for lower, upper in _NOT_ABOVE:
-        if lower in values and values[lower] > values[upper]:
-            raise ValueError(f"{lower} lifetime exceeds {upper} lifetime")
     sc.nodes.append(NodeDecl(kind, node_id, values))
 
 

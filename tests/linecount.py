@@ -80,8 +80,9 @@ def _is_spec(arg: str) -> bool:
     return bool(_SPEC.fullmatch(arg)) and (":" in arg or not os.path.exists(arg))
 
 
-def _report(function, counts: Counter[tuple[str, int]]) -> list[int]:
-    """Print the function's lines with their counts; return those never run."""
+def report(function, counts: Counter[tuple[str, int]], allowed=frozenset()) -> list[int]:
+    """Print the function's lines with their counts; return those never run,
+    but for the ``allowed`` line numbers, which print ``allowed``."""
     # The def line starts the function's code but runs when the class or
     # module body does, not in a call.
     executable = {
@@ -92,34 +93,43 @@ def _report(function, counts: Counter[tuple[str, int]]) -> list[int]:
     } - {function.__code__.co_firstlineno}
     source, first = inspect.getsourcelines(function)
     filename = function.__code__.co_filename
-    never = []
+    never, unrun = [], []
     for line_no, text in enumerate(source, start=first):
         if line_no not in executable:
             shown = "-"
         elif counts[filename, line_no]:
             shown = str(counts[filename, line_no])
+        elif line_no in allowed:
+            shown = "allowed"
+            unrun.append(line_no)
         else:
             shown = "NEVER"
             never.append(line_no)
         print(f"{shown:>8} {line_no:>5}  {text.rstrip()}")
+    allowance = f"; allowed: {unrun}" if unrun else ""
     print(
-        f"{function.__qualname__}: {len(executable) - len(never)} of {len(executable)}"
-        f" lines ran; never: {never or 'none'}"
+        f"{function.__qualname__}: {len(executable) - len(never) - len(unrun)} of {len(executable)}"
+        f" lines ran{allowance}; never: {never or 'none'}"
     )
     return never
 
 
-def main(argv: list[str]) -> int:
+def split_specs(argv: list[str]) -> tuple[list[str], list[str]]:
+    """The leading ``module[:qualname]`` arguments, and the rest."""
     specs = []
     while len(specs) < len(argv) and _is_spec(argv[len(specs)]):
         specs.append(argv[len(specs)])
-    if not specs:
-        print(__doc__, file=sys.stderr)
-        return 2
+    return specs, argv[len(specs):]
+
+
+def count_while(specs: list[str], run):
+    """Import what ``specs`` name and call ``run()``, counting the lines that
+    run in their files; returns the functions, the counts and what ``run``
+    returned."""
     # Line events count by (file, line). Importing the named modules runs
     # their top-level code, which may call the functions (a parser factory
     # building an option table, say), so every frame is counted while they
-    # import; during the tests only frames in the named functions' files are.
+    # import; during run() only frames in the named functions' files are.
     counts: Counter[tuple[str, int]] = Counter()
 
     def count_lines(frame, event, _arg):
@@ -140,11 +150,19 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(on_call)
     try:
-        status = pytest.main(argv[len(specs):])
+        result = run()
     finally:
         sys.settrace(None)
+    return functions, counts, result
 
-    never = [_report(function, counts) for function in functions]
+
+def main(argv: list[str]) -> int:
+    specs, pytest_args = split_specs(argv)
+    if not specs:
+        print(__doc__, file=sys.stderr)
+        return 2
+    functions, counts, status = count_while(specs, lambda: pytest.main(pytest_args))
+    never = [report(function, counts) for function in functions]
     return 1 if status or any(never) else 0
 
 

@@ -317,7 +317,7 @@ def test_mac_text_round_trip():
     mac = MacAddress.parse("00:1A:2B:3C:4D:5E")
     assert str(mac) == "00:1a:2b:3c:4d:5e"
     assert MacAddress.parse(str(mac)) == mac
-    with pytest.raises(AddressParseError):
+    with pytest.raises(ValueError, match="^MAC must be 6 octets, got 5$"):
         MacAddress.parse("00:1a:2b:3c:4d")
 
 
@@ -330,19 +330,18 @@ def _with_pair(index: int, pair: str) -> str:
     return ":".join(pairs)
 
 
-# (text, offset, reason) for malformed MACs: the offset is the first byte of
-# the first bad pair, or 0 when the pair count is wrong.
+# (text, offset, reason) for MACs that are not all hex pairs: the offset is
+# the first byte of the first bad pair. A wrong count of good pairs is the
+# constructor's error (test_mac_needs_six_octets).
 MAC_ERRORS = [
     *((_with_pair(i, "g0"), 3 * i, "bad hex pair") for i in range(6)),
-    ("00:1a:2b:3c:4d", 0, "MAC needs six colon-separated pairs"),
-    ("00:1a:2b:3c:4d:5e:6f", 0, "MAC needs six colon-separated pairs"),
     ("00:1a:2bc:3c:4d:5e", 6, "bad hex pair"),
     ("00:1a:2:3c:4d:5e", 6, "bad hex pair"),
     (_with_pair(3, "\uff10a"), 9, "bad hex pair"),  # fullwidth digit zero
     (_with_pair(5, "\u0660\u0661"), 15, "bad hex pair"),  # Arabic-Indic digits
     ("00:1a:2b:3c:4d: 5", 15, "bad hex pair"),
     ("00:1a:2b:3c:4d:5e\n", 15, "bad hex pair"),
-    ("", 0, "MAC needs six colon-separated pairs"),
+    ("", 0, "bad hex pair"),
 ]
 
 
@@ -363,8 +362,12 @@ def test_mac_text_is_six_lower_case_pairs(octets):
 
 @pytest.mark.parametrize("length", [5, 7, 0])
 def test_mac_needs_six_octets(length):
-    with pytest.raises(ValueError, match=f"^MAC must be 6 octets, got {length}$"):
+    message = f"^MAC must be 6 octets, got {length}$"
+    with pytest.raises(ValueError, match=message):
         MacAddress(bytes(length))
+    if length:  # "" holds no pair at all: a bad hex pair at offset 0
+        with pytest.raises(ValueError, match=message):
+            MacAddress.parse(":".join(["00"] * length))
 
 
 @pytest.mark.parametrize("length", [-1, 129])
@@ -393,7 +396,7 @@ def test_prefix_info_lifetimes_out_of_range(valid, preferred, message):
 @pytest.mark.parametrize("lifetime", [-1, MAX_ROUTER_LIFETIME + 1])
 def test_router_lifetime_out_of_range(lifetime):
     mac, ip = MacAddress.parse("00:00:5e:00:53:01"), Ipv6Address.parse("fe80::1")
-    with pytest.raises(ValueError, match=f"^router lifetime {lifetime} out of range$"):
+    with pytest.raises(ValueError, match=f"^router lifetime {lifetime} out of range 0..65535$"):
         RouterAdvertisement(mac, ip, lifetime, RouterPreference.MEDIUM)
     for edge in (0, MAX_ROUTER_LIFETIME):
         assert RouterAdvertisement(mac, ip, edge, RouterPreference.MEDIUM).router_lifetime == edge

@@ -63,7 +63,7 @@ def test_capture_keeps_latest_ra_per_sender(engine):
 def test_spoof_zeroes_lifetime_and_keeps_source(engine):
     attacker = make_attacker()
     attach(engine, attacker)
-    attacker.capture_ra(engine, legit_ra(), "R1", 0)
+    attacker.on_message(engine, legit_ra(), "R1", 0)
     spoof = attacker.spoof_kill_ra("R1")
     assert spoof.router_lifetime == 0
     assert spoof.src_mac == R1_MAC and spoof.src_ip == R1_IP
@@ -78,7 +78,7 @@ def test_spoof_without_capture_raises():
 def test_spoof_strips_auth_token(engine):
     attacker = make_attacker()
     attach(engine, attacker)
-    attacker.capture_ra(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
+    attacker.on_message(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
     assert attacker.spoof_kill_ra("R1").auth is None
 
 
@@ -103,7 +103,7 @@ def test_forge_without_persona_raises(engine):
 def test_kill_playbook_emits_exactly_one_spoof(engine):
     attacker = make_attacker()
     attach(engine, attacker)
-    attacker.capture_ra(engine, legit_ra(), "R1", 0)
+    attacker.on_message(engine, legit_ra(), "R1", 0)
     attacker.run_playbook(engine, AttackMode.KILL_ROUTER, "R1", 5_000)
     assert len(records(engine, "ra-sent")) == 1
     assert not any(timer is Timer.RA for _, _, timer in queued_timers(engine))
@@ -119,7 +119,7 @@ def test_passive_playbook_emits_nothing(engine):
 def test_mitm_playbook_kills_then_forges_periodically(engine):
     attacker = make_attacker(make_persona())
     attach(engine, attacker)
-    attacker.capture_ra(engine, legit_ra(), "R1", 0)
+    attacker.on_message(engine, legit_ra(), "R1", 0)
     attacker.run_playbook(engine, AttackMode.FAKE_ROUTER_MITM, None, 5_000)
     sent = records(engine, "ra-sent")
     assert len(sent) == 2  # the kill replay, then the first forgery
@@ -190,7 +190,7 @@ def test_attacker_never_emits_valid_auth(engine):
     engine.trusted_keys["k1"] = key_secret("k1")
     attacker = make_attacker(make_persona())
     attach(engine, attacker)
-    attacker.capture_ra(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
+    attacker.on_message(engine, sign_ra(legit_ra(), "k1"), "R1", 0)
     emissions = [
         attacker.spoof_kill_ra("R1"),
         attacker.persona.ra,

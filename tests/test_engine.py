@@ -320,6 +320,19 @@ def test_execute_queues_no_timer_due_after_the_end():
     engine.execute(3000)
     assert [at for at, *_ in queued_timers(unbounded)] == [3001, 4002, 5001, 6002, 600_000]
     assert queued_timers(engine) == []
+    # Nor a delivery: H1 assigns its link-local address at 1000 ms and sends
+    # its RS, due at 1001, which stays in flight. A script step booked before
+    # execute states the end is served at the end.
+    unbounded = slaacsim.scenario.build_engine(sc)
+    engine = slaacsim.scenario.build_engine(sc)
+    for e in (unbounded, engine):
+        e.schedule(1000, MeasureDirective())
+    unbounded.run_until(1000)
+    engine.execute(1000)
+    assert [(at, dst) for at, dst, _ in queued_deliveries(unbounded)] == [(1001, "R1")]
+    assert queued(engine) == []
+    assert engine.metrics.in_flight == unbounded.metrics.in_flight == 1
+    assert [r.time for r in records(engine, "path-resolved")] == [1000]
 
 
 def test_timer_due_at_the_end_fires():
@@ -557,9 +570,9 @@ run 0.5
     sc = parse_scenario(text)
     engine = build_engine(sc)
     metrics = engine.execute(sc.run_ms)
-    pending = [(at, dst) for at, dst, _ in queued_deliveries(engine)]
-    assert pending == [(600, "R1"), (600, "H2"), (600, "R1"), (600, "H1")]
-    assert sum(isinstance(a, Deliver) for *_, a in queued(engine)) == 2
+    # Both probes are due at 600 ms, after the end, so neither is queued.
+    assert [r.time for r in records(engine, "ns-sent")] == [0, 0, 300, 300]
+    assert queued(engine) == []
     assert metrics.in_flight == 4
     assert (metrics.emitted, metrics.delivered, metrics.dropped) == (10, 6, 0)
     assert metrics.emitted == metrics.delivered + metrics.dropped + metrics.in_flight

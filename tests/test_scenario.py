@@ -8,13 +8,13 @@ import pytest
 from conftest import GOLDEN_DIR, SCENARIO_DIR, attrs, records, scenario_path
 
 from slaacsim import scenario
-from slaacsim.addressing import MacAddress, derive_eui64, parse_iid
+from slaacsim.addressing import Ipv6Address, MacAddress, Prefix, derive_eui64, parse_iid
 from slaacsim.attacker import Attacker
 from slaacsim.cli import main, run_command
 from slaacsim.defense import PortClass, SwitchPort, cga_generate
 from slaacsim.engine import Engine, HostMetrics, SimInvariantError
 from slaacsim.host import Host
-from slaacsim.messages import RouterAdvertisement
+from slaacsim.messages import PrefixInfo, RouterAdvertisement, RouterPreference
 from slaacsim.router import Router
 from slaacsim.scenario import (
     MAX_PORTS,
@@ -284,7 +284,7 @@ def test_parse_errors_carry_line_numbers():
         ("lifetime=x interval=0", "line 2: lifetime: bad number 'x'"),
         ("jitter=-1 mac=00:00:5e:00:53:zz", "line 2: mac: bad hex pair at offset 15: '00:00:5e:00:53:zz'"),
         ("routes=maybe valid=1 preferred=2", "line 2: routes: bad value 'maybe' (want on/off or yes/no)"),
-        ("valid=1 preferred=2", "line 2: preferred lifetime exceeds valid lifetime"),
+        ("valid=1 preferred=2", "line 2: preferred: preferred lifetime exceeds valid lifetime"),
         # Line-level faults come before any value is read.
         ("lifetime=x lifetime=1", "line 2: duplicate key 'lifetime'"),
         ("lifetime=x color=red", "line 2: unknown key 'color'"),
@@ -296,6 +296,47 @@ def test_node_line_with_several_faults_reports_the_first(options, message):
     with pytest.raises(ScenarioParseError) as exc:
         parse_scenario(text)
     assert str(exc.value) == message
+
+
+R1_RA = RouterAdvertisement(
+    MacAddress.parse("00:00:5e:00:53:01"), Ipv6Address.parse("fe80::1"), 1800, RouterPreference.MEDIUM
+)
+
+# Each value bound, stated once in the model: the options of a router line
+# that break it, the key the parse error names, and a construction that
+# breaks it. The line has no prefix: the lifetime bound holds without one.
+BOUND_FAULTS = {
+    "six-octets": ("mac=00:00:5e:00:53", "mac", lambda: MacAddress(bytes(5))),
+    "router-lifetime": (
+        "mac=00:00:5e:00:53:01 lifetime=65536", "lifetime",
+        lambda: RouterAdvertisement(R1_RA.src_mac, R1_RA.src_ip, 65536, RouterPreference.MEDIUM),
+    ),
+    "preferred-not-above-valid": (
+        "mac=00:00:5e:00:53:01 valid=1 preferred=2", "preferred",
+        lambda: PrefixInfo(Prefix.parse("2001:db8:1::/64"), 1, 2),
+    ),
+    "positive-interval": (
+        "mac=00:00:5e:00:53:01 interval=0", "interval",
+        lambda: Router("R1", R1_RA, 0, True, None, True, 0),
+    ),
+}
+
+
+def bound_fault_text(options: str) -> str:
+    """MINIMAL with R1's line holding only ``options``."""
+    line = "node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64"
+    return MINIMAL.replace(line, f"node router R1 {options}")
+
+
+@pytest.mark.parametrize("options,key,construct", list(BOUND_FAULTS.values()), ids=list(BOUND_FAULTS))
+def test_each_value_bound_is_stated_once(options, key, construct):
+    # The parser reaches the model's own check: the node line reports the
+    # text that a direct construction raises, after its line and key.
+    with pytest.raises(ValueError) as direct:
+        construct()
+    with pytest.raises(ScenarioParseError) as parsed:
+        parse_scenario(bound_fault_text(options))
+    assert str(parsed.value) == f"line 2: {key}: {direct.value}"
 
 
 @pytest.mark.parametrize("text", ["HIGH", "High", "h\u0131gh"])

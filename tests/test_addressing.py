@@ -332,7 +332,7 @@ def _with_pair(index: int, pair: str) -> str:
 
 # (text, offset, reason) for MACs that are not all hex pairs: the offset is
 # the first byte of the first bad pair. A wrong count of good pairs is the
-# constructor's error (test_mac_needs_six_octets).
+# constructor's error (test_mac_pair_count_is_the_constructors_error).
 MAC_ERRORS = [
     *((_with_pair(i, "g0"), 3 * i, "bad hex pair") for i in range(6)),
     ("00:1a:2bc:3c:4d:5e", 6, "bad hex pair"),
@@ -362,12 +362,16 @@ def test_mac_text_is_six_lower_case_pairs(octets):
 
 @pytest.mark.parametrize("length", [5, 7, 0])
 def test_mac_needs_six_octets(length):
-    message = f"^MAC must be 6 octets, got {length}$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^MAC must be 6 octets, got {length}$"):
         MacAddress(bytes(length))
-    if length:  # "" holds no pair at all: a bad hex pair at offset 0
-        with pytest.raises(ValueError, match=message):
-            MacAddress.parse(":".join(["00"] * length))
+
+
+# "" holds no pair at all: it is a bad hex pair at offset 0 (MAC_ERRORS).
+@pytest.mark.parametrize("text, count", [("00:1a:2b:3c:4d", 5), ("00:1a:2b:3c:4d:5e:6f", 7)])
+def test_mac_pair_count_is_the_constructors_error(text, count):
+    with pytest.raises(ValueError, match=f"^MAC must be 6 octets, got {count}$") as exc:
+        MacAddress.parse(text)
+    assert not isinstance(exc.value, AddressParseError)
 
 
 @pytest.mark.parametrize("length", [-1, 129])

@@ -94,6 +94,7 @@ class Attacker(object):
         ctx.trace(self.node_id, "ra-captured", msg.src_ip, msg.router_lifetime)
 
     def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
-        # A tick booked by an earlier arming finds next_forge_at moved on.
-        if timer is Timer.RA and now == self.next_forge_at:
+        """The persona's RA tick, the only timer the engine books for an attacker;
+        one booked by an earlier arming finds next_forge_at moved on."""
+        if now == self.next_forge_at:
             self.next_forge_at = self.persona.emit_periodic_ra(ctx, now)

@@ -448,70 +448,68 @@ class Engine(object):
 
     # -- measurement ---------------------------------------------------------------
 
-    def _probe(self, host: Host, now: int) -> tuple[Optional[AddressFamily], Optional[str], bool]:
-        """Send one payload toward the sink. The gateway delivers it when it
-        routes and drops it (a blackhole) when it does not. Returns the
-        family, the gateway (both None when no path resolves) and whether
-        the payload was delivered."""
-        hop = host.resolve_next_hop(now)
-        gateway = None
-        if hop is not None:
-            gateway = hop.gateway_node or self._ip_owner.get(hop.router_ip)
-        if hop is None or gateway is None or gateway not in self.nodes:
-            self.trace(host.node_id, "path-resolved", "unreachable", "-", "-")
-            return None, None, False
-        self.trace(host.node_id, "path-resolved", "via", gateway, hop.family)
-        if hop.family is AddressFamily.IPV6:
-            self._assert_source_assigned(host, hop.src_addr)
-        payload = next(self._payload_ids)
-        self.metrics.emitted += 1
-        self.trace(host.node_id, "data-sent", SINK, hop.family, hop.src_addr, payload)
-        if not self.nodes[gateway].routes():
-            self.metrics.dropped += 1
-            self.trace(gateway, "blackhole-drop", host.node_id, payload)
-            return hop.family, gateway, False
-        self.metrics.delivered += 1
-        self.trace(
-            SINK, "data-delivered",
-            host.node_id, gateway, hop.family, payload, f"{host.node_id}>{gateway}>{SINK}",
-        )
-        return hop.family, gateway, True
-
-    def _assert_source_assigned(self, host: Host, src_addr: Ipv6Address) -> None:
-        for entry in host.addresses:
-            if entry.address == src_addr and entry.state is AddressState.ASSIGNED:
-                return
-        raise SimInvariantError(f"{host.node_id} sourced data from non-assigned {src_addr}")
-
     def measure(self, now: int) -> RunMetrics:
-        """Probe one data path per host toward the external sink and record
+        """Send one payload per host toward the external sink and record
         each host's state in the run's metrics, replacing the last measure's.
-        A flag, once set, stays set; only measures after a non-passive attack
-        has been armed set one."""
-        metrics = self.metrics
+        A host sends over IPv6 when it selects a default router and a global
+        source, else over IPv4 when it has an address; an IPv6 router that
+        is no node leaves it unreachable. The gateway delivers the payload
+        when it routes and drops it (a blackhole) when it does not. A flag,
+        once set, stays set; only measures after a non-passive attack has
+        been armed set one."""
+        metrics, nodes = self.metrics, self.nodes
         hosts = {}
-        for node in self.nodes.values():
-            if not isinstance(node, Host):
+        for host in nodes.values():
+            if not isinstance(host, Host):
                 continue
-            family, gateway, delivered = self._probe(node, now)
-            selected = node.select_default_router(now)
+            host_id = host.node_id
+            router = host.select_default_router(now)
+            source = None
+            if router is not None and host.ipv6_enabled:
+                source = host.select_global_source(now)
+            if source is not None:
+                family, src = AddressFamily.IPV6, source.address
+                gateway = self._ip_owner.get(router.router_ip)
+            elif host.ipv4 is not None:
+                family, (src, gateway) = AddressFamily.IPV4, host.ipv4
+            else:
+                gateway = None
+            delivered = False
+            if gateway not in nodes:
+                family = None
+                self.trace(host_id, "path-resolved", "unreachable", "-", "-")
+            else:
+                self.trace(host_id, "path-resolved", "via", gateway, family)
+                if source is not None and source.state is not AddressState.ASSIGNED:
+                    raise SimInvariantError(f"{host_id} sourced data from non-assigned {src}")
+                payload = next(self._payload_ids)
+                metrics.emitted += 1
+                self.trace(host_id, "data-sent", SINK, family, src, payload)
+                delivered = nodes[gateway].routes()
+                if delivered:
+                    metrics.delivered += 1
+                    path = f"{host_id}>{gateway}>{SINK}"
+                    self.trace(SINK, "data-delivered", host_id, gateway, family, payload, path)
+                else:
+                    metrics.dropped += 1
+                    self.trace(gateway, "blackhole-drop", host_id, payload)
             default_router = "none"
-            if selected is not None:
-                default_router = self._ip_owner.get(selected.router_ip, str(selected.router_ip))
-            assigned = [str(e.address) for e in node.addresses if e.state is AddressState.ASSIGNED]
-            hosts[node.node_id] = HostMetrics(
+            if router is not None:
+                default_router = self._ip_owner.get(router.router_ip, str(router.router_ip))
+            assigned = [str(e.address) for e in host.addresses if e.state is AddressState.ASSIGNED]
+            hosts[host_id] = HostMetrics(
                 default_router=default_router,
-                family_in_use=str(family) if family else "none",
-                iid=iid_text(node.iid),
+                family_in_use="none" if family is None else str(family),
+                iid=iid_text(host.iid),
                 addresses=",".join(assigned) or "-",
             )
             if not self.attack_armed:
                 continue
             if not delivered:
                 metrics.dos_success = True
-            if isinstance(self.nodes.get(gateway), Attacker):
+            if isinstance(nodes.get(gateway), Attacker):
                 metrics.mitm_success = True
-                if family is AddressFamily.IPV6 and node.ipv4 is not None:
+                if family is AddressFamily.IPV6 and host.ipv4 is not None:
                     metrics.dualstack_success = True
         metrics.hosts = hosts
         return metrics

@@ -1,6 +1,7 @@
 """Host-side stateless autoconfiguration: link-local generation, duplicate
-address detection, router-advertisement processing, default-router selection,
-lifetime bookkeeping, and dual-stack next-hop resolution.
+address detection, router-advertisement processing, lifetime bookkeeping,
+and the default-router and source-address selections that the engine's
+measure reads.
 
 All times are engine milliseconds; wire lifetimes are seconds and are
 converted at the point of use.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .addressing import (
     Ipv6Address,
@@ -23,7 +24,6 @@ from .addressing import (
 from .defense import verify_ra
 from .messages import (
     MS,
-    AddressFamily,
     NeighborAdvertisement,
     NeighborSolicitation,
     RouterAdvertisement,
@@ -68,16 +68,6 @@ class DefaultRouterEntry:
     expires_at: int
     preference: RouterPreference
     refreshed_at: int
-
-
-@dataclass(frozen=True)
-class NextHop:
-    """Resolved next hop for an off-link destination."""
-
-    family: AddressFamily
-    router_ip: Optional[Ipv6Address]  # IPv6 route
-    gateway_node: Optional[str]  # IPv4 route
-    src_addr: Union[Ipv6Address, ipaddress.IPv4Address]
 
 
 def apply_two_hour_rule(remaining_ms: int, received_ms: int) -> int:
@@ -200,18 +190,6 @@ class Host(object):
         ]
         preferred = [e for e in assigned if e.preferred_until is None or e.preferred_until > now]
         return (preferred or assigned or [None])[0]
-
-    def resolve_next_hop(self, now: int) -> Optional[NextHop]:
-        """Next hop for an off-link destination: IPv6 when it can reach
-        off-link, else IPv4; None when neither can (the DoS condition)."""
-        if self.ipv6_enabled:
-            source = self.select_global_source(now)
-            router = self.select_default_router(now)
-            if source is not None and router is not None:
-                return NextHop(AddressFamily.IPV6, router.router_ip, None, source.address)
-        if self.ipv4 is not None:
-            return NextHop(AddressFamily.IPV4, None, self.ipv4[1], self.ipv4[0])
-        return None
 
     # -- dispatch ---------------------------------------------------------------
 

@@ -63,5 +63,5 @@ class Router(object):
         self.emit_ra(ctx, now)  # at once: solicitations are never rate limited
 
     def on_timer(self, ctx: "Engine", timer: Timer, now: int) -> None:
-        if timer is Timer.RA:
-            self.emit_periodic_ra(ctx, now)
+        """The periodic RA tick, the only timer the engine books for a router."""
+        self.emit_periodic_ra(ctx, now)

@@ -4,7 +4,8 @@ parsing each one.
     PYTHONPATH=src python tests/mutants.py
 
 rewrites tests/golden/mutant_outcomes.txt, one line per mutant in generation
-order: the exception class and message that parsing raised, or ``ok`` and the
+order and then one per value bound, for MINIMAL with a router line past it:
+the exception class and message that parsing raised, or ``ok`` and the
 sha256 of the scenario's canonical text. Needs nothing outside the standard
 library.
 """
@@ -25,6 +26,26 @@ EDGE_VALUES = (
     str(MAX_TIME_S + 1), str(MAX_PORTS + 1), "", "x", "=", "p0", "SW1.p0",
 )
 MUTATIONS = 2000
+
+# The smallest valid scenario: one router, one host.
+MINIMAL = """\
+switch SW1 ports=2
+node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64
+node host H1 mac=00:1a:2b:3c:4d:5e
+attach R1 SW1.p1 class=router
+attach H1 SW1.p2 class=host
+run 4
+"""
+
+# The options of a router line past each value bound, by the bound's name:
+# no mutant breaks every bound (none breaks ``interval=``). The line has no
+# prefix: the lifetime bound holds without one.
+BOUND_FAULTS = {
+    "six-octets": "mac=00:00:5e:00:53",
+    "router-lifetime": "mac=00:00:5e:00:53:01 lifetime=65536",
+    "preferred-not-above-valid": "mac=00:00:5e:00:53:01 valid=1 preferred=2",
+    "positive-interval": "mac=00:00:5e:00:53:01 interval=0",
+}
 
 
 def _mutate(rng: random.Random, text: str, pool: list[str]) -> str:
@@ -57,6 +78,18 @@ def corpus_mutants() -> list[str]:
     return [_mutate(rng, rng.choice(texts), pool) for _ in range(MUTATIONS)]
 
 
+def bound_fault_text(options: str) -> str:
+    """MINIMAL with R1's line holding only ``options``."""
+    line = "node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64"
+    return MINIMAL.replace(line, f"node router R1 {options}")
+
+
+def recorded_texts() -> list[str]:
+    """The texts whose parse outcomes the golden file records, in its order:
+    the corpus mutants, then each value bound's fault."""
+    return corpus_mutants() + [bound_fault_text(options) for options in BOUND_FAULTS.values()]
+
+
 def parse_outcome(text: str) -> str:
     """One line: how parsing ``text`` ends."""
     try:
@@ -67,7 +100,7 @@ def parse_outcome(text: str) -> str:
 
 
 if __name__ == "__main__":
-    lines = [parse_outcome(mutant) for mutant in corpus_mutants()]
+    lines = [parse_outcome(text) for text in recorded_texts()]
     assert not any("\n" in line for line in lines)
     OUTCOMES.write_text("".join(line + "\n" for line in lines))
     print(f"wrote {len(lines)} outcomes to {OUTCOMES}")

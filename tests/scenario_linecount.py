@@ -12,9 +12,9 @@ the suite, it runs these inputs, each as scenario text through the package:
 - every policy-table cell (``tests/test_policy_matrix.py``);
 - 100 generated scenarios (``test_scenario_fuzz.scenario_texts``);
 - the generated expiry links (``test_expiry.expiry_text``);
-- the parse of every corpus mutant (``tests/mutants.py``), and of the
-  node line that breaks each value bound (``test_scenario.BOUND_FAULTS``),
-  which no mutant breaks for ``interval=``.
+- the parse of every text whose outcome ``tests/mutants.py`` records: each
+  corpus mutant, and the router line past each value bound, which no mutant
+  breaks for ``interval=``.
 
 It prints each line's count as ``tests/linecount.py`` does and exits 1 if a
 line never ran, unless ALLOWANCE lets it: the raise of every invariant check
@@ -102,10 +102,9 @@ def drive() -> None:
     # its count, so their import-time lines count as tests/linecount.py's do.
     from conftest import SCENARIO_DIR, run_output
     from hypothesis import given, settings
-    from mutants import corpus_mutants, parse_outcome
+    from mutants import parse_outcome, recorded_texts
     from test_expiry import EXPIRY_SEEDS, expiry_text
     from test_policy_matrix import ATTACKS, DEFENSES, MEASURES_S, cell_scenario
-    from test_scenario import BOUND_FAULTS, bound_fault_text
     from test_scenario_fuzz import GENERATED_RUN_MS, scenario_texts
 
     from slaacsim.cli import run_command
@@ -131,8 +130,7 @@ def drive() -> None:
     generated()
     for seed in EXPIRY_SEEDS:
         run_output(parse_scenario(expiry_text(seed)))
-    faults = [bound_fault_text(options) for options, _key, _construct in BOUND_FAULTS.values()]
-    for text in corpus_mutants() + faults:
+    for text in recorded_texts():
         parse_outcome(text)
 
 

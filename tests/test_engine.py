@@ -18,6 +18,7 @@ from conftest import (
     attach,
     attrs,
     build_on,
+    counting,
     eui64_host,
     link_text,
     load,
@@ -891,6 +892,16 @@ def test_probe_from_a_source_not_assigned_is_an_invariant_violation(monkeypatch)
     monkeypatch.setattr(h1, "select_global_source", lambda now: entry)
     with pytest.raises(SimInvariantError, match=f"^H1 sourced data from non-assigned {entry.address}$"):
         engine.measure(engine.now)
+
+
+def test_a_measure_selects_each_hosts_default_router_once():
+    # The path and the default_router metric read one selection per host.
+    for path in sorted(SCENARIO_DIR.glob("*.txt")):
+        with counting(Host, "select_default_router") as selections, counting(Engine, "measure") as measures:
+            _, engine, _ = run_scenario(path.stem)
+        hosts = sum(isinstance(node, Host) for node in engine.nodes.values())
+        assert hosts and measures.call_count, path.name
+        assert selections.call_count == hosts * measures.call_count, path.name
 
 
 def test_jitter_scenarios_depend_on_seed():

@@ -1,5 +1,5 @@
 """Host state machine: DAD, RA processing, router selection, lifetimes, and
-next-hop resolution."""
+the path a measure picks from the host's selections."""
 
 from dataclasses import replace
 from unittest import mock
@@ -35,7 +35,6 @@ from slaacsim.host import (
 )
 from slaacsim.messages import (
     MS,
-    AddressFamily,
     NeighborSolicitation,
     PrefixInfo,
     RouterAdvertisement,
@@ -509,7 +508,7 @@ def test_selection_argmax_invariance(entries):
     assert after.router_ip == before.router_ip
 
 
-# -- next-hop resolution ----------------------------------------------------------------
+# -- the measure's path -----------------------------------------------------------------
 
 def dual_stack_host() -> Host:
     host = make_host(ipv4=(parse_ipv4("10.0.0.2"), "GW1"))
@@ -523,31 +522,64 @@ def dual_stack_host() -> Host:
     return host
 
 
+def path_link(host: Host) -> Engine:
+    """An engine with ``host`` on a link beside router R1, which sends from
+    fe80::1, and GW1, a router that H1's IPv4 address may name as its
+    gateway. Both route."""
+    engine = Engine(link_latency_ms=1, seed=0, two_hour_rule=False, switch_id="SW1")
+    for node_id, src_ip in (("R1", R1_IP), ("GW1", Ipv6Address.parse("fe80::4"))):
+        attach(engine, Router(node_id, make_ra(src_ip=src_ip), 1_000, True, None, True, 0))
+    attach(engine, host)
+    return engine
+
+
+def measure_path(engine: Engine, now=0):
+    """Measure at ``now``: H1's family in use, and the values of the
+    path-resolved record and of the data-sent record (None when it sends
+    nothing) that this measure made."""
+    start = len(engine.trace_records)
+    family = engine.measure(now).hosts["H1"].family_in_use
+    made = {record[2]: attrs(record) for record in engine.trace_records[start:]}
+    return family, made["path-resolved"], made.get("data-sent")
+
+
 def test_resolution_prefers_ipv6():
     host = dual_stack_host()
     host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
-    hop = host.resolve_next_hop(0)
-    assert hop.family is AddressFamily.IPV6
-    assert str(hop.router_ip) == "fe80::1"
+    family, resolved, sent = measure_path(path_link(host))
+    assert family == resolved["family"] == sent["family"] == "ipv6"
+    assert resolved["via"] == "R1"  # the node that sends from fe80::1
+    assert sent["src"] == "2001:db8:1:0:21a:2bff:fe3c:4d5e"
 
 
 def test_resolution_falls_back_to_ipv4():
-    host = dual_stack_host()
-    hop = host.resolve_next_hop(0)  # no v6 router
-    assert hop.family is AddressFamily.IPV4 and hop.gateway_node == "GW1"
+    family, resolved, sent = measure_path(path_link(dual_stack_host()))  # no v6 router
+    assert family == resolved["family"] == "ipv4" and resolved["via"] == "GW1"
+    assert sent["src"] == "10.0.0.2"
     disabled = make_host(ipv6_enabled=False, ipv4=(parse_ipv4("10.0.0.2"), "GW1"))
-    hop = disabled.resolve_next_hop(0)
-    assert hop.family is AddressFamily.IPV4
+    disabled.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]  # IPv6 is off
+    family, resolved, _ = measure_path(path_link(disabled))
+    assert family == resolved["family"] == "ipv4" and resolved["via"] == "GW1"
 
 
 def test_resolution_unreachable():
-    assert make_host().resolve_next_hop(0) is None
+    family, resolved, sent = measure_path(path_link(make_host()))
+    assert family == "none" and resolved["outcome"] == "unreachable" and sent is None
+
+
+def test_resolution_through_a_router_that_is_no_node_is_unreachable():
+    # IPv6 is picked before its gateway is looked up: no IPv4 fallback.
+    host = dual_stack_host()
+    host.router_list = [router_entry("fe80::99", RouterPreference.HIGH)]
+    family, resolved, sent = measure_path(path_link(host))
+    assert family == "none" and resolved["outcome"] == "unreachable" and sent is None
 
 
 def test_resolution_needs_assigned_global():
     host = make_host()
     host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
-    assert host.resolve_next_hop(0) is None  # router but no global address
+    family, resolved, sent = measure_path(path_link(host))  # router but no global address
+    assert family == "none" and resolved["outcome"] == "unreachable" and sent is None
 
 
 def test_resolution_prefers_a_preferred_source():
@@ -564,9 +596,10 @@ def test_resolution_prefers_a_preferred_source():
         Prefix.parse("2001:db8:bad::/64"), valid_until=9_000, preferred_until=5_000,
     )
     host.addresses = [first, second]
-    assert host.resolve_next_hop(999).src_addr == first.address  # both preferred
-    assert host.resolve_next_hop(1_000).src_addr == second.address  # first deprecated
-    assert host.resolve_next_hop(5_000).src_addr == first.address  # both deprecated
+    engine = path_link(host)
+    assert measure_path(engine, 999)[2]["src"] == str(first.address)  # both preferred
+    assert measure_path(engine, 1_000)[2]["src"] == str(second.address)  # first deprecated
+    assert measure_path(engine, 5_000)[2]["src"] == str(first.address)  # both deprecated
     host.addresses = [second]
     assert host.select_global_source(6_000) is second  # a lone deprecated address serves
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import GOLDEN_DIR, SCENARIO_DIR, attrs, records, scenario_path
+from mutants import BOUND_FAULTS, MINIMAL, bound_fault_text
 
 from slaacsim import scenario
 from slaacsim.addressing import Ipv6Address, MacAddress, Prefix, derive_eui64, parse_iid
@@ -26,16 +27,6 @@ from slaacsim.scenario import (
     parse_scenario,
     print_scenario,
 )
-
-MINIMAL = """\
-switch SW1 ports=2
-node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64
-node host H1 mac=00:1a:2b:3c:4d:5e
-attach R1 SW1.p1 class=router
-attach H1 SW1.p2 class=host
-run 4
-"""
-
 
 def test_minimal_scenario_parses():
     sc = parse_scenario(MINIMAL)
@@ -302,40 +293,28 @@ R1_RA = RouterAdvertisement(
     MacAddress.parse("00:00:5e:00:53:01"), Ipv6Address.parse("fe80::1"), 1800, RouterPreference.MEDIUM
 )
 
-# Each value bound, stated once in the model: the options of a router line
-# that break it, the key the parse error names, and a construction that
-# breaks it. The line has no prefix: the lifetime bound holds without one.
-BOUND_FAULTS = {
-    "six-octets": ("mac=00:00:5e:00:53", "mac", lambda: MacAddress(bytes(5))),
+# Each value bound, stated once in the model: the key the parse error of its
+# router line (mutants.BOUND_FAULTS) names, and a construction that breaks it.
+BOUND_CHECKS = {
+    "six-octets": ("mac", lambda: MacAddress(bytes(5))),
     "router-lifetime": (
-        "mac=00:00:5e:00:53:01 lifetime=65536", "lifetime",
+        "lifetime",
         lambda: RouterAdvertisement(R1_RA.src_mac, R1_RA.src_ip, 65536, RouterPreference.MEDIUM),
     ),
-    "preferred-not-above-valid": (
-        "mac=00:00:5e:00:53:01 valid=1 preferred=2", "preferred",
-        lambda: PrefixInfo(Prefix.parse("2001:db8:1::/64"), 1, 2),
-    ),
-    "positive-interval": (
-        "mac=00:00:5e:00:53:01 interval=0", "interval",
-        lambda: Router("R1", R1_RA, 0, True, None, True, 0),
-    ),
+    "preferred-not-above-valid": ("preferred", lambda: PrefixInfo(Prefix.parse("2001:db8:1::/64"), 1, 2)),
+    "positive-interval": ("interval", lambda: Router("R1", R1_RA, 0, True, None, True, 0)),
 }
 
 
-def bound_fault_text(options: str) -> str:
-    """MINIMAL with R1's line holding only ``options``."""
-    line = "node router R1 mac=00:00:5e:00:53:01 prefix=2001:db8:1::/64"
-    return MINIMAL.replace(line, f"node router R1 {options}")
-
-
-@pytest.mark.parametrize("options,key,construct", list(BOUND_FAULTS.values()), ids=list(BOUND_FAULTS))
-def test_each_value_bound_is_stated_once(options, key, construct):
+@pytest.mark.parametrize("bound", list(BOUND_FAULTS))
+def test_each_value_bound_is_stated_once(bound):
     # The parser reaches the model's own check: the node line reports the
     # text that a direct construction raises, after its line and key.
+    key, construct = BOUND_CHECKS[bound]
     with pytest.raises(ValueError) as direct:
         construct()
     with pytest.raises(ScenarioParseError) as parsed:
-        parse_scenario(bound_fault_text(options))
+        parse_scenario(bound_fault_text(BOUND_FAULTS[bound]))
     assert str(parsed.value) == f"line 2: {key}: {direct.value}"
 
 

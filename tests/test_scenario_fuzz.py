@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matches_reference
-from mutants import OUTCOMES, corpus_mutants, parse_outcome
+from mutants import OUTCOMES, corpus_mutants, parse_outcome, recorded_texts
 
 from slaacsim.engine import SimInvariantError
 from slaacsim.scenario import ScenarioError, build_engine, parse_scenario, print_scenario
@@ -174,10 +174,11 @@ def test_corpus_mutations_fail_only_as_scenario_or_invariant_errors():
 
 def test_corpus_mutants_parse_as_recorded():
     # The recorded outcomes pin each mutant's error text, or its canonical
-    # text when it is valid; `python tests/mutants.py` rewrites them.
+    # text when it is valid, and then each value bound's error text;
+    # `python tests/mutants.py` rewrites them.
     recorded = OUTCOMES.read_text().splitlines()
-    mutants = corpus_mutants()
-    assert len(recorded) == len(mutants)
-    for i, (mutant, want) in enumerate(zip(mutants, recorded)):
-        got = parse_outcome(mutant)
-        assert got == want, f"mutant {i} (line {i + 1} of {OUTCOMES.name}):\n{mutant}"
+    texts = recorded_texts()
+    assert len(recorded) == len(texts)
+    for i, (text, want) in enumerate(zip(texts, recorded)):
+        got = parse_outcome(text)
+        assert got == want, f"text {i} (line {i + 1} of {OUTCOMES.name}):\n{text}"

@@ -496,7 +496,8 @@ class Engine(object):
             default_router = "none"
             if router is not None:
                 default_router = self._ip_owner.get(router.router_ip, str(router.router_ip))
-            assigned = [str(e.address) for e in host.addresses if e.state is AddressState.ASSIGNED]
+            assigned = [str(e.address) for e in host.addresses.values()
+                        if e.state is AddressState.ASSIGNED]
             hosts[host_id] = HostMetrics(
                 default_router=default_router,
                 family_in_use="none" if family is None else str(family),

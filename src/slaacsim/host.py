@@ -96,8 +96,10 @@ class Host(object):
         self.ipv6_enabled = ipv6_enabled
         self.ipv4 = ipv4
         self.send_only = send_only
-        self.addresses: list[AddressEntry] = []
-        self.router_list: list[DefaultRouterEntry] = []
+        # Each keyed by its entry's address, so a host holds one entry per
+        # address; insertion order is the order every output lists them in.
+        self.addresses: dict[Ipv6Address, AddressEntry] = {}
+        self.router_list: dict[Ipv6Address, DefaultRouterEntry] = {}
         # A lower bound on the earliest expiry held: receive_ra lowers it to
         # each expiry it sets, and a sweep makes it exact again.
         self.expiry_floor: float = NO_EXPIRY
@@ -106,10 +108,10 @@ class Host(object):
 
     def begin_autoconf(self, ctx: "Engine", now: int) -> None:
         """Create the tentative link-local address and start its DAD probe."""
-        if not self.ipv6_enabled or any(e.prefix is None for e in self.addresses):
+        address = link_local_from(self.iid)
+        if not self.ipv6_enabled or address in self.addresses:
             return
-        entry = AddressEntry(link_local_from(self.iid), AddressState.TENTATIVE)
-        self.addresses.append(entry)
+        entry = self.addresses[address] = AddressEntry(address, AddressState.TENTATIVE)
         self._start_dad(ctx, entry, now)
 
     def _start_dad(self, ctx: "Engine", entry: AddressEntry, now: int) -> None:
@@ -122,8 +124,8 @@ class Host(object):
     def on_message(self, ctx: "Engine", msg: NeighborSolicitation, sender_id: str, now: int) -> None:
         """A DAD probe for an address this host claimed, the only message the
         engine hands a host this way (an RA goes through ``receive_ra``)."""
-        entry = self._entry_for(msg.target)
-        if entry is None:
+        entry = self.addresses.get(msg.target)
+        if entry is None or entry.state is AddressState.ABANDONED:
             return
         # Defend an address we hold, or win simultaneous DAD for the same
         # target with the lexicographically smaller node id: the soliciting
@@ -136,8 +138,8 @@ class Host(object):
 
     def dad_deadline(self, ctx: "Engine", address: Ipv6Address, now: int) -> None:
         """No conflict arrived before the deadline: assign the address's entry
-        if still tentative (link-local prefixes never form a second entry)."""
-        entry = self._entry_for(address)
+        if still tentative."""
+        entry = self.addresses.get(address)
         if entry is None or entry.state is not AddressState.TENTATIVE:
             return  # abandoned after a conflict, or dropped on expiry
         entry.state = AddressState.ASSIGNED
@@ -155,29 +157,24 @@ class Host(object):
         for its prefix forms it again; a DAD-failed entry is never dropped and
         keeps its prefix blocked. Leaves ``expiry_floor`` at the earliest
         expiry still held."""
-        # Each loop walks its list as the tick found it, and a removal binds
-        # the attribute to a new list, so a tick that drops nothing builds none.
-        for router in self.router_list:
-            if router.expires_at <= now:
-                self.router_list = [r for r in self.router_list if r is not router]
-                ctx.trace(self.node_id, "router-removed", router.router_ip, "expired")
-        for entry in self.addresses:
-            if (
-                entry.state is not AddressState.ABANDONED
-                and entry.valid_until is not None
-                and entry.valid_until <= now
-            ):
-                self.addresses = [e for e in self.addresses if e is not entry]
+        expired = [ip for ip, r in self.router_list.items() if r.expires_at <= now]
+        for ip in expired:
+            del self.router_list[ip]
+            ctx.trace(self.node_id, "router-removed", ip, "expired")
+        held = [e for e in self.addresses.values()
+                if e.state is not AddressState.ABANDONED and e.valid_until is not None]
+        for entry in held:
+            if entry.valid_until <= now:
+                del self.addresses[entry.address]
                 ctx.trace(self.node_id, "addr-abandoned", entry.address, "expired")
-        live = [r.expires_at for r in self.router_list]
-        live += [e.valid_until for e in self.addresses
-                 if e.state is not AddressState.ABANDONED and e.valid_until is not None]
+        live = [r.expires_at for r in self.router_list.values()]
+        live += [e.valid_until for e in held if e.valid_until > now]
         self.expiry_floor = min(live, default=NO_EXPIRY)
 
     def select_default_router(self, now: int) -> Optional[DefaultRouterEntry]:
         """Highest preference among unexpired entries; ties broken by most
         recent refresh, then lowest router address."""
-        live = [e for e in self.router_list if e.expires_at > now]
+        live = [e for e in self.router_list.values() if e.expires_at > now]
         if not live:
             return None
         return max(live, key=lambda e: (e.preference, e.refreshed_at, -e.router_ip))
@@ -186,7 +183,8 @@ class Host(object):
         """The first assigned global address still preferred, else the first
         deprecated one (RFC 4862 §5.5.4, RFC 6724 rule 3)."""
         assigned = [
-            e for e in self.addresses if e.prefix is not None and e.state is AddressState.ASSIGNED
+            e for e in self.addresses.values()
+            if e.prefix is not None and e.state is AddressState.ASSIGNED
         ]
         preferred = [e for e in assigned if e.preferred_until is None or e.preferred_until > now]
         return (preferred or assigned or [None])[0]
@@ -202,12 +200,6 @@ class Host(object):
             self.begin_autoconf(ctx, now)
         else:  # the DAD deadline of this tentative address
             self.dad_deadline(ctx, timer, now)
-
-    def _entry_for(self, address: Ipv6Address) -> Optional[AddressEntry]:
-        for entry in self.addresses:
-            if entry.address == address and entry.state is not AddressState.ABANDONED:
-                return entry
-        return None
 
 
 def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
@@ -263,14 +255,10 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
             if not verdict:
                 ctx.trace(node_id, "ra-rejected-send", src_ip)
                 continue
-        for router in node.router_list:
-            if router.router_ip == src_ip:
-                break
-        else:
-            router = None
+        router = node.router_list.get(src_ip)
         if lifetime > 0:
             if router is None:
-                node.router_list.append(DefaultRouterEntry(src_ip, expires, preference, now))
+                node.router_list[src_ip] = DefaultRouterEntry(src_ip, expires, preference, now)
                 kind = "router-added"
             else:
                 router.expires_at = expires
@@ -283,19 +271,14 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
             if expires < node.expiry_floor:
                 node.expiry_floor = expires
         elif router is not None:
-            node.router_list.remove(router)
+            del node.router_list[src_ip]
             ctx.trace(node_id, "router-removed", src_ip, "lifetime-zero")
         for prefix, ignored, network, valid_ms, valid_until, book_new, preferred_until in options:
             if ignored is not None:
                 ctx.trace(node_id, "prefix-ignored", prefix, ignored)
                 continue
-            # Only /64 prefixes ever form an entry, so an entry is this
-            # prefix's iff its prefix has the same network address.
-            for entry in node.addresses:
-                if entry.prefix is not None and entry.prefix.address == network:
-                    break
-            else:
-                entry = None
+            # The address global_from forms: every IID fits in 64 bits.
+            entry = node.addresses.get(network | node.iid)
             if entry is None:
                 if valid_ms == 0:  # RFC 4862 §5.5.3(d)
                     ctx.trace(node_id, "prefix-ignored", prefix, "valid-zero")
@@ -307,7 +290,7 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
                     valid_until=valid_until,
                     preferred_until=preferred_until,
                 )
-                node.addresses.append(entry)
+                node.addresses[entry.address] = entry
                 if book_new:
                     set_timer(node_id, expiry, valid_until)
                 if valid_until < node.expiry_floor:

@@ -1,6 +1,6 @@
 """Router behavior: periodic and solicited router advertisements. Whether a
 router forwards off-link traffic is its ``can_route`` setting, which the
-engine reads when it probes a path."""
+engine reads when it measures."""
 
 from __future__ import annotations
 

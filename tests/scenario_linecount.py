@@ -10,6 +10,8 @@ the suite, it runs these inputs, each as scenario text through the package:
 - every corpus file through ``cli.run_command``, once with ``--check --trace
   --metrics`` and once with ``--dump-normalized``;
 - every policy-table cell (``tests/test_policy_matrix.py``);
+- the hand-made links of ``test_host.RA_BRANCHES``, which the reference
+  simulator already checks;
 - 100 generated scenarios (``test_scenario_fuzz.scenario_texts``);
 - the generated expiry links (``test_expiry.expiry_text``);
 - the parse of every text whose outcome ``tests/mutants.py`` records: each
@@ -54,16 +56,6 @@ ALLOWANCE = (
      "a reader of trace records that only tests use"),
     ("TraceRecord.line", "tail = _TAIL_FORMATS[self.kind] % self.values",
      "a reader of trace records that only tests use"),
-    # Reachable by a valid scenario, but by no input this script runs: a
-    # corpus file that reaches one lets its entry go.
-    ("receive_ra", 'ignored = "link-local"', "a link-local prefix option"),
-    ("receive_ra", 'ignored = "length"', "a prefix option that is not a /64"),
-    ("receive_ra", 'ctx.trace(node_id, "prefix-ignored", prefix, ignored)',
-     "either prefix-ignored reason above"),
-    ("receive_ra", 'ctx.trace(node_id, "prefix-ignored", prefix, "valid-zero")',
-     "a new prefix option with valid=0"),
-    ("Host.on_message", "return",
-     "an NS for an address the host has abandoned: a third host with the same IID"),
 )
 
 
@@ -104,6 +96,7 @@ def drive() -> None:
     from hypothesis import given, settings
     from mutants import parse_outcome, recorded_texts
     from test_expiry import EXPIRY_SEEDS, expiry_text
+    from test_host import RA_BRANCHES
     from test_policy_matrix import ATTACKS, DEFENSES, MEASURES_S, cell_scenario
     from test_scenario_fuzz import GENERATED_RUN_MS, scenario_texts
 
@@ -120,6 +113,8 @@ def drive() -> None:
         for defense in DEFENSES:
             for run_s in MEASURES_S:
                 run_output(parse_scenario(cell_scenario(attack, defense, run_s)))
+    for text, _shown in RA_BRANCHES.values():
+        run_output(parse_scenario(text))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(scenario_texts())

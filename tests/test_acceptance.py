@@ -78,7 +78,7 @@ def test_criterion_03_phase2_conformance():
     assert assigned[str(expected)] <= bound
     assert metrics.hosts["H1"].default_router == "R1"
     host = engine.nodes["H1"]
-    entry = next(e for e in host.addresses if str(e.address) == str(expected))
+    entry = next(e for e in host.addresses.values() if str(e.address) == str(expected))
     assert entry.state is AddressState.ASSIGNED
     ok(3, f"global address assigned at t={assigned[str(expected)]} ms <= {bound} ms, router selected")
 

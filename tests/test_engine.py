@@ -455,7 +455,7 @@ def test_valid_zero_for_a_held_address_drops_it_in_the_same_millisecond():
         (5000, "addr-abandoned", {"addr": address, "reason": "expired"}),
         (6000, "path-resolved", {"outcome": "unreachable", "via": "-", "family": "-"}),
     ]
-    assert all(str(e.address) != address for e in engine.nodes["H1"].addresses)
+    assert all(str(e.address) != address for e in engine.nodes["H1"].addresses.values())
 
 
 def served_after_a_second_run_to_the_same_end():
@@ -533,7 +533,7 @@ def test_ns_reaches_a_sole_claimant_that_did_not_send_it(engine):
     attach(engine, h2)
     h1.begin_autoconf(engine, 0)
     engine.run_until(1000)
-    [entry] = h1.addresses
+    [entry] = h1.addresses.values()
     assert entry.state is AddressState.ASSIGNED and not records(engine, "na-sent")
     engine.broadcast("H2", NeighborSolicitation(entry.address), 1000)
     engine.run_until(1001)
@@ -544,11 +544,16 @@ def test_ns_reaches_a_sole_claimant_that_did_not_send_it(engine):
 
 @pytest.mark.parametrize("name", all_scenarios())
 def test_every_host_address_is_claimed_by_its_host(name):
+    # Each entry is also held under its own address, and each default
+    # router under its own router_ip: one entry per key.
     _, engine, _ = run_scenario(name)
     for node in engine.nodes.values():
         if isinstance(node, Host):
-            for entry in node.addresses:
+            for address, entry in node.addresses.items():
+                assert address == entry.address, f"{node.node_id} {address} {entry}"
                 assert node.node_id in engine._claims[entry.address], f"{node.node_id} {entry}"
+            for router_ip, router in node.router_list.items():
+                assert router_ip == router.router_ip, f"{node.node_id} {router_ip} {router}"
 
 
 def test_in_flight_counts_pending_receivers_not_entries():
@@ -887,7 +892,7 @@ def test_probe_from_a_source_not_assigned_is_an_invariant_violation(monkeypatch)
     # checks that the address it sends from still is one.
     _, engine, _ = run_scenario("baseline")
     h1 = engine.nodes["H1"]
-    [entry] = [e for e in h1.addresses if e.prefix is not None]
+    [entry] = [e for e in h1.addresses.values() if e.prefix is not None]
     entry.state = AddressState.TENTATIVE
     monkeypatch.setattr(h1, "select_global_source", lambda now: entry)
     with pytest.raises(SimInvariantError, match=f"^H1 sourced data from non-assigned {entry.address}$"):
@@ -1025,8 +1030,8 @@ def test_tentative_address_never_sources_data():
     host = engine.nodes["H1"]
     ra = spoofable_ra()
     receive_ra(engine, ra, "R1", (host,), 0)
-    assert host.addresses == [] or all(
-        e.state is not AddressState.ASSIGNED for e in host.addresses
+    assert host.addresses == {} or all(
+        e.state is not AddressState.ASSIGNED for e in host.addresses.values()
     )
     engine.measure(0)
     assert records(engine, "data-sent") == []
@@ -1063,7 +1068,7 @@ def test_begin_autoconf_keeps_single_link_local(engine):
     attach(engine, host)
     host.begin_autoconf(engine, 0)
     host.begin_autoconf(engine, 5)
-    assert len([e for e in host.addresses if e.prefix is None]) == 1
+    assert len([e for e in host.addresses.values() if e.prefix is None]) == 1
 
 
 def test_ra_guard_completeness_when_all_host_ports_guarded():

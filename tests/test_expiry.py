@@ -84,10 +84,10 @@ def test_generated_expiries_match_the_sweep_on_every_tick_and_the_heap_queue():
 def earliest_expiry(host: Host):
     """The earliest expiry a host holds: a default router's, or the valid
     lifetime's end of an address that is not abandoned."""
-    ends = [router.expires_at for router in host.router_list]
+    ends = [router.expires_at for router in host.router_list.values()]
     ends += [
         entry.valid_until
-        for entry in host.addresses
+        for entry in host.addresses.values()
         if entry.state is not AddressState.ABANDONED and entry.valid_until is not None
     ]
     return min(ends, default=NO_EXPIRY)

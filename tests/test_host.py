@@ -61,6 +61,11 @@ def make_ra(lifetime=1800, preference=RouterPreference.HIGH, prefixes=None,
     return RouterAdvertisement(R1_MAC, src_ip, lifetime, preference, tuple(prefixes))
 
 
+def in_order(table: dict) -> list:
+    """A host's address or router entries in the order it made them."""
+    return list(table.values())
+
+
 # -- begin_autoconf -----------------------------------------------------------
 
 def test_begin_autoconf_emits_dad_probe(engine):
@@ -70,7 +75,7 @@ def test_begin_autoconf_emits_dad_probe(engine):
     probe = records(engine, "ns-sent")
     assert len(probe) == 1
     assert attrs(probe[0])["target"] == "fe80::21a:2bff:fe3c:4d5e"
-    entry = host.addresses[0]
+    entry = in_order(host.addresses)[0]
     assert entry.state is AddressState.TENTATIVE
     # The DAD deadline is keyed by the tentative address itself.
     assert queued_timers(engine) == [(1000, "H1", entry.address)]
@@ -83,7 +88,7 @@ def test_dad_probe_is_queued_once_for_each_other_node_in_node_order(engine):
     host.begin_autoconf(engine, 0)
     rows = queued_deliveries(engine)
     assert [(at, dst) for at, dst, _ in rows] == [(1, "H3"), (1, "H2")]
-    target = host.addresses[0].address
+    target = in_order(host.addresses)[0].address
     assert all(isinstance(msg, NeighborSolicitation) and msg.target == target for *_, msg in rows)
     assert engine.metrics.emitted == 2
 
@@ -92,7 +97,7 @@ def test_begin_autoconf_disabled_host_is_silent(engine):
     host = make_host(ipv6_enabled=False)
     attach(engine, host)
     host.begin_autoconf(engine, 0)
-    assert host.addresses == []
+    assert host.addresses == {}
     assert engine.trace_records == []
 
 
@@ -114,10 +119,11 @@ def test_ns_for_assigned_address_is_defended(engine, sender):
     # An assigned holder defends whichever id solicits, smaller or larger.
     host = make_host()
     attach(engine, host)
-    host.addresses.append(assigned_entry("fe80::1"))
+    entry = assigned_entry("fe80::1")
+    host.addresses[entry.address] = entry
     ns = NeighborSolicitation(Ipv6Address.parse("fe80::1"))
     host.on_message(engine, ns, sender, 0)
-    assert host.addresses[0].state is AddressState.ASSIGNED
+    assert in_order(host.addresses)[0].state is AddressState.ASSIGNED
     out = records(engine, "na-sent")
     assert len(out) == 1 and attrs(out[0])["target"] == "fe80::1"
 
@@ -125,7 +131,8 @@ def test_ns_for_assigned_address_is_defended(engine, sender):
 def test_ns_for_unknown_target_is_ignored(engine):
     host = make_host()
     attach(engine, host)
-    host.addresses.append(assigned_entry("fe80::1"))
+    entry = assigned_entry("fe80::1")
+    host.addresses[entry.address] = entry
     ns = NeighborSolicitation(Ipv6Address.parse("fe80::2"))
     host.on_message(engine, ns, "H9", 0)
     assert engine.trace_records == []
@@ -135,18 +142,18 @@ def test_simultaneous_dad_smaller_id_wins(engine):
     host = make_host()
     attach(engine, host)
     host.begin_autoconf(engine, 0)
-    target = host.addresses[0].address
+    target = in_order(host.addresses)[0].address
     ns = NeighborSolicitation(target)
     host.on_message(engine, ns, "H2", 0)  # H1 < H2: defend
-    assert host.addresses[0].state is AddressState.TENTATIVE
+    assert in_order(host.addresses)[0].state is AddressState.TENTATIVE
     assert records(engine, "na-sent")
     host.on_message(engine, ns, "H0", 0)  # H1 > H0: abandon
-    assert host.addresses[0].state is AddressState.ABANDONED
+    assert in_order(host.addresses)[0].state is AddressState.ABANDONED
     assert len(records(engine, "dad-failed")) == 1
     # The deadline stays queued, and firing it leaves the abandoned entry be.
     assert queued_timers(engine) == [(1000, "H1", target)]
     engine.run_until(1000)
-    assert host.addresses[0].state is AddressState.ABANDONED
+    assert in_order(host.addresses)[0].state is AddressState.ABANDONED
     assert not records(engine, "addr-assigned")
 
 
@@ -156,10 +163,10 @@ def test_link_local_assignment_solicits_routers(engine):
     host = make_host()
     attach(engine, host)
     host.begin_autoconf(engine, 0)
-    host.dad_deadline(engine, host.addresses[0].address, 1000)
-    assert host.addresses[0].state is AddressState.ASSIGNED
+    host.dad_deadline(engine, in_order(host.addresses)[0].address, 1000)
+    assert in_order(host.addresses)[0].state is AddressState.ASSIGNED
     assert records(engine, "rs-sent")
-    host.dad_deadline(engine, host.addresses[0].address, 2000)  # not tentative: a no-op
+    host.dad_deadline(engine, in_order(host.addresses)[0].address, 2000)  # not tentative: a no-op
     assert len(records(engine, "addr-assigned")) == len(records(engine, "rs-sent")) == 1
 
 
@@ -167,7 +174,7 @@ def test_global_assignment_sends_no_rs(engine):
     host = make_host()
     attach(engine, host)
     receive_ra(engine, make_ra(), "R1", (host,), 0)
-    entry = host.addresses[0]
+    entry = in_order(host.addresses)[0]
     assert entry.prefix == PREFIX and entry.state is AddressState.TENTATIVE
     host.dad_deadline(engine, entry.address, 1000)
     assert entry.state is AddressState.ASSIGNED
@@ -181,8 +188,8 @@ def test_ra_installs_router_and_address(engine):
     attach(engine, host)
     receive_ra(engine, make_ra(), "R1", (host,), 0)
     assert len(host.router_list) == 1
-    assert host.router_list[0].expires_at == 1800 * 1000
-    entry = host.addresses[0]
+    assert in_order(host.router_list)[0].expires_at == 1800 * 1000
+    entry = in_order(host.addresses)[0]
     assert str(entry.address) == "2001:db8:1:0:21a:2bff:fe3c:4d5e"
     assert entry.state is AddressState.TENTATIVE
     assert records(engine, "ns-sent")
@@ -193,7 +200,7 @@ def test_lifetime_zero_removes_default_router(engine):
     attach(engine, host)
     receive_ra(engine, make_ra(), "R1", (host,), 0)
     receive_ra(engine, make_ra(lifetime=0), "R1", (host,), 10)
-    assert host.router_list == []
+    assert host.router_list == {}
     assert attrs(records(engine, "router-removed")[0])["reason"] == "lifetime-zero"
     assert host.select_default_router(20) is None
     # only a fresh positive-lifetime RA from the same router re-adds it
@@ -206,7 +213,7 @@ def test_non_64_autonomous_prefix_is_ignored(engine):
     attach(engine, host)
     ra = make_ra(prefixes=(PrefixInfo(Prefix.parse("2001:db8::/48"), 3600, 3600),))
     receive_ra(engine, ra, "R1", (host,), 0)
-    assert host.addresses == []
+    assert host.addresses == {}
     assert len(host.router_list) == 1  # a prefix that forms no address still installs the router
     assert attrs(records(engine, "prefix-ignored")[0])["reason"] == "length"
 
@@ -235,7 +242,7 @@ def test_abandoned_prefix_is_never_recreated(engine):
     host = make_host()
     attach(engine, host)
     receive_ra(engine, make_ra(), "R1", (host,), 0)
-    entry = host.addresses[0]
+    entry = in_order(host.addresses)[0]
     host.on_message(engine, NeighborSolicitation(entry.address), "H0", 5)
     assert entry.state is AddressState.ABANDONED
     receive_ra(engine, make_ra(), "R1", (host,), 10)
@@ -249,13 +256,13 @@ def test_valid_lifetime_zero_forms_no_address(engine):
     host = make_host()
     attach(engine, host)
     receive_ra(engine, make_ra(valid=0, preferred=0), "R1", (host,), 0)
-    assert host.addresses == []
+    assert host.addresses == {}
     assert [attrs(r) for r in records(engine, "prefix-ignored")] == [
         {"prefix": "2001:db8:1::/64", "reason": "valid-zero"}
     ]
     assert not records(engine, "dad-start")
     receive_ra(engine, make_ra(), "R1", (host,), 10)
-    [entry] = host.addresses
+    [entry] = host.addresses.values()
     assert entry.state is AddressState.TENTATIVE
     receive_ra(engine, make_ra(valid=0, preferred=0), "R1", (host,), 20)
     assert entry.valid_until == 20
@@ -280,7 +287,7 @@ def test_send_only_host_drops_unauthenticated_ra(engine):
     host = make_host(send_only=True)
     attach(engine, host)
     receive_ra(engine, make_ra(), "R1", (host,), 0)
-    assert host.router_list == [] and host.addresses == []
+    assert host.router_list == {} and host.addresses == {}
     assert records(engine, "ra-rejected-send")
 
 
@@ -298,7 +305,7 @@ def test_disabled_host_ignores_ra(engine):
     host = make_host(ipv6_enabled=False)
     attach(engine, host)
     receive_ra(engine, make_ra(), "R1", (host,), 0)
-    assert host.router_list == [] and host.addresses == []
+    assert host.router_list == {} and host.addresses == {}
 
 
 # -- two-hour rule -----------------------------------------------------------------
@@ -344,7 +351,7 @@ def test_refresh_without_policy_takes_received_lifetime(engine):
     attach(engine, host)
     receive_ra(engine, make_ra(valid=10000, preferred=10000), "R1", (host,), 0)
     receive_ra(engine, make_ra(valid=100, preferred=50), "R1", (host,), 1000)
-    assert host.addresses[0].valid_until == 1000 + 100 * 1000
+    assert in_order(host.addresses)[0].valid_until == 1000 + 100 * 1000
 
 
 def test_refresh_with_policy_applies_floor():
@@ -353,7 +360,7 @@ def test_refresh_with_policy_applies_floor():
     attach(engine, host)
     receive_ra(engine, make_ra(valid=10000, preferred=10000), "R1", (host,), 0)
     receive_ra(engine, make_ra(valid=100, preferred=50), "R1", (host,), 1000)
-    entry = host.addresses[0]
+    entry = in_order(host.addresses)[0]
     assert entry.valid_until == 1000 + 7200 * 1000
     assert entry.preferred_until <= entry.valid_until
 
@@ -420,6 +427,19 @@ RA_BRANCHES = {
         ),
         ("node=H2 kind=dad-failed addr=2001:db8:1:0:21a:2bff:fe3c:4d5e",),
     ),
+    # Three hosts with one IID: H3 abandons the link-local address on H1's
+    # probe, then hears H2's probe for the address it abandoned.
+    "three-hosts-one-iid": (
+        link(
+            f"{R1_LINE} prefix=2001:db8:1::/64",
+            HOST_LINE,
+            "node host H2 mac=00:1a:2b:3c:4d:5e",
+            "node host H3 mac=00:1a:2b:3c:4d:5e",
+            tail="allow-dup-mac\nrun 25",
+        ),
+        ("node=H2 kind=dad-failed addr=fe80::21a:2bff:fe3c:4d5e",
+         "node=H3 kind=dad-failed addr=fe80::21a:2bff:fe3c:4d5e"),
+    ),
 }
 
 
@@ -442,6 +462,11 @@ def router_entry(ip: str, pref, expires=10_000_000, refreshed=0):
     return DefaultRouterEntry(Ipv6Address.parse(ip), expires, pref, refreshed)
 
 
+def routers(entries) -> dict:
+    """A default-router list as a host keys it: each entry by its router_ip."""
+    return {entry.router_ip: entry for entry in entries}
+
+
 def test_host_entries_are_slotted():
     for entry in (assigned_entry("2001:db8:1::5"), router_entry("fe80::1", RouterPreference.HIGH)):
         assert not hasattr(entry, "__dict__")
@@ -451,10 +476,10 @@ def test_host_entries_are_slotted():
 
 def test_selection_prefers_high():
     host = make_host()
-    host.router_list = [
+    host.router_list = routers([
         router_entry("fe80::1", RouterPreference.HIGH),
         router_entry("fe80::2", RouterPreference.MEDIUM),
-    ]
+    ])
     assert str(host.select_default_router(0).router_ip) == "fe80::1"
 
 
@@ -464,18 +489,18 @@ def test_selection_empty_list_is_none():
 
 def test_selection_tie_breaks_on_recency_then_ip():
     host = make_host()
-    host.router_list = [
+    host.router_list = routers([
         router_entry("fe80::1", RouterPreference.MEDIUM, refreshed=10_000),
         router_entry("fe80::2", RouterPreference.MEDIUM, refreshed=20_000),
-    ]
+    ])
     assert str(host.select_default_router(0).router_ip) == "fe80::2"
-    host.router_list[0].refreshed_at = 20_000
+    in_order(host.router_list)[0].refreshed_at = 20_000
     assert str(host.select_default_router(0).router_ip) == "fe80::1"
 
 
 def test_selection_skips_expired():
     host = make_host()
-    host.router_list = [router_entry("fe80::1", RouterPreference.HIGH, expires=100)]
+    host.router_list = routers([router_entry("fe80::1", RouterPreference.HIGH, expires=100)])
     assert host.select_default_router(100) is None
     assert host.select_default_router(99) is not None
 
@@ -495,15 +520,15 @@ def test_selection_argmax_invariance(entries):
     # Adding a router with strictly lower preference than the current pick
     # never changes the selection.
     host = make_host()
-    host.router_list = [
+    host.router_list = routers([
         router_entry(str(Ipv6Address((0xFE80 << 112) | ip)), RouterPreference(p), refreshed=r)
         for p, r, ip in entries
-    ]
+    ])
     before = host.select_default_router(0)
     if before.preference is RouterPreference.LOW:
         return
     weaker = RouterPreference(before.preference - 1)
-    host.router_list.append(router_entry("fe80::ffff", weaker, refreshed=99_999))
+    host.router_list.update(routers([router_entry("fe80::ffff", weaker, refreshed=99_999)]))
     after = host.select_default_router(0)
     assert after.router_ip == before.router_ip
 
@@ -512,13 +537,10 @@ def test_selection_argmax_invariance(entries):
 
 def dual_stack_host() -> Host:
     host = make_host(ipv4=(parse_ipv4("10.0.0.2"), "GW1"))
-    host.addresses.append(
-        AddressEntry(
-            Ipv6Address.parse("2001:db8:1:0:21a:2bff:fe3c:4d5e"),
-            AddressState.ASSIGNED,
-            prefix=PREFIX,
-        )
+    entry = AddressEntry(
+        Ipv6Address.parse("2001:db8:1:0:21a:2bff:fe3c:4d5e"), AddressState.ASSIGNED, prefix=PREFIX
     )
+    host.addresses[entry.address] = entry
     return host
 
 
@@ -545,7 +567,7 @@ def measure_path(engine: Engine, now=0):
 
 def test_resolution_prefers_ipv6():
     host = dual_stack_host()
-    host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
+    host.router_list = routers([router_entry("fe80::1", RouterPreference.HIGH)])
     family, resolved, sent = measure_path(path_link(host))
     assert family == resolved["family"] == sent["family"] == "ipv6"
     assert resolved["via"] == "R1"  # the node that sends from fe80::1
@@ -557,7 +579,7 @@ def test_resolution_falls_back_to_ipv4():
     assert family == resolved["family"] == "ipv4" and resolved["via"] == "GW1"
     assert sent["src"] == "10.0.0.2"
     disabled = make_host(ipv6_enabled=False, ipv4=(parse_ipv4("10.0.0.2"), "GW1"))
-    disabled.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]  # IPv6 is off
+    disabled.router_list = routers([router_entry("fe80::1", RouterPreference.HIGH)])  # IPv6 is off
     family, resolved, _ = measure_path(path_link(disabled))
     assert family == resolved["family"] == "ipv4" and resolved["via"] == "GW1"
 
@@ -570,14 +592,14 @@ def test_resolution_unreachable():
 def test_resolution_through_a_router_that_is_no_node_is_unreachable():
     # IPv6 is picked before its gateway is looked up: no IPv4 fallback.
     host = dual_stack_host()
-    host.router_list = [router_entry("fe80::99", RouterPreference.HIGH)]
+    host.router_list = routers([router_entry("fe80::99", RouterPreference.HIGH)])
     family, resolved, sent = measure_path(path_link(host))
     assert family == "none" and resolved["outcome"] == "unreachable" and sent is None
 
 
 def test_resolution_needs_assigned_global():
     host = make_host()
-    host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
+    host.router_list = routers([router_entry("fe80::1", RouterPreference.HIGH)])
     family, resolved, sent = measure_path(path_link(host))  # router but no global address
     assert family == "none" and resolved["outcome"] == "unreachable" and sent is None
 
@@ -586,7 +608,7 @@ def test_resolution_prefers_a_preferred_source():
     # RFC 6724 rule 3: an address past its preferred lifetime (deprecated)
     # sources data only when no preferred address is assigned.
     host = make_host()
-    host.router_list = [router_entry("fe80::1", RouterPreference.HIGH)]
+    host.router_list = routers([router_entry("fe80::1", RouterPreference.HIGH)])
     first = AddressEntry(
         Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, PREFIX,
         valid_until=9_000, preferred_until=1_000,
@@ -595,12 +617,12 @@ def test_resolution_prefers_a_preferred_source():
         Ipv6Address.parse("2001:db8:bad::5"), AddressState.ASSIGNED,
         Prefix.parse("2001:db8:bad::/64"), valid_until=9_000, preferred_until=5_000,
     )
-    host.addresses = [first, second]
+    host.addresses = {first.address: first, second.address: second}
     engine = path_link(host)
     assert measure_path(engine, 999)[2]["src"] == str(first.address)  # both preferred
     assert measure_path(engine, 1_000)[2]["src"] == str(second.address)  # first deprecated
     assert measure_path(engine, 5_000)[2]["src"] == str(first.address)  # both deprecated
-    host.addresses = [second]
+    host.addresses = {second.address: second}
     assert host.select_global_source(6_000) is second  # a lone deprecated address serves
 
 
@@ -634,9 +656,9 @@ run 5
 def test_tick_removes_expired_router(engine):
     host = make_host()
     attach(engine, host)
-    host.router_list = [router_entry("fe80::1", RouterPreference.HIGH, expires=100_000)]
+    host.router_list = routers([router_entry("fe80::1", RouterPreference.HIGH, expires=100_000)])
     host.tick_lifetimes(engine, 101_000)
-    assert host.router_list == []
+    assert host.router_list == {}
     assert attrs(records(engine, "router-removed")[0])["reason"] == "expired"
 
 
@@ -646,7 +668,7 @@ def test_tick_abandons_expired_address(engine):
     attach(engine, host)
     receive_ra(engine, make_ra(valid=10, preferred=10), "R1", (host,), 0)
     host.tick_lifetimes(engine, 10_000)
-    assert host.addresses == []
+    assert host.addresses == {}
     assert [attrs(r) for r in records(engine, "addr-abandoned")] == [
         {"addr": "2001:db8:1:0:21a:2bff:fe3c:4d5e", "reason": "expired"}
     ]
@@ -659,14 +681,14 @@ def test_tick_drops_only_the_expired_entries_in_list_order(engine):
     prefixes = [Prefix.parse(f"2001:db8:{i}::/64") for i in (1, 2, 3)]
     ra = make_ra(prefixes=[PrefixInfo(p, v, v) for p, v in zip(prefixes, (10, 100, 10))])
     receive_ra(engine, ra, "R1", (host,), 0)
-    host.router_list = [
+    host.router_list = routers([
         router_entry("fe80::1", RouterPreference.HIGH, expires=5_000),
         router_entry("fe80::2", RouterPreference.HIGH, expires=50_000),
         router_entry("fe80::3", RouterPreference.HIGH, expires=10_000),
-    ]
+    ])
     host.tick_lifetimes(engine, 10_000)
-    assert [str(e.router_ip) for e in host.router_list] == ["fe80::2"]
-    assert [e.prefix for e in host.addresses] == [None, prefixes[1]]
+    assert [str(e.router_ip) for e in host.router_list.values()] == ["fe80::2"]
+    assert [e.prefix for e in host.addresses.values()] == [None, prefixes[1]]
     assert [attrs(r)["router"] for r in records(engine, "router-removed")] == ["fe80::1", "fe80::3"]
     assert [attrs(r)["addr"] for r in records(engine, "addr-abandoned")] == [
         "2001:db8:1:0:21a:2bff:fe3c:4d5e", "2001:db8:3:0:21a:2bff:fe3c:4d5e"
@@ -698,7 +720,7 @@ def test_expiry_tick_before_the_floor_skips_the_sweep(engine):
         assert sweep.call_count == 0
         host.on_timer(engine, Timer.EXPIRY, 10_000)
         assert sweep.call_count == 1
-    assert host.addresses == [] and host.expiry_floor == 1_800_000
+    assert host.addresses == {} and host.expiry_floor == 1_800_000
     assert [attrs(r)["reason"] for r in records(engine, "addr-abandoned")] == ["expired"]
 
 
@@ -708,7 +730,7 @@ def test_sweep_leaves_no_floor_once_nothing_can_expire(engine):
     attach(engine, host)
     host.begin_autoconf(engine, 0)
     receive_ra(engine, make_ra(lifetime=0, valid=10, preferred=10), "R1", (host,), 0)
-    entry = host.addresses[-1]
+    entry = in_order(host.addresses)[-1]
     host.on_message(engine, NeighborSolicitation(entry.address), "H0", 5)
     host.tick_lifetimes(engine, 5)
     assert host.expiry_floor == NO_EXPIRY
@@ -753,20 +775,20 @@ def test_dad_failed_address_never_comes_back_even_past_its_lifetime(engine):
     host = make_host()
     attach(engine, host)
     receive_ra(engine, make_ra(valid=10, preferred=10), "R1", (host,), 0)
-    [entry] = host.addresses
+    [entry] = host.addresses.values()
     host.on_message(engine, NeighborSolicitation(entry.address), "H0", 5)
     host.tick_lifetimes(engine, 20_000)
-    assert host.addresses == [entry] and entry.state is AddressState.ABANDONED
+    assert in_order(host.addresses) == [entry] and entry.state is AddressState.ABANDONED
     assert not records(engine, "addr-abandoned")
     receive_ra(engine, make_ra(), "R1", (host,), 30_000)
-    assert host.addresses == [entry] and entry.state is AddressState.ABANDONED
+    assert in_order(host.addresses) == [entry] and entry.state is AddressState.ABANDONED
     assert len(records(engine, "dad-start")) == 1
 
 
 def test_tick_noop_when_nothing_expired(engine):
     host = make_host()
     attach(engine, host)
-    host.router_list = [router_entry("fe80::1", RouterPreference.HIGH, expires=100_000)]
+    host.router_list = routers([router_entry("fe80::1", RouterPreference.HIGH, expires=100_000)])
     host.tick_lifetimes(engine, 50_000)
     assert len(host.router_list) == 1
     assert engine.trace_records == []

@@ -141,10 +141,9 @@ def probe_through(engine, router):
     default router, so the engine sends one probe through it."""
     attach(engine, router)
     host = eui64_host("H1", MacAddress.parse("00:1a:2b:3c:4d:5e"))
-    host.addresses.append(
-        AddressEntry(Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, PREFIX_INFO.prefix)
-    )
-    host.router_list.append(DefaultRouterEntry(R1_IP, 1_800_000, RouterPreference.HIGH, 0))
+    entry = AddressEntry(Ipv6Address.parse("2001:db8:1::5"), AddressState.ASSIGNED, PREFIX_INFO.prefix)
+    host.addresses[entry.address] = entry
+    host.router_list[R1_IP] = DefaultRouterEntry(R1_IP, 1_800_000, RouterPreference.HIGH, 0)
     attach(engine, host)
     return engine.measure(0).hosts["H1"]
 

@@ -325,7 +325,8 @@ class Engine(object):
         """A host started DAD on ``address``: it hears NS for it from now on."""
         self._claims.setdefault(address, set()).add(node_id)
 
-    def _handle_deliver(self, event: Deliver, now: int) -> None:
+    def _handle_deliver(self, event: Deliver, now: int, booked: Optional[list] = None) -> bool:
+        """Serve one delivery: True for an RA pass that only refreshed (see receive_ra)."""
         msg, src, dsts = event
         port = self.node_port[src]
         # Port and message are frozen, so one verdict holds for every receiver.
@@ -336,14 +337,14 @@ class Engine(object):
             self.trace_records.extend([
                 (now, switch_id, "ra-dropped", (port_id, reason, src_ip, dst)) for dst in dsts
             ])
-            return
+            return False
         # Every receiver counts as delivered; only those that act on the
         # message kind are called, in node order.
         self.metrics.delivered += len(dsts)
         nodes = self.nodes
         if isinstance(msg, RouterAdvertisement):
-            receive_ra(self, msg, src, map(nodes.__getitem__, dsts), now)
-        elif isinstance(msg, RouterSolicitation):  # only routers act on it
+            return receive_ra(self, msg, src, map(nodes.__getitem__, dsts), now, booked)
+        if isinstance(msg, RouterSolicitation):  # only routers act on it
             for router in self._routers:
                 if router.node_id != src:
                     router.on_message(self, msg, src, now)
@@ -357,6 +358,7 @@ class Engine(object):
                         nodes[dst].on_message(self, msg, src, now)
         # An NA calls no one: every host probes from t=0 on the same RAs, so
         # a DAD loser has already given up on the winner's NS.
+        return False
 
     # -- run loop -------------------------------------------------------------
 
@@ -373,14 +375,31 @@ class Engine(object):
         while times and times[0] <= t_end_ms:
             at = heapq.heappop(times)
             self.now = at
+            # The delivery served just before, if nothing came between, and
+            # the records and bookings each repeat of it copies (see receive_ra).
+            last = copy = None
             for node_id, action in buckets.pop(at):
                 if node_id is not None:
                     nodes[node_id].on_timer(self, action, at)
+                    last = None
                 elif isinstance(action, Deliver):
                     metrics.in_flight -= len(action.dsts)
-                    self._handle_deliver(action, at)
+                    if last is None or action.msg is not last.msg or action != last:
+                        copy = None
+                        self._handle_deliver(action, at)
+                    elif copy is None:
+                        start, booked = len(self.trace_records), []
+                        if self._handle_deliver(action, at, booked):
+                            copy = self.trace_records[start:], booked
+                    else:
+                        metrics.delivered += len(action.dsts)
+                        self.trace_records.extend(copy[0])
+                        for booking in copy[1]:
+                            self.set_timer(*booking)
+                    last = action
                 else:
                     self._handle_script(action, at)
+                    last = None
         self.now = t_end_ms
 
     def _handle_script(self, step: ScriptStep, now: int) -> None:

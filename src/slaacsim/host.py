@@ -202,19 +202,30 @@ class Host(object):
             self.dad_deadline(ctx, timer, now)
 
 
-def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
-               receivers: Iterable[object], now: int) -> None:
+def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str, receivers: Iterable[object],
+               now: int, booked: Optional[list[tuple[str, Timer, int]]] = None) -> bool:
     """Deliver one RA to ``receivers`` in one pass, in their order: a host,
     subclass or not, gets its ``ra-received`` record and its RA handling, a
     router nothing, and any other node on_message. What no host changes is
     worked out once, before the loop; the signature verdict is made at the
     first send=on host that needs it. No booking call is made for an expiry
-    past the run's end, which set_timer would drop."""
+    past the run's end, which set_timer would drop.
+
+    Returns whether the pass only refreshed, making and removing no router
+    or address entry: a second pass of the same RA at the same time then
+    makes the same records and bookings and changes nothing (the two-hour
+    rule's result is its own fixed point), so the engine copies it. Each
+    booking's set_timer arguments are appended to ``booked`` when given."""
     # The records an RA makes at every host go straight into the trace,
     # stamped with the engine's time as Engine.trace stamps them.
     append = ctx.trace_records.append
     stamp = ctx.now
     set_timer, horizon = ctx.set_timer, ctx._horizon
+    if booked is not None:
+        def set_timer(*booking, book=set_timer):
+            book(*booking)
+            booked.append(booking)
+    refreshed_only = True
     two_hour_rule = ctx.two_hour_rule
     expiry, abandoned = Timer.EXPIRY, AddressState.ABANDONED
     src_ip, lifetime, preference = ra.src_ip, ra.router_lifetime, ra.preference
@@ -260,6 +271,7 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
             if router is None:
                 node.router_list[src_ip] = DefaultRouterEntry(src_ip, expires, preference, now)
                 kind = "router-added"
+                refreshed_only = False
             else:
                 router.expires_at = expires
                 router.preference = preference
@@ -273,6 +285,7 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
         elif router is not None:
             del node.router_list[src_ip]
             ctx.trace(node_id, "router-removed", src_ip, "lifetime-zero")
+            refreshed_only = False
         for prefix, ignored, network, valid_ms, valid_until, book_new, preferred_until in options:
             if ignored is not None:
                 ctx.trace(node_id, "prefix-ignored", prefix, ignored)
@@ -291,6 +304,7 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
                     preferred_until=preferred_until,
                 )
                 node.addresses[entry.address] = entry
+                refreshed_only = False
                 if book_new:
                     set_timer(node_id, expiry, valid_until)
                 if valid_until < node.expiry_floor:
@@ -309,3 +323,4 @@ def receive_ra(ctx: "Engine", ra: RouterAdvertisement, sender_id: str,
                 append((stamp, node_id, "addr-lifetime", (entry.address, kept_ms)))
             # An abandoned entry for the prefix means DAD failed and
             # autoconfiguration stopped (RFC 4862 §5.4.5); never re-create it.
+    return refreshed_only

@@ -496,12 +496,12 @@ def test_each_node_hears_only_the_kinds_it_acts_on(monkeypatch):
 
     receive_ra = engine_module.receive_ra
 
-    def counted_ra(ctx, ra, sender_id, receivers, now):
+    def counted_ra(ctx, ra, sender_id, receivers, now, *rest):
         receivers = list(receivers)
         for node in receivers:
             if isinstance(node, Host):
                 calls["Host", type(ra).__name__, "receive_ra"] += 1
-        receive_ra(ctx, ra, sender_id, receivers, now)
+        return receive_ra(ctx, ra, sender_id, receivers, now, *rest)
 
     for cls in (Host, Router, Attacker):
         counting(cls)
@@ -632,8 +632,8 @@ def test_every_scenario_conserves_messages(name):
 class LosingEngine(Engine):
     """Serves each delivery without counting it as delivered or dropped."""
 
-    def _handle_deliver(self, event, now):
-        pass
+    def _handle_deliver(self, event, now, booked=None):
+        return False
 
 
 def test_execute_raises_when_a_message_goes_uncounted():
@@ -1191,6 +1191,23 @@ def test_measure_at_the_run_end_is_the_only_one():
     engine.execute(sc.run_ms)
     resolved = records(engine, "path-resolved")
     assert [(r.time, r.node) for r in resolved] == [(4000, "H1"), (4000, "H2")]
+
+
+@pytest.mark.parametrize("hosts", [3, 20])
+def test_rs_burst_walks_the_hosts_at_most_twice(hosts):
+    # Every host solicits in one millisecond and R1 answers each RS at once
+    # with its one RA. The engine walks the receivers for the first two of
+    # those deliveries, then copies the second's records; the output still
+    # equals the reference simulator's, which walks every delivery.
+    sc = parse_scenario(link_text(hosts, False, 60))
+    with counting(engine_module, "receive_ra") as walks:
+        matches_reference(sc)
+    engine = build_engine(sc)
+    engine.execute(sc.run_ms)
+    sent = Counter(r.time for r in records(engine, "ra-sent") if r.node == "R1")
+    [burst] = [t + sc.link_latency_ms for t, count in sent.items() if count == hosts]
+    assert len([r for r in records(engine, "ra-received") if r.time == burst]) == hosts * hosts
+    assert 0 < sum(1 for call in walks.call_args_list if call.args[4] == burst) <= 2
 
 
 # -- the cyclic collector -----------------------------------------------------------

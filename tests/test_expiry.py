@@ -108,8 +108,9 @@ def test_floor_never_passes_a_live_expiry():
     receive_ra, on_timer = engine_module.receive_ra, Host.on_timer
 
     def checked_receive_ra(ctx, *args):
-        receive_ra(ctx, *args)
+        refreshed_only = receive_ra(ctx, *args)
         check_floors(ctx)
+        return refreshed_only
 
     def checked_on_timer(host, ctx, *args):
         on_timer(host, ctx, *args)

@@ -5,7 +5,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -346,6 +346,17 @@ def test_two_hour_rule_floor(remaining, received):
         assert apply_two_hour_rule(remaining, received) >= min(remaining, 7_200_000)
 
 
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**9))
+@example(100, 1000)  # the received lifetime is longer
+@example(1000, 100)  # shorter, against at most two hours left
+@example(10**9, 100)  # shorter, against more than two hours left
+def test_two_hour_rule_keeps_its_own_result(remaining, received):
+    # A repeat of an RA finds what the first left and keeps it, so the
+    # engine may copy a repeated delivery.
+    kept = apply_two_hour_rule(remaining, received)
+    assert apply_two_hour_rule(kept, received) == kept
+
+
 def test_refresh_without_policy_takes_received_lifetime(engine):
     host = make_host()
     attach(engine, host)
@@ -382,6 +393,12 @@ def link(*node_lines: str, tail: str = "run 25") -> str:
 
 HOST_LINE = "node host H1 mac=00:1a:2b:3c:4d:5e"
 R1_LINE = "node router R1 mac=00:00:5e:00:53:01"
+R2_LINE = "node router R2 mac=00:00:5e:00:53:02"
+
+
+def hosts(count: int, options: str = "") -> list[str]:
+    """Host lines H1.. with distinct MACs, each with ``options``."""
+    return [f"node host H{i} mac=02:00:00:00:00:{i:02x}{options}" for i in range(1, count + 1)]
 
 # Branches of host.receive_ra that no corpus scenario reaches, each with a
 # record that shows the branch was taken.
@@ -426,6 +443,53 @@ RA_BRANCHES = {
             tail="allow-dup-mac\nrun 25",
         ),
         ("node=H2 kind=dad-failed addr=2001:db8:1:0:21a:2bff:fe3c:4d5e",),
+    ),
+    # Bursts, each under one more condition: the hosts finish DAD and solicit
+    # in one millisecond, R1 answers each RS at once with its one RA, and the
+    # engine copies the repeats of that delivery (no corpus scenario has one).
+    # Here R1's RA, valid 20 s, meets an address R2's RA (valid 9000 s, R2
+    # silent from 0 s) set: the rule keeps two hours, then keeps them again.
+    "burst-two-hour-rule": (
+        link(
+            f"{R1_LINE} prefix=2001:db8:1::/64 valid=20 preferred=10",
+            f"{R2_LINE} prefix=2001:db8:1::/64 valid=9000 preferred=9000",
+            *hosts(3),
+            tail="policy global two-hour-rule\nat 0 disable R2\nrun 25",
+        ),
+        ("t=1 node=H3 kind=addr-lifetime addr=2001:db8:1::ff:fe00:3 valid_ms=9000000",
+         "t=1002 node=H3 kind=addr-lifetime addr=2001:db8:1::ff:fe00:3 valid_ms=7200000"),
+    ),
+    # A burst of R1's RA, valid 0, for the address R2's RA formed: each
+    # repeat books its end for the millisecond being served.
+    "burst-valid-zero": (
+        link(
+            f"{R1_LINE} prefix=2001:db8:1::/64 valid=0 preferred=0",
+            f"{R2_LINE} prefix=2001:db8:1::/64",
+            *hosts(3),
+            tail="at 0 disable R2\nrun 25",
+        ),
+        ("t=1002 node=H3 kind=addr-abandoned",),
+    ),
+    "burst-send-unsigned": (
+        link(f"{R1_LINE} prefix=2001:db8:1::/64", *hosts(3, " send=on")),
+        ("t=1002 node=H3 kind=ra-rejected-send",),
+    ),
+    "burst-attacker": (
+        link(f"{R1_LINE} prefix=2001:db8:1::/64", *hosts(3),
+             "node attacker A1 mac=00:00:5e:00:53:66"),
+        ("t=1002 node=A1 kind=ra-captured",),
+    ),
+    "burst-ipv6-off": (
+        link(f"{R1_LINE} prefix=2001:db8:1::/64", *hosts(3), "node host H9 mac=02:00:00:00:00:09 ipv6=off"),
+        ("t=1002 node=H9 kind=ra-received",),
+    ),
+    "burst-latency-zero": (
+        link(f"{R1_LINE} prefix=2001:db8:1::/64", *hosts(3), tail="link-latency 0\nrun 25"),
+        ("t=1000 node=H3 kind=addr-lifetime",),
+    ),
+    "burst-lifetime-zero": (
+        link(f"{R1_LINE} prefix=2001:db8:1::/64 lifetime=0", *hosts(3)),
+        ("t=1002 node=H3 kind=addr-lifetime",),
     ),
     # Three hosts with one IID: H3 abandons the link-local address on H1's
     # probe, then hears H2's probe for the address it abandoned.
@@ -528,7 +592,8 @@ def test_selection_argmax_invariance(entries):
     if before.preference is RouterPreference.LOW:
         return
     weaker = RouterPreference(before.preference - 1)
-    host.router_list.update(routers([router_entry("fe80::ffff", weaker, refreshed=99_999)]))
+    # A bit above the low 64 keeps the added address off every drawn one.
+    host.router_list.update(routers([router_entry("fe80:0:0:1::ffff", weaker, refreshed=99_999)]))
     after = host.select_default_router(0)
     assert after.router_ip == before.router_ip
 
